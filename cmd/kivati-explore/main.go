@@ -9,12 +9,12 @@
 //	kivati-explore -all                         # the whole 11-bug corpus
 //	kivati-explore -bug NSS/341323 -strategy dfs -bound 3
 //	kivati-explore -bug NSS/341323 -strategy dfs -dpor    # prune swap-redundant schedules
-//	kivati-explore -all -engine replay          # legacy engine (fresh VM per schedule)
+//	kivati-explore -bug Apache/44402 -strategy dfs -cores 2 # multi-core DFS, resumed from snapshots
 //	kivati-explore -bug NSS/341323 -trace-dir traces   # record divergent schedules
 //	kivati-explore -replay traces/NSS-341323-vanilla-17.json
 //	kivati-explore -gen 20 -gen-seed 1          # a generated 20-program corpus
 //	kivati-explore -all -json                   # machine-readable report
-//	kivati-explore -bench-out BENCH_explore.json          # engine throughput sweep
+//	kivati-explore -bench-out BENCH_explore.json          # corpus throughput sweep
 //	kivati-explore -bench-baseline BENCH_explore.json -bench-gate
 //
 // Exit status is nonzero if any prevention-mode schedule diverges from the
@@ -43,7 +43,6 @@ import (
 type report struct {
 	Schema    string           `json:"schema"`
 	Strategy  explore.Strategy `json:"strategy"`
-	Engine    explore.Engine   `json:"engine"`
 	DPOR      bool             `json:"dpor,omitempty"`
 	Schedules int              `json:"schedules"`
 	Seed      int64            `json:"seed"`
@@ -55,21 +54,10 @@ type report struct {
 	Corpus       int                   `json:"corpus_size,omitempty"`
 	Subjects     []*explore.DiffReport `json:"subjects"`
 	TotalSeconds float64               `json:"total_seconds"`
-	// SchedulesPerSec is executed schedules (subjects x 2 modes x budget)
-	// per wall-clock second; the engine counters aggregate over subjects
-	// and modes.
+	// SchedulesPerSec is executed runs per wall-clock second; the totals
+	// aggregate over subjects and modes.
 	SchedulesPerSec float64 `json:"schedules_per_sec"`
-	Snapshots       int     `json:"snapshots"`
-	Restores        int     `json:"restores"`
-	Resumed         int     `json:"resumed,omitempty"`
-	Pruned          int     `json:"pruned,omitempty"`
-	// Decision-point cost accounting aggregated over subjects and modes
-	// (see harness.ExploreBenchReport for the column semantics).
-	Decisions         uint64  `json:"decisions"`
-	NsPerDecision     float64 `json:"ns_per_decision"`
-	SamePickContinues uint64  `json:"same_pick_continues"`
-	DeltaArms         uint64  `json:"delta_arms"`
-	FullArms          uint64  `json:"full_arms"`
+	harness.ExploreTotals
 }
 
 func main() {
@@ -86,14 +74,13 @@ func main() {
 	quantum := flag.Uint64("quantum", 0, "preemption quantum override (0 = strategy default)")
 	cores := flag.Int("cores", 1, "simulated cores")
 	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	engine := flag.String("engine", "snapshot", "execution engine: snapshot (session reuse, fast dispatch, branch-point resume) or replay (legacy, fresh VM per schedule)")
-	dpor := flag.Bool("dpor", false, "dfs: prune swap-redundant schedules via recorded access streams (snapshot engine, single core)")
+	dpor := flag.Bool("dpor", false, "dfs: prune swap-redundant schedules via recorded access streams (single core)")
 	traceDir := flag.String("trace-dir", "", "record a replayable trace for every divergent schedule into this directory")
 	replay := flag.String("replay", "", "replay one recorded trace file and verify it reproduces")
 	jsonOut := flag.Bool("json", false, "emit a JSON report instead of text")
-	benchOut := flag.String("bench-out", "", "run the corpus engine-throughput sweep and write BENCH_explore.json-style output to this file")
-	benchBaseline := flag.String("bench-baseline", "", "compare the engine-throughput sweep against this baseline JSON file")
-	benchGate := flag.Bool("bench-gate", false, "with -bench-baseline: exit nonzero on verdict drift or an aggregate speedup under the floor")
+	benchOut := flag.String("bench-out", "", "run the corpus throughput sweep and write BENCH_explore.json-style output to this file")
+	benchBaseline := flag.String("bench-baseline", "", "compare the throughput sweep against this baseline JSON file")
+	benchGate := flag.Bool("bench-gate", false, "with -bench-baseline: exit nonzero on verdict drift or a schedules/sec collapse")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -131,7 +118,6 @@ func main() {
 		Quantum:     *quantum,
 		Cores:       *cores,
 		Parallelism: *parallel,
-		Engine:      explore.Engine(*engine),
 		DPOR:        *dpor,
 	}
 
@@ -170,9 +156,8 @@ func main() {
 	}
 
 	rep := report{
-		Schema:    "kivati-explore/v2",
+		Schema:    harness.ExploreBenchSchema,
 		Strategy:  opts.Strategy,
-		Engine:    opts.Engine,
 		DPOR:      *dpor,
 		Schedules: *n,
 		Seed:      *seed,
@@ -200,23 +185,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "# %s: %.2fs\n", d.Subject, time.Since(t0).Seconds())
 		}
 		engineBugs += d.PreventionDivergences()
-		for _, st := range []*explore.EngineStats{d.Vanilla.Stats, d.Prevention.Stats} {
-			if st == nil {
-				continue
-			}
-			rep.Snapshots += st.Snapshots
-			rep.Restores += st.Restores
-			rep.Resumed += st.Resumed
-			rep.Pruned += st.Pruned
-		}
-		for _, mr := range []*explore.Report{d.Vanilla, d.Prevention} {
-			for _, r := range mr.Runs {
-				rep.Decisions += uint64(r.Decisions)
-				rep.SamePickContinues += r.SamePickContinues
-				rep.DeltaArms += r.DeltaArms
-				rep.FullArms += r.FullArms
-			}
-		}
+		rep.Add(d)
 		if *traceDir != "" {
 			check(os.MkdirAll(*traceDir, 0o755))
 			check(writeTraces(*traceDir, s, explore.Vanilla, opts, d.Vanilla, *jsonOut))
@@ -225,10 +194,7 @@ func main() {
 	}
 	rep.TotalSeconds = time.Since(start).Seconds()
 	if rep.TotalSeconds > 0 {
-		rep.SchedulesPerSec = float64(len(subjects)*2**n) / rep.TotalSeconds
-	}
-	if rep.Decisions > 0 {
-		rep.NsPerDecision = rep.TotalSeconds * 1e9 / float64(rep.Decisions)
+		rep.SchedulesPerSec = float64(rep.Runs) / rep.TotalSeconds
 	}
 
 	if *jsonOut {
@@ -243,7 +209,7 @@ func main() {
 }
 
 // runBench is the -bench-out / -bench-baseline path: the corpus
-// engine-throughput sweep, optionally gated against a checked-in baseline.
+// throughput sweep, optionally gated against a checked-in baseline.
 func runBench(opts explore.Options, out, baseline string, gate, jsonOut bool) {
 	rep, err := harness.RunExploreBench(opts)
 	check(err)

@@ -1,7 +1,7 @@
 // kivati-soak scales the differential oracle from the 11 hand-written
 // bugs to a generated corpus: it emits N labeled MiniC programs with
 // injected atomicity-violation shapes (plus correctly locked benign
-// decoys), sweeps each through the snapshot-engine differential oracle in
+// decoys), sweeps each through the differential oracle in
 // both modes, and scores the verdicts against the ground-truth labels.
 // With -load it also runs the open-loop latency driver against a server
 // workload — the heavy-traffic half of the soak story.
@@ -41,7 +41,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "generator + exploration base seed")
 	schedules := flag.Int("schedules", 60, "schedule budget per program per mode")
 	strategy := flag.String("strategy", "random", "schedule strategy: random or dfs")
-	engine := flag.String("engine", "snapshot", "execution engine: snapshot or replay")
 	benignEvery := flag.Int("benign-every", 5, "every k-th program is a benign decoy (negative disables)")
 	arrays := flag.Bool("arrays", false, "add array decoys: runtime-sized rings (Unbounded footprints) and static-bound sweeps (bounded footprints)")
 	iters := flag.Int("iters", 0, "per-thread iteration budget (0 = default 12)")
@@ -65,7 +64,6 @@ func main() {
 			Seed:        *seed,
 			Schedules:   *schedules,
 			Strategy:    explore.Strategy(*strategy),
-			Engine:      explore.Engine(*engine),
 			BenignEvery: *benignEvery,
 			Arrays:      *arrays,
 			Iters:       *iters,

@@ -125,7 +125,7 @@ func TestFastPathDifferentialWorkloads(t *testing.T) {
 					r := *cfg2.Requests
 					cfg2.Requests = &r
 				}
-				fast := runDispatchMode(t, p, cfg2, vm.DispatchAuto)
+				fast := runDispatchMode(t, p, cfg2, vm.DispatchFast)
 				assertResultsIdentical(t, name, step, fast)
 				if cc.name == "vanilla" && fast.FastInstructions == 0 {
 					t.Errorf("%s: fast path never engaged on a watchpoint-free run", name)
@@ -155,7 +155,7 @@ func TestFastPathDifferentialBugCorpus(t *testing.T) {
 					SnapshotVars: b.SnapshotVars,
 				}
 				step := runDispatchMode(t, p, cfg, vm.DispatchStep)
-				fast := runDispatchMode(t, p, cfg, vm.DispatchAuto)
+				fast := runDispatchMode(t, p, cfg, vm.DispatchFast)
 				assertResultsIdentical(t, fmt.Sprintf("%s-%s/seed%d", b.App, b.ID, seed), step, fast)
 			}
 		})

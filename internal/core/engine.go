@@ -161,10 +161,8 @@ type RunConfig struct {
 	// differential oracle compares across schedules.
 	SnapshotVars []string
 	// Dispatch selects the VM execution tier (see vm.DispatchMode):
-	// DispatchAuto (the default) uses the basic-block fast path whenever
-	// it is provably equivalent to stepping, DispatchStep forces the
-	// legacy interpreter, DispatchFast keeps the fast path even under a
-	// Policy (trace replay).
+	// DispatchFast (the default) is the basic-block fast tier, with or
+	// without a Policy; DispatchStep is the reference interpreter.
 	Dispatch vm.DispatchMode
 	// HashMemory, when set, fills Result.MemHash with the FNV-1a hash of
 	// final data memory (differential dispatch testing).

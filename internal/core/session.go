@@ -34,9 +34,7 @@ type Session struct {
 
 // NewSession builds the execution context and captures the initial
 // snapshot. cfg.Policy must be nil (policies are per-run); cfg.Dispatch
-// selects the tier every run of this session uses — with DispatchFast the
-// fast path stays active under the per-run policies, which is exactly the
-// Fast-mode recording property the differential gates pin down.
+// selects the tier every run of this session uses.
 func NewSession(p *Program, cfg RunConfig) (*Session, error) {
 	cfg.defaults()
 	if cfg.Policy != nil {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,35 +13,41 @@ import (
 	"kivati/internal/vm"
 )
 
-// capturePolicy replays a recorded decision trace and captures one
-// copy-on-write snapshot inside Pick at absolute decision index at — the
-// quiescent branch point the snapshot engine's framePolicy keys on. The
-// decision at that index has not been consumed yet, so a resume from the
-// snapshot replays the chosen tail starting at at.
+// capturePolicy replays a recorded decision trace and captures a
+// copy-on-write snapshot inside Pick at every absolute decision index
+// that is a multiple of every — the quiescent branch points the snapshot
+// engine's framePolicy keys on. The decision at a capture's index has not
+// been consumed yet, so a resume from it replays the chosen tail starting
+// there.
 type capturePolicy struct {
 	t     *testing.T
 	m     *vm.Machine
 	inner *vm.Replayer
-	at    uint64
-	snap  *vm.Snapshot
+	every uint64
+	snaps map[uint64]*vm.Snapshot
+}
+
+func newCapturePolicy(t *testing.T, m *vm.Machine, chosen []int, every int) *capturePolicy {
+	return &capturePolicy{t: t, m: m, inner: vm.NewReplayer(chosen), every: uint64(every), snaps: map[uint64]*vm.Snapshot{}}
 }
 
 func (p *capturePolicy) Pick(sp vm.SchedPoint) int {
-	if sp.Seq == p.at && p.snap == nil {
+	if sp.Seq%p.every == 0 {
 		snap, err := p.m.Snapshot()
 		if err != nil {
 			p.t.Errorf("mid-run snapshot at decision %d: %v", sp.Seq, err)
 		}
-		p.snap = snap
+		p.snaps[sp.Seq] = snap
 	}
 	return p.inner.Pick(sp)
 }
 
 // genSession builds a session for one generated Arrays program in the
-// snapshot engine's configuration: prevention kernel, fast dispatch. The
-// ring-buffer decoy's dynamic indices give its blocks an Unbounded static
-// footprint, so every fast-path visit demotes to checked mode.
-func genSession(t *testing.T, p *corpusgen.Program) *core.Session {
+// snapshot engine's configuration: prevention kernel (or the vanilla
+// binary), fast dispatch. The ring-buffer decoy's dynamic indices give
+// its blocks an Unbounded static footprint, so every fast-path visit
+// under prevention demotes to checked mode.
+func genSession(t *testing.T, p *corpusgen.Program, cores int, vanilla bool) *core.Session {
 	t.Helper()
 	prog, err := core.BuildWithOptions(p.Source, annotate.Options{})
 	if err != nil {
@@ -49,8 +56,9 @@ func genSession(t *testing.T, p *corpusgen.Program) *core.Session {
 	s, err := core.NewSession(prog, core.RunConfig{
 		Mode:           kernel.Prevention,
 		Opt:            kernel.OptBase,
+		Vanilla:        vanilla,
 		NumWatchpoints: 16,
-		Cores:          1,
+		Cores:          cores,
 		Seed:           1,
 		MaxTicks:       4_000_000,
 		TimeoutTicks:   10_000,
@@ -65,87 +73,110 @@ func genSession(t *testing.T, p *corpusgen.Program) *core.Session {
 	return s
 }
 
+// sameOutcome reports how a resumed or replayed run differs from the
+// uninterrupted one on every piece of machine state the snapshot carries:
+// observables, ticks, kernel stats, memory image and demotion counters.
+func sameOutcome(t *testing.T, what string, got, want *vm.Result) {
+	t.Helper()
+	if got.Reason != "completed" {
+		t.Errorf("%s: %s (ticks=%d)", what, got.Reason, got.Ticks)
+	}
+	if !reflect.DeepEqual(got.Snapshot, want.Snapshot) {
+		t.Errorf("%s: snapshot = %v, want %v", what, got.Snapshot, want.Snapshot)
+	}
+	if got.Ticks != want.Ticks {
+		t.Errorf("%s: ticks = %d, want %d", what, got.Ticks, want.Ticks)
+	}
+	if !reflect.DeepEqual(got.Stats, want.Stats) {
+		t.Errorf("%s: stats = %+v, want %+v", what, got.Stats, want.Stats)
+	}
+	if got.MemHash != want.MemHash {
+		t.Errorf("%s: memory hash = %#x, want %#x", what, got.MemHash, want.MemHash)
+	}
+	if got.Demotions != want.Demotions {
+		t.Errorf("%s: demotions = %+v, want %+v", what, got.Demotions, want.Demotions)
+	}
+}
+
 // TestSessionSnapshotRestoreGenerated pins vm.Snapshot/Restore against a
-// generated program that hits the Unbounded footprint escape: a full
-// recorded run must count Unbounded demotions, a mid-run branch-point
-// snapshot plus a tail replay must reproduce the full run's final state
-// exactly — observables, ticks, memory hash, and the demotion counters,
-// which ride the snapshot like every other piece of machine state.
+// generated program that hits the Unbounded footprint escape, on 1, 2 and
+// 3 cores in both modes: a full recorded run (under prevention) must count
+// Unbounded demotions; a replay capturing branch-point snapshots every k
+// decisions must reproduce it; and resuming from each capture with the
+// decision tail must land on the uninterrupted run's final state exactly —
+// observables, ticks, kernel stats, memory hash and the demotion counters,
+// which ride the snapshot like every other piece of machine state. On
+// more than one core this is what lets the DFS resume mid-run snapshots:
+// the snapshot carries every core's register file and the pending
+// watchpoint-adoption flag, so resumed cores adopt canonical state exactly
+// where the uninterrupted run did.
 func TestSessionSnapshotRestoreGenerated(t *testing.T) {
+	// resumeEvery is a prime stride, so the branch points do not line up
+	// with the quantum or the program's loop structure; on this program it
+	// yields about 30 (vanilla) to 130 (prevention) resumes per run.
+	const resumeEvery = 53
 	p := corpusgen.One(corpusgen.Options{Count: 8, Seed: 21, Arrays: true}, 0)
-	s := genSession(t, p)
 	const quantum, seed = 17, 7
+	for _, cores := range []int{1, 2, 3} {
+		for _, vanilla := range []bool{false, true} {
+			cores, vanilla := cores, vanilla
+			mode := "prevention"
+			if vanilla {
+				mode = "vanilla"
+			}
+			t.Run(fmt.Sprintf("%s/cores%d", mode, cores), func(t *testing.T) {
+				t.Parallel()
+				s := genSession(t, p, cores, vanilla)
+				rng := rand.New(rand.NewSource(99))
+				rec := vm.NewRecorder(vm.PolicyFunc(func(sp vm.SchedPoint) int {
+					return rng.Intn(len(sp.Runnable))
+				}))
+				full, err := s.RunSchedule(rec, quantum, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if full.Reason != "completed" {
+					t.Fatalf("full run: %s (ticks=%d)", full.Reason, full.Ticks)
+				}
+				if !vanilla && full.Demotions.Unbounded == 0 {
+					t.Fatalf("full run saw no Unbounded demotions; the Arrays decoy should force the footprint escape (demotions=%+v)", full.Demotions)
+				}
+				chosen := rec.Chosen()
+				if len(chosen) < 4*resumeEvery {
+					t.Fatalf("only %d decisions recorded; need mid-run branch points", len(chosen))
+				}
 
-	rng := rand.New(rand.NewSource(99))
-	rec := vm.NewRecorder(vm.PolicyFunc(func(sp vm.SchedPoint) int {
-		return rng.Intn(len(sp.Runnable))
-	}))
-	full, err := s.RunSchedule(rec, quantum, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Reason != "completed" {
-		t.Fatalf("full run: %s (ticks=%d)", full.Reason, full.Ticks)
-	}
-	if full.Demotions.Unbounded == 0 {
-		t.Fatalf("full run saw no Unbounded demotions; the Arrays decoy should force the footprint escape (demotions=%+v)", full.Demotions)
-	}
-	chosen := rec.Chosen()
-	if len(chosen) < 2 {
-		t.Fatalf("only %d decisions recorded; need a mid-run branch point", len(chosen))
-	}
-	mid := len(chosen) / 2
+				// Replay the same schedule, capturing snapshots. The restore
+				// of the initial snapshot must also have reset the counters:
+				// if they leaked across runs, this run would report 2x.
+				cp := newCapturePolicy(t, s.Machine(), chosen, resumeEvery)
+				replay, err := s.RunSchedule(cp, quantum, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cp.inner.Mismatches() != 0 {
+					t.Fatalf("replay run: %d decision mismatches", cp.inner.Mismatches())
+				}
+				sameOutcome(t, "replay", replay, full)
 
-	// Replay the same schedule, capturing a snapshot at the midpoint. The
-	// restore of the initial snapshot must also have reset the demotion
-	// counters: if they leaked across runs, this run would report 2x.
-	cp := &capturePolicy{t: t, m: s.Machine(), inner: vm.NewReplayer(chosen), at: uint64(mid)}
-	replay, err := s.RunSchedule(cp, quantum, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.inner.Mismatches() != 0 {
-		t.Fatalf("replay run: %d decision mismatches", cp.inner.Mismatches())
-	}
-	if cp.snap == nil {
-		t.Fatal("capture policy never reached the midpoint decision")
-	}
-	if replay.Demotions != full.Demotions {
-		t.Errorf("replay demotions = %+v, want %+v (initial-snapshot restore must reset counters)",
-			replay.Demotions, full.Demotions)
-	}
-	if !reflect.DeepEqual(replay.Snapshot, full.Snapshot) || replay.Ticks != full.Ticks || replay.MemHash != full.MemHash {
-		t.Errorf("replay run diverged from recorded run: snapshot=%v ticks=%d hash=%#x, want %v/%d/%#x",
-			replay.Snapshot, replay.Ticks, replay.MemHash, full.Snapshot, full.Ticks, full.MemHash)
-	}
-
-	// Resume from the branch point with only the decision tail: the
-	// snapshot carries clock, RNG, quantum and demotion counters, so the
-	// resumed run must land on the identical final state.
-	tail := vm.NewReplayer(chosen[mid:])
-	res, err := s.RunFrom(cp.snap, tail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reason != "completed" {
-		t.Fatalf("resumed run: %s (ticks=%d)", res.Reason, res.Ticks)
-	}
-	if tail.Mismatches() != 0 || tail.Consumed() != len(chosen)-mid {
-		t.Errorf("resumed run consumed %d/%d tail decisions with %d mismatches",
-			tail.Consumed(), len(chosen)-mid, tail.Mismatches())
-	}
-	if !reflect.DeepEqual(res.Snapshot, full.Snapshot) {
-		t.Errorf("resumed snapshot = %v, want %v", res.Snapshot, full.Snapshot)
-	}
-	if res.Ticks != full.Ticks {
-		t.Errorf("resumed ticks = %d, want %d", res.Ticks, full.Ticks)
-	}
-	if res.MemHash != full.MemHash {
-		t.Errorf("resumed memory hash = %#x, want %#x", res.MemHash, full.MemHash)
-	}
-	if res.Demotions != full.Demotions {
-		t.Errorf("resumed demotions = %+v, want %+v (snapshot/restore must carry the counters)",
-			res.Demotions, full.Demotions)
+				// Resume from every branch point with only the decision tail:
+				// the snapshot carries clock, RNG, quantum, per-core state and
+				// counters, so each resumed run must land on the identical
+				// final state.
+				for d, snap := range cp.snaps {
+					tail := vm.NewReplayer(chosen[d:])
+					res, err := s.RunFrom(snap, tail)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tail.Mismatches() != 0 || tail.Consumed() != len(chosen)-int(d) {
+						t.Errorf("resume at %d consumed %d/%d tail decisions with %d mismatches",
+							d, tail.Consumed(), len(chosen)-int(d), tail.Mismatches())
+					}
+					sameOutcome(t, fmt.Sprintf("resume at %d", d), res, full)
+				}
+			})
+		}
 	}
 }
 
@@ -155,7 +186,7 @@ func TestSessionSnapshotRestoreGenerated(t *testing.T) {
 // reproducing the recorded final state.
 func TestSessionSnapshotPortableAcrossSessions(t *testing.T) {
 	p := corpusgen.One(corpusgen.Options{Count: 8, Seed: 33, Arrays: true}, 2)
-	s := genSession(t, p)
+	s := genSession(t, p, 1, false)
 	const quantum, seed = 23, 5
 
 	rng := rand.New(rand.NewSource(4))
@@ -174,16 +205,17 @@ func TestSessionSnapshotPortableAcrossSessions(t *testing.T) {
 		t.Fatalf("only %d decisions recorded", len(chosen))
 	}
 	mid := len(chosen) / 2
-	cp := &capturePolicy{t: t, m: s.Machine(), inner: vm.NewReplayer(chosen), at: uint64(mid)}
+	cp := newCapturePolicy(t, s.Machine(), chosen, mid)
 	if _, err := s.RunSchedule(cp, quantum, seed); err != nil {
 		t.Fatal(err)
 	}
-	if cp.snap == nil {
+	snap := cp.snaps[uint64(mid)]
+	if snap == nil {
 		t.Fatal("capture policy never reached the midpoint decision")
 	}
 
-	other := genSession(t, p)
-	res, err := other.RunFrom(cp.snap, vm.NewReplayer(chosen[mid:]))
+	other := genSession(t, p, 1, false)
+	res, err := other.RunFrom(snap, vm.NewReplayer(chosen[mid:]))
 	if err != nil {
 		t.Fatal(err)
 	}

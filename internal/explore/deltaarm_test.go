@@ -39,9 +39,9 @@ func TestDeltaArmDifferentialCorpus(t *testing.T) {
 				}
 				for _, mode := range []Mode{Vanilla, Prevention} {
 					q := c.randomQuantum(seed)
-					// Step-pinned: every crossing re-consults the canonical
+					// Step reference: every crossing re-consults the canonical
 					// register file through the legacy full path.
-					stepRun, err := c.runOne(mode, randomPolicy{rng: rand.New(rand.NewSource(seed))}, q, seed)
+					stepRun, err := c.stepReference(mode, randomPolicy{rng: rand.New(rand.NewSource(seed))}, q, seed)
 					if err != nil {
 						t.Fatal(err)
 					}

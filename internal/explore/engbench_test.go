@@ -6,16 +6,13 @@ import (
 	"kivati/internal/bugs"
 )
 
-func benchEngine(b *testing.B, eng Engine) {
+func BenchmarkEngineSnapshot(b *testing.B) {
 	bug, _ := bugs.ByID("NSS", "341323")
 	s, _ := BugSubject(bug)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Differential(s, Options{Schedules: 100, Parallelism: 1, Engine: eng}); err != nil {
+		if _, err := Differential(s, Options{Schedules: 100, Parallelism: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkEngineReplay(b *testing.B)   { benchEngine(b, EngineReplay) }
-func BenchmarkEngineSnapshot(b *testing.B) { benchEngine(b, EngineSnapshot) }

@@ -11,18 +11,14 @@ import (
 	"kivati/internal/vm"
 )
 
-// The snapshot execution engine.
+// The execution engine.
 //
-// The replay engine (the original implementation, kept for differential
-// testing) builds a fresh kernel and an 8 MB machine for every schedule and
-// pins the VM to DispatchStep; profiling showed ~60% of its per-schedule
-// time was memory zeroing in vm.New, with most of the rest spent
-// interpreting one instruction at a time. The snapshot engine removes both
-// costs and adds branch-point resume:
+// Every schedule runs on a pooled, reusable core.Session rather than a
+// freshly built machine:
 //
-//   - Each worker keeps one reusable core.Session; a schedule starts by
-//     restoring a copy-on-write snapshot (a few page copies) instead of
-//     constructing a machine.
+//   - Each worker keeps one session; a schedule starts by restoring a
+//     copy-on-write snapshot of the initial state (a few page copies)
+//     instead of constructing and zeroing an 8 MB machine.
 //   - Sessions run under vm.DispatchFast — Fast-mode recording. The tiered
 //     dispatcher consults the injected policy at exactly the ticks the
 //     step interpreter would (superstep windows are refused whenever a
@@ -38,34 +34,28 @@ import (
 //     snapshots and use a handful.) Snapshots are machine-portable, so any
 //     worker can resume any frame.
 //
-// Mid-run resume re-enters vm.Run at the loop top, which re-executes the
-// in-flight Pick; that re-entry is only provably equivalent on a single
-// core (an idle multi-core machine could adopt canonical watchpoint state
-// at a different point than the original flow), so multi-core DFS falls
-// back to the replay engine. Random exploration restores only initial
-// (clock-0) snapshots and is safe at any core count.
-//
-// Both engines enumerate identical schedules and produce byte-identical
-// reports modulo the engine metadata fields; TestEngineEquivalence holds
-// them together.
+// Mid-run resume re-enters vm.Run at the loop top and re-executes the
+// in-flight Pick. A snapshot carries every core's register file with its
+// mutation stamps plus the coresBehind flag, so an idle core adopts the
+// canonical watchpoint state at the same point as in the uninterrupted
+// run, at any core count. TestSessionSnapshotRestoreGenerated holds
+// resumed runs to uninterrupted ones on 1-3 cores, and the multi-core DFS
+// cases of TestEngineEquivalence hold whole campaigns to fresh
+// step-interpreter runs.
 
 // rngPool recycles policy rng sources across schedules: each schedule's
 // stream is fully determined by Seed, so a re-seeded pooled source is
 // indistinguishable from a fresh one.
 var rngPool = sync.Pool{New: func() interface{} { return rand.New(rand.NewSource(0)) }}
 
-// Engine selects the execution machinery behind a campaign.
+// Engine names the execution machinery behind a campaign. EngineSnapshot
+// is the only one; the option survives so callers may name it.
 type Engine string
 
-const (
-	// EngineSnapshot is the session-reuse engine described above (default).
-	EngineSnapshot Engine = "snapshot"
-	// EngineReplay is the legacy engine: one vm.New per schedule, every
-	// prefix re-executed from the start, DispatchStep pinned.
-	EngineReplay Engine = "replay"
-)
+// EngineSnapshot is the session-reuse engine described above.
+const EngineSnapshot Engine = "snapshot"
 
-// EngineStats reports the snapshot engine's work for one explored mode.
+// EngineStats reports the engine's work for one explored mode.
 type EngineStats struct {
 	// Snapshots counts mid-run branch-point snapshots captured.
 	Snapshots int `json:"snapshots"`
@@ -76,19 +66,6 @@ type EngineStats struct {
 	Resumed int `json:"resumed"`
 	// Pruned counts DFS children skipped by DPOR as swap-redundant.
 	Pruned int `json:"pruned"`
-}
-
-// engineFor resolves the effective engine for a strategy: DFS needs
-// mid-run resume, which is only single-core-safe.
-func (c *campaign) engineFor(s Strategy) Engine {
-	if c.opts.Engine == EngineSnapshot && s == DFS && c.opts.Cores != 1 {
-		return EngineReplay
-	}
-	return c.opts.Engine
-}
-
-func (c *campaign) dporOn() bool {
-	return c.opts.DPOR && c.engineFor(c.opts.Strategy) == EngineSnapshot
 }
 
 // sessionPool hands out per-worker Sessions for one mode, reusing them
@@ -142,9 +119,8 @@ func (p *sessionPool) put(s *core.Session) {
 	p.mu.Unlock()
 }
 
-// newSession mirrors runConfig for the session engine: same kernel and
-// oracle configuration, but no per-construction policy or quantum (both
-// are per-run) and the dispatcher unpinned to the fast tier.
+// newSession builds one session of the campaign's kernel and oracle
+// configuration. Policy and quantum are per-run.
 func (c *campaign) newSession(mode Mode) (*core.Session, error) {
 	s, err := core.NewSession(c.prog, core.RunConfig{
 		Mode:           kernel.Prevention,
@@ -162,7 +138,7 @@ func (c *campaign) newSession(mode Mode) (*core.Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("explore: %s [%s]: %w", c.subject.Name, mode, err)
 	}
-	if c.dporOn() {
+	if c.opts.DPOR {
 		// Segments past the horizon never feed a pruning decision; the
 		// slack tolerates the horizon-adjacent lookahead of the d' search.
 		s.Machine().SetSegmentLimit(c.opts.Horizon + 8)
@@ -236,9 +212,21 @@ func runSessionJobs[T any](p *sessionPool, workers int, jobs []func(*core.Sessio
 	return results, nil
 }
 
+// runFresh executes one full schedule from the initial state on a session
+// leased from the mode's pool: the serial references, trace recording and
+// trace replay.
+func (c *campaign) runFresh(mode Mode, policy vm.SchedulePolicy, quantum uint64, seed int64) (Run, error) {
+	p := c.pool(mode)
+	s, err := p.get()
+	if err != nil {
+		return Run{}, err
+	}
+	defer p.put(s)
+	return c.sessionRun(s, mode, policy, quantum, seed)
+}
+
 // sessionRun executes one full schedule from the initial state on a leased
-// session. Decisions come from the machine's absolute decision counter,
-// which matches what countingPolicy reports on the replay engine.
+// session. Decisions come from the machine's absolute decision counter.
 func (c *campaign) sessionRun(s *core.Session, mode Mode, policy vm.SchedulePolicy, quantum uint64, seed int64) (Run, error) {
 	res, err := s.RunSchedule(policy, quantum, seed)
 	var dec int
@@ -248,10 +236,10 @@ func (c *campaign) sessionRun(s *core.Session, mode Mode, policy vm.SchedulePoli
 	return c.classify(mode, res, dec, quantum, seed, err)
 }
 
-// exploreRandomSessions is the random walk on the snapshot engine: same
-// seeds, policies and quanta as exploreRandom, but every schedule restores
-// a pooled session instead of building a machine.
-func (c *campaign) exploreRandomSessions(mode Mode, stats *EngineStats) ([]Run, error) {
+// randomWalk fans the seeded random walks out across the pool: schedule k
+// runs with seed Seed+k from the initial snapshot. Results are slotted by
+// schedule index, so output is parallelism-independent.
+func (c *campaign) randomWalk(mode Mode, stats *EngineStats) ([]Run, error) {
 	p := c.pool(mode)
 	jobs := make([]func(*core.Session) (Run, error), c.opts.Schedules)
 	for k := 0; k < c.opts.Schedules; k++ {
@@ -276,7 +264,22 @@ func (c *campaign) exploreRandomSessions(mode Mode, stats *EngineStats) ([]Run, 
 	return runs, nil
 }
 
-// dfsFrame is one frontier entry of the snapshot DFS: the deviation prefix
+func deviations(prefix []int) int {
+	d := 0
+	for _, c := range prefix {
+		if c != 0 {
+			d++
+		}
+	}
+	return d
+}
+
+// dfsWave is the fixed batch size of the DFS frontier: waves of this many
+// prefixes run concurrently. It is a constant — not the worker count — so
+// the set of explored schedules is identical at any parallelism.
+const dfsWave = 8
+
+// dfsFrame is one frontier entry of the DFS: the deviation prefix
 // to run plus the parent's branch-point snapshot to resume from (nil for
 // the root, which runs from the initial state).
 type dfsFrame struct {
@@ -284,10 +287,13 @@ type dfsFrame struct {
 	snap   *vm.Snapshot
 }
 
-// framePolicy drives one DFS schedule on the snapshot engine. Decision
-// indexes are absolute (sp.Seq): a resumed run starts mid-stream at its
-// branch point, so prefix lookups, branching records and snapshot capture
-// all key on Seq rather than a local counter.
+// framePolicy drives one DFS schedule: decision d takes prefix[d]
+// (clamped) while d < len(prefix), and the default choice 0 — FIFO
+// round-robin — afterwards. Decision indexes are absolute (sp.Seq): a
+// resumed run starts mid-stream at its branch point, so prefix lookups,
+// branching records and snapshot capture all key on Seq rather than a
+// local counter. With a zero horizon it records nothing and captures
+// nothing, which is how a trace re-executes a DFS schedule.
 type framePolicy struct {
 	m       *vm.Machine
 	prefix  []int
@@ -329,14 +335,16 @@ func (p *framePolicy) Pick(sp vm.SchedPoint) int {
 	return 0
 }
 
-// exploreDFSSessions is the preemption-bounded DFS on the snapshot engine.
-// The enumeration — wave size, LIFO order, bound and horizon pruning — is
-// identical to exploreDFS; what changes is that every child resumes from
-// its parent's branch-point snapshot, and (with DPOR) swap-redundant
-// children are pruned before they are pushed.
-func (c *campaign) exploreDFSSessions(mode Mode, stats *EngineStats) ([]Run, error) {
+// dfs is the preemption-bounded depth-first search: the frontier is a LIFO
+// stack of deviation prefixes, seeded with the empty prefix (pure
+// round-robin) and run in fixed-size waves. After a prefix runs, every
+// decision point it passed within the horizon spawns children that
+// deviate there, pruned by the bound; each child resumes from its
+// parent's branch-point snapshot, and (with DPOR) swap-redundant children
+// are pruned before they are pushed.
+func (c *campaign) dfs(mode Mode, stats *EngineStats) ([]Run, error) {
 	quantum := c.dfsQuantum()
-	dpor := c.dporOn()
+	dpor := c.opts.DPOR
 	p := c.pool(mode)
 	workers := pool.Workers(c.opts.Parallelism)
 	stack := []dfsFrame{{prefix: []int{}}}

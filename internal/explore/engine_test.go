@@ -3,9 +3,12 @@ package explore
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"kivati/internal/bugs"
+	"kivati/internal/corpusgen"
 )
 
 func subjectByName(t *testing.T, app, id string) *Subject {
@@ -21,15 +24,13 @@ func subjectByName(t *testing.T, app, id string) *Subject {
 	return s
 }
 
-// scrubEngineMeta clears the fields that legitimately differ between
-// engines, leaving everything the oracle cares about. The per-run
-// decision-cost telemetry (same-pick continues, delta/full arms) depends
-// on the dispatch tier — the replay engine pins DispatchStep, which never
-// opens a superstep window and re-arms on every crossing — so it is
-// engine metadata, not oracle output.
+// scrubEngineMeta clears the engine counters, which the step reference
+// does not produce, and the per-run decision-cost telemetry (same-pick
+// continues, delta/full arms), which depends on the dispatch tier — the
+// reference interpreter never opens a superstep window — so it is engine
+// metadata, not oracle output.
 func scrubEngineMeta(d *DiffReport) {
 	for _, r := range []*Report{d.Vanilla, d.Prevention} {
-		r.Engine = ""
 		r.Stats = nil
 		for i := range r.Runs {
 			r.Runs[i].SamePickContinues = 0
@@ -39,39 +40,74 @@ func scrubEngineMeta(d *DiffReport) {
 	}
 }
 
-// TestEngineEquivalence is the engine differential: the snapshot engine
-// (session reuse, Fast-mode recording, branch-point resume) must produce a
-// byte-identical report to the legacy replay engine — same runs, same
-// decision counts, same verdicts — for both strategies, modulo the engine
-// metadata fields.
+// TestEngineEquivalence is the engine differential: the engine (session
+// reuse, Fast-mode recording, branch-point resume) must produce a
+// byte-identical report to the step reference — fresh step-interpreter
+// runs, every prefix re-executed — with the same runs, decision counts and
+// verdicts, modulo the engine metadata fields. The multi-core DFS cases
+// resume mid-run snapshots on 2 and 3 cores.
 func TestEngineEquivalence(t *testing.T) {
-	subjects := []*Subject{
-		subjectByName(t, "NSS", "341323"),
-		subjectByName(t, "Apache", "25520"),
+	type tc struct {
+		subject *Subject
+		opts    Options
 	}
+	var cases []tc
 	for _, strat := range []Strategy{Random, DFS} {
-		for _, s := range subjects {
-			opts := Options{Strategy: strat, Schedules: 40, Seed: 7, Bound: 2, Parallelism: 2}
-			var reports [2][]byte
-			for i, eng := range []Engine{EngineReplay, EngineSnapshot} {
-				o := opts
-				o.Engine = eng
-				d, err := Differential(s, o)
-				if err != nil {
-					t.Fatalf("%s %s %s: %v", s.Name, strat, eng, err)
-				}
-				scrubEngineMeta(d)
-				enc, err := json.Marshal(d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				reports[i] = enc
-			}
-			if !bytes.Equal(reports[0], reports[1]) {
-				t.Errorf("%s %s: snapshot-engine report differs from replay engine\nreplay:   %s\nsnapshot: %s",
-					s.Name, strat, reports[0], reports[1])
-			}
+		for _, s := range []*Subject{subjectByName(t, "NSS", "341323"), subjectByName(t, "Apache", "25520")} {
+			cases = append(cases, tc{s, Options{Strategy: strat, Schedules: 40, Seed: 7, Bound: 2, Parallelism: 2}})
 		}
+	}
+	// Multi-core DFS on subjects whose serial reference is well defined at
+	// that core count (on most, two cores already run the serial orders'
+	// threads in parallel, and the campaign is refused).
+	multi := []struct {
+		seed         int64 // generator seed; 0 = hand-written corpus bug
+		index, cores int
+		app, id      string
+	}{
+		{6, 5, 2, "", ""}, {6, 6, 2, "", ""}, {6, 7, 2, "", ""}, {6, 8, 2, "", ""},
+		{0, 0, 2, "Apache", "44402"},
+		{1, 5, 3, "", ""}, {1, 7, 3, "", ""}, {5, 6, 3, "", ""},
+		{0, 0, 3, "NSS", "201134"},
+	}
+	for _, m := range multi {
+		var s *Subject
+		if m.seed == 0 {
+			s = subjectByName(t, m.app, m.id)
+		} else {
+			gen := corpusgen.Options{Count: 10, Seed: m.seed}
+			s = GenSubject(corpusgen.One(gen, m.index), gen.Count)
+		}
+		cases = append(cases, tc{s, Options{Strategy: DFS, Schedules: 30, Seed: m.seed, Bound: 2, Horizon: 32, Cores: m.cores, Parallelism: 2}})
+	}
+	for _, c := range cases {
+		name := fmt.Sprintf("%s/%s/seed%d/cores%d", c.subject.Name, c.opts.Strategy, c.opts.Seed, max(c.opts.Cores, 1))
+		t.Run(name, func(t *testing.T) {
+			d, err := Differential(c.subject, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.opts.Cores > 1 && d.Vanilla.Stats.Resumed+d.Prevention.Stats.Resumed == 0 {
+				t.Error("multi-core DFS resumed no schedule from a branch-point snapshot")
+			}
+			ref, err := referenceDifferential(c.subject, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scrubEngineMeta(d)
+			scrubEngineMeta(ref)
+			got, err := json.Marshal(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("engine report differs from the step reference\nreference: %s\nengine:    %s", want, got)
+			}
+		})
 	}
 }
 
@@ -99,14 +135,11 @@ func TestDPORSoundnessOnCorpus(t *testing.T) {
 			// exhaust the tree rather than hit the schedule cap.
 			opts := Options{Strategy: DFS, Schedules: 2000, Bound: 1, Horizon: 24, Parallelism: 2}
 
-			plain := opts
-			plain.Engine = EngineSnapshot
-			full, err := Differential(s, plain)
+			full, err := Differential(s, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			pruned := opts
-			pruned.Engine = EngineSnapshot
 			pruned.DPOR = true
 			dp, err := Differential(s, pruned)
 			if err != nil {
@@ -142,8 +175,9 @@ func TestDPORSoundnessOnCorpus(t *testing.T) {
 	}
 }
 
-// TestDPOROptionValidation pins the DPOR prerequisites: dfs strategy,
-// snapshot engine, single core.
+// TestDPOROptionValidation pins the DPOR prerequisites — dfs strategy,
+// single core — and that an engine other than the snapshot engine is
+// refused by name.
 func TestDPOROptionValidation(t *testing.T) {
 	s := subjectByName(t, "NSS", "341323")
 	cases := []struct {
@@ -151,12 +185,15 @@ func TestDPOROptionValidation(t *testing.T) {
 		opts Options
 	}{
 		{"random strategy", Options{Strategy: Random, Schedules: 1, DPOR: true}},
-		{"replay engine", Options{Strategy: DFS, Schedules: 1, DPOR: true, Engine: EngineReplay}},
+		{"unknown engine", Options{Strategy: DFS, Schedules: 1, Engine: "replay"}},
 		{"multi-core", Options{Strategy: DFS, Schedules: 1, DPOR: true, Cores: 2}},
 	}
 	for _, c := range cases {
-		if _, err := Differential(s, c.opts); err == nil {
-			t.Errorf("%s: DPOR accepted, want an error", c.name)
+		_, err := Differential(s, c.opts)
+		if err == nil {
+			t.Errorf("%s: accepted, want an error", c.name)
+		} else if c.opts.Engine != "" && !strings.Contains(err.Error(), `"replay"`) {
+			t.Errorf("%s: error %q does not name the engine", c.name, err)
 		}
 	}
 }

@@ -30,8 +30,6 @@ import (
 	"kivati/internal/annotate"
 	"kivati/internal/bugs"
 	"kivati/internal/core"
-	"kivati/internal/kernel"
-	"kivati/internal/pool"
 	"kivati/internal/vm"
 )
 
@@ -78,10 +76,10 @@ func BugSubject(b *bugs.Bug) (*Subject, error) {
 // Options configure an exploration campaign.
 type Options struct {
 	Strategy Strategy
-	Engine   Engine // execution engine (default EngineSnapshot; see engine.go)
+	Engine   Engine // "" or EngineSnapshot, the only engine (see engine.go)
 	// DPOR enables dynamic partial-order reduction over the DFS: children
 	// that merely commute provably independent transitions are pruned.
-	// Requires the dfs strategy, the snapshot engine, and Cores == 1.
+	// Requires the dfs strategy and Cores == 1.
 	DPOR      bool
 	Schedules int   // schedule budget (default 100)
 	Seed      int64 // base seed; random schedule k runs with Seed+k
@@ -111,12 +109,20 @@ type Options struct {
 	Annotate annotate.Options
 }
 
-func (o Options) withDefaults() Options {
+// withDefaults fills in the defaults and rejects option combinations no
+// campaign can run.
+func (o Options) withDefaults() (Options, error) {
 	if o.Strategy == "" {
 		o.Strategy = Random
 	}
+	if o.Strategy != Random && o.Strategy != DFS {
+		return o, fmt.Errorf("unknown strategy %q", o.Strategy)
+	}
 	if o.Engine == "" {
 		o.Engine = EngineSnapshot
+	}
+	if o.Engine != EngineSnapshot {
+		return o, fmt.Errorf("unknown engine %q: %q is the only engine", o.Engine, EngineSnapshot)
 	}
 	if o.Schedules == 0 {
 		o.Schedules = 100
@@ -139,7 +145,15 @@ func (o Options) withDefaults() Options {
 	if o.Watchpoints == 0 {
 		o.Watchpoints = 16
 	}
-	return o
+	if o.DPOR {
+		switch {
+		case o.Strategy != DFS:
+			return o, fmt.Errorf("DPOR requires the dfs strategy")
+		case o.Cores != 1:
+			return o, fmt.Errorf("DPOR requires Cores == 1")
+		}
+	}
+	return o, nil
 }
 
 // quantumFor is the random strategy's per-seed quantum in [17,45]: a prime
@@ -169,8 +183,7 @@ type Run struct {
 	// Decision-point cost accounting (see vm.Result): kernel crossings the
 	// same-pick superstep continuation avoided, and how watchpoint arming
 	// at the crossings that did happen split between incremental delta
-	// application and full register-file rewrites. Zero on the replay
-	// engine's step-pinned runs, which never open a superstep window.
+	// application and full register-file rewrites.
 	SamePickContinues uint64 `json:"same_pick_continues,omitempty"`
 	DeltaArms         uint64 `json:"delta_arms,omitempty"`
 	FullArms          uint64 `json:"full_arms,omitempty"`
@@ -181,15 +194,15 @@ type Report struct {
 	Subject     string           `json:"subject"`
 	Mode        Mode             `json:"mode"`
 	Strategy    Strategy         `json:"strategy"`
-	Engine      Engine           `json:"engine,omitempty"`
 	Seed        int64            `json:"seed"`
 	Bound       int              `json:"bound,omitempty"`
 	Schedules   int              `json:"schedules"`
 	Serial      map[string]int64 `json:"serial"`
 	Runs        []Run            `json:"runs"`
 	Divergences int              `json:"divergences"`
-	// Stats reports the snapshot engine's work (nil on the replay engine).
-	Stats *EngineStats `json:"engine_stats,omitempty"`
+	// Stats reports the engine's work: snapshots, restores, resumes and
+	// DPOR prunes.
+	Stats *EngineStats `json:"engine_stats"`
 }
 
 // campaign carries the per-subject state shared by every run.
@@ -204,72 +217,19 @@ type campaign struct {
 }
 
 func newCampaign(subject *Subject, opts Options) (*campaign, error) {
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return nil, fmt.Errorf("explore: %s: %w", subject.Name, err)
+	}
 	prog, err := core.BuildWithOptions(subject.Source, opts.Annotate)
 	if err != nil {
 		return nil, fmt.Errorf("explore: %s: %w", subject.Name, err)
 	}
-	c := &campaign{subject: subject, prog: prog, opts: opts.withDefaults(), pools: map[Mode]*sessionPool{}}
-	if c.opts.DPOR {
-		switch {
-		case c.opts.Strategy != DFS:
-			return nil, fmt.Errorf("explore: %s: DPOR requires the dfs strategy", subject.Name)
-		case c.opts.Engine != EngineSnapshot:
-			return nil, fmt.Errorf("explore: %s: DPOR requires the snapshot engine", subject.Name)
-		case c.opts.Cores != 1:
-			return nil, fmt.Errorf("explore: %s: DPOR requires Cores == 1", subject.Name)
-		}
-	}
+	c := &campaign{subject: subject, prog: prog, opts: opts, pools: map[Mode]*sessionPool{}}
 	if err := c.serialReference(); err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-// runConfig materializes the core.RunConfig for one schedule.
-func (c *campaign) runConfig(mode Mode, policy vm.SchedulePolicy, quantum uint64, seed int64) core.RunConfig {
-	costs := vm.DefaultCosts()
-	costs.Quantum = quantum
-	return core.RunConfig{
-		Mode:           kernel.Prevention,
-		Opt:            kernel.OptBase,
-		Vanilla:        mode == Vanilla,
-		NumWatchpoints: c.opts.Watchpoints,
-		Cores:          c.opts.Cores,
-		Seed:           seed,
-		MaxTicks:       c.opts.MaxTicks,
-		TimeoutTicks:   c.opts.TimeoutTicks,
-		Costs:          costs,
-		Policy:         policy,
-		SnapshotVars:   c.subject.SnapshotVars,
-		// Exploration owns the schedule: every decision point must reach
-		// the injected policy at exactly the clock the legacy interpreter
-		// would consult it. DispatchAuto already demotes when a Policy is
-		// set; pin it explicitly so exploration semantics never ride on
-		// that default.
-		Dispatch: vm.DispatchStep,
-	}
-}
-
-// countingPolicy counts the decision points a run consumed.
-type countingPolicy struct {
-	inner vm.SchedulePolicy
-	n     int
-}
-
-func (p *countingPolicy) Pick(sp vm.SchedPoint) int {
-	p.n++
-	if p.inner == nil {
-		return 0
-	}
-	return p.inner.Pick(sp)
-}
-
-// runOne executes one schedule on the replay engine and classifies it
-// against the serial snapshot.
-func (c *campaign) runOne(mode Mode, policy vm.SchedulePolicy, quantum uint64, seed int64) (Run, error) {
-	cp := &countingPolicy{inner: policy}
-	res, err := core.Run(c.prog, c.runConfig(mode, cp, quantum, seed))
-	return c.classify(mode, res, cp.n, quantum, seed, err)
 }
 
 // classify turns one schedule's raw result into a Run verdict. An
@@ -352,174 +312,25 @@ func (c *campaign) explore(mode Mode) (*Report, error) {
 		Subject:   c.subject.Name,
 		Mode:      mode,
 		Strategy:  c.opts.Strategy,
-		Engine:    c.engineFor(c.opts.Strategy),
 		Seed:      c.opts.Seed,
 		Schedules: c.opts.Schedules,
 		Serial:    c.serial,
+		Stats:     &EngineStats{},
 	}
-	var stats *EngineStats
-	if rep.Engine == EngineSnapshot {
-		stats = &EngineStats{}
-	}
-	var runs []Run
 	var err error
-	switch c.opts.Strategy {
-	case Random:
-		if stats != nil {
-			runs, err = c.exploreRandomSessions(mode, stats)
-		} else {
-			runs, err = c.exploreRandom(mode)
-		}
-	case DFS:
+	if c.opts.Strategy == DFS {
 		rep.Bound = c.opts.Bound
-		if stats != nil {
-			runs, err = c.exploreDFSSessions(mode, stats)
-		} else {
-			runs, err = c.exploreDFS(mode)
-		}
-	default:
-		return nil, fmt.Errorf("explore: unknown strategy %q", c.opts.Strategy)
+		rep.Runs, err = c.dfs(mode, rep.Stats)
+	} else {
+		rep.Runs, err = c.randomWalk(mode, rep.Stats)
 	}
 	if err != nil {
 		return nil, err
 	}
-	rep.Runs = runs
-	rep.Stats = stats
-	for _, r := range runs {
+	for _, r := range rep.Runs {
 		if r.Diverged {
 			rep.Divergences++
 		}
 	}
 	return rep, nil
-}
-
-// exploreRandom fans the seeded random walks out across the pool; results
-// are slotted by schedule index, so output is parallelism-independent.
-func (c *campaign) exploreRandom(mode Mode) ([]Run, error) {
-	jobs := make([]func() (Run, error), c.opts.Schedules)
-	for k := 0; k < c.opts.Schedules; k++ {
-		k := k
-		seed := c.opts.Seed + int64(k)
-		jobs[k] = func() (Run, error) {
-			policy := randomPolicy{rng: rand.New(rand.NewSource(seed))}
-			r, err := c.runOne(mode, policy, c.randomQuantum(seed), seed)
-			r.Index = k
-			return r, err
-		}
-	}
-	return pool.Run(pool.Workers(c.opts.Parallelism), jobs)
-}
-
-// prefixPolicy follows a deviation prefix: decision i takes prefix[i]
-// (clamped) while i < len(prefix), and the default choice 0 — FIFO
-// round-robin — afterwards. It records the branching factor of every
-// decision so the DFS can enumerate children.
-type prefixPolicy struct {
-	prefix    []int
-	branching []int
-	n         int
-}
-
-func (p *prefixPolicy) Pick(sp vm.SchedPoint) int {
-	choice := 0
-	if p.n < len(p.prefix) {
-		choice = p.prefix[p.n]
-		if choice < 0 || choice >= len(sp.Runnable) {
-			choice = 0
-		}
-	}
-	p.branching = append(p.branching, len(sp.Runnable))
-	p.n++
-	return choice
-}
-
-func deviations(prefix []int) int {
-	d := 0
-	for _, c := range prefix {
-		if c != 0 {
-			d++
-		}
-	}
-	return d
-}
-
-// dfsWave is the fixed batch size of the DFS frontier: waves of this many
-// prefixes run concurrently. It is a constant — not the worker count — so
-// the set of explored schedules is identical at any parallelism.
-const dfsWave = 8
-
-// exploreDFS is the preemption-bounded depth-first search: the frontier is
-// a LIFO stack of deviation prefixes, seeded with the empty prefix (pure
-// round-robin). After a prefix runs, every decision point it passed within
-// the horizon spawns children that deviate there, pruned by the bound.
-func (c *campaign) exploreDFS(mode Mode) ([]Run, error) {
-	quantum := c.dfsQuantum()
-	stack := [][]int{{}}
-	var runs []Run
-	for len(stack) > 0 && len(runs) < c.opts.Schedules {
-		n := dfsWave
-		if n > len(stack) {
-			n = len(stack)
-		}
-		if rem := c.opts.Schedules - len(runs); n > rem {
-			n = rem
-		}
-		// Pop the wave in LIFO order.
-		wave := make([][]int, n)
-		for i := 0; i < n; i++ {
-			wave[i] = stack[len(stack)-1-i]
-		}
-		stack = stack[:len(stack)-n]
-
-		type dfsResult struct {
-			run       Run
-			branching []int
-		}
-		jobs := make([]func() (dfsResult, error), n)
-		for i, prefix := range wave {
-			prefix := prefix
-			jobs[i] = func() (dfsResult, error) {
-				policy := &prefixPolicy{prefix: prefix}
-				r, err := c.runOne(mode, policy, quantum, c.opts.Seed)
-				if err != nil {
-					return dfsResult{}, err
-				}
-				r.Prefix = prefix
-				return dfsResult{run: r, branching: policy.branching}, nil
-			}
-		}
-		results, err := pool.Run(pool.Workers(c.opts.Parallelism), jobs)
-		if err != nil {
-			return nil, err
-		}
-		for i, res := range results {
-			res.run.Index = len(runs)
-			runs = append(runs, res.run)
-			// Children deviate at decision points past this prefix, within
-			// the horizon. Push deepest-first so the LIFO explores the
-			// shallowest deviation next.
-			prefix := wave[i]
-			base := deviations(prefix)
-			if base >= c.opts.Bound {
-				continue
-			}
-			var children [][]int
-			limit := len(res.branching)
-			if limit > c.opts.Horizon {
-				limit = c.opts.Horizon
-			}
-			for d := len(prefix); d < limit; d++ {
-				for choice := 1; choice < res.branching[d]; choice++ {
-					child := make([]int, d+1)
-					copy(child, prefix)
-					child[d] = choice
-					children = append(children, child)
-				}
-			}
-			for j := len(children) - 1; j >= 0; j-- {
-				stack = append(stack, children[j])
-			}
-		}
-	}
-	return runs, nil
 }

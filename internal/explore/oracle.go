@@ -55,7 +55,7 @@ func (c *campaign) serialReference() error {
 	}
 	var base map[string]int64
 	for _, r := range refs {
-		run, err := c.serialRun(r.mode, r.policy)
+		run, err := c.runFresh(r.mode, r.policy, serialQuantum, c.opts.Seed)
 		if err != nil {
 			return fmt.Errorf("explore: %s: serial reference %s: %w", c.subject.Name, r.name, err)
 		}
@@ -70,22 +70,6 @@ func (c *campaign) serialReference() error {
 	}
 	c.serial = base
 	return nil
-}
-
-// serialRun executes one serial reference run on whichever engine the
-// campaign uses, so the sessions it warms up are the ones exploration
-// reuses.
-func (c *campaign) serialRun(mode Mode, policy vm.SchedulePolicy) (Run, error) {
-	if c.opts.Engine != EngineSnapshot {
-		return c.runOne(mode, policy, serialQuantum, c.opts.Seed)
-	}
-	p := c.pool(mode)
-	s, err := p.get()
-	if err != nil {
-		return Run{}, err
-	}
-	defer p.put(s)
-	return c.sessionRun(s, mode, policy, serialQuantum, c.opts.Seed)
 }
 
 // DiffReport compares vanilla and prevention over the same exploration

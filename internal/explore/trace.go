@@ -74,17 +74,12 @@ func RecordTrace(subject *Subject, mode Mode, opts Options, run Run) (*Trace, er
 }
 
 func (c *campaign) recordTrace(mode Mode, run Run) (*Trace, error) {
-	var inner vm.SchedulePolicy
-	switch c.opts.Strategy {
-	case Random:
+	var inner vm.SchedulePolicy = &framePolicy{prefix: run.Prefix}
+	if c.opts.Strategy == Random {
 		inner = randomPolicy{rng: rand.New(rand.NewSource(run.Seed))}
-	case DFS:
-		inner = &prefixPolicy{prefix: run.Prefix}
-	default:
-		return nil, fmt.Errorf("explore: unknown strategy %q", c.opts.Strategy)
 	}
 	rec := vm.NewRecorder(inner)
-	replayed, err := c.runOne(mode, rec, run.Quantum, run.Seed)
+	replayed, err := c.runFresh(mode, rec, run.Quantum, run.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -130,8 +125,8 @@ type ReplayResult struct {
 // Replay re-executes a trace and verifies it reproduces the recorded
 // outcome.
 func Replay(tr *Trace) (*ReplayResult, error) {
-	if tr.Version != 1 && tr.Version != TraceVersion {
-		return nil, fmt.Errorf("explore: unsupported trace version %d", tr.Version)
+	if err := tr.validate(); err != nil {
+		return nil, err
 	}
 	subject := &Subject{Name: tr.Subject, Source: tr.Source, SnapshotVars: tr.SnapshotVars, Gen: tr.Gen}
 	c, err := newCampaign(subject, Options{
@@ -154,7 +149,7 @@ func Replay(tr *Trace) (*ReplayResult, error) {
 			tr.Subject, c.serial, tr.Serial)
 	}
 	rep := vm.NewReplayer(tr.Decisions)
-	run, err := c.runOne(tr.Mode, rep, tr.Quantum, tr.Seed)
+	run, err := c.runFresh(tr.Mode, rep, tr.Quantum, tr.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -164,6 +159,34 @@ func Replay(tr *Trace) (*ReplayResult, error) {
 		Mismatches: rep.Mismatches(),
 		Verdict:    rep.Mismatches() == 0 && snapshotsEqual(run.Snapshot, tr.Snapshot),
 	}, nil
+}
+
+// Bounds on the machine a trace may ask Replay to build.
+const (
+	maxTraceUnits = 64            // cores and watchpoints
+	maxTraceTicks = 1_000_000_000 // max_ticks
+)
+
+// validate rejects a trace whose configuration Replay cannot trust: an
+// unknown mode would silently run as prevention, and unbounded cores,
+// watchpoints or max_ticks would let a hand-edited file over-allocate or
+// hang the replay. Each error names the offending field.
+func (tr *Trace) validate() error {
+	switch {
+	case tr.Version != 1 && tr.Version != TraceVersion:
+		return fmt.Errorf("explore: unsupported trace version %d", tr.Version)
+	case tr.Mode != Vanilla && tr.Mode != Prevention:
+		return fmt.Errorf("explore: trace mode %q: want %q or %q", tr.Mode, Vanilla, Prevention)
+	case tr.Strategy != Random && tr.Strategy != DFS:
+		return fmt.Errorf("explore: trace strategy %q: want %q or %q", tr.Strategy, Random, DFS)
+	case tr.Cores < 1 || tr.Cores > maxTraceUnits:
+		return fmt.Errorf("explore: trace cores %d outside [1, %d]", tr.Cores, maxTraceUnits)
+	case tr.Watchpoints < 1 || tr.Watchpoints > maxTraceUnits:
+		return fmt.Errorf("explore: trace watchpoints %d outside [1, %d]", tr.Watchpoints, maxTraceUnits)
+	case tr.MaxTicks > maxTraceTicks:
+		return fmt.Errorf("explore: trace max_ticks %d above %d", tr.MaxTicks, uint64(maxTraceTicks))
+	}
+	return nil
 }
 
 // WriteFile writes the trace as indented JSON.

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -34,5 +35,37 @@ func TestTraceV1BackwardCompat(t *testing.T) {
 	}
 	if !res.Run.Diverged {
 		t.Fatal("fixture records a divergent schedule; replay reported no divergence")
+	}
+}
+
+// TestReplayRejectsMalformedTrace: Replay validates every configuration
+// field it would otherwise trust, and the error names the field.
+func TestReplayRejectsMalformedTrace(t *testing.T) {
+	cases := []struct {
+		field string
+		mut   func(*Trace)
+	}{
+		{"version", func(tr *Trace) { tr.Version = 99 }},
+		{"mode", func(tr *Trace) { tr.Mode = "vanila" }},
+		{"mode", func(tr *Trace) { tr.Mode = "" }},
+		{"strategy", func(tr *Trace) { tr.Strategy = "bfs" }},
+		{"cores", func(tr *Trace) { tr.Cores = 0 }},
+		{"cores", func(tr *Trace) { tr.Cores = 65 }},
+		{"watchpoints", func(tr *Trace) { tr.Watchpoints = -1 }},
+		{"watchpoints", func(tr *Trace) { tr.Watchpoints = 1 << 20 }},
+		{"max_ticks", func(tr *Trace) { tr.MaxTicks = 1_000_000_001 }},
+	}
+	for _, c := range cases {
+		tr, err := ReadTrace(filepath.Join("testdata", "trace_v1.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.mut(tr)
+		_, err = Replay(tr)
+		if err == nil {
+			t.Errorf("%s: malformed trace replayed without error", c.field)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: error %q does not name the field", c.field, err)
+		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // The soak harness: the differential oracle as a statistical gate. A soak
 // run generates a labeled corpus (internal/corpusgen), sweeps every
-// program through the snapshot-engine differential oracle in both modes,
+// program through the differential oracle in both modes,
 // and scores the verdicts against the ground-truth labels:
 //
 //   - an injected bug is *detected* when at least one vanilla schedule
@@ -33,7 +33,6 @@ type SoakOptions struct {
 	Seed      int64            // generator + exploration base seed (default 1)
 	Schedules int              // schedule budget per program per mode (default 60)
 	Strategy  explore.Strategy // default random
-	Engine    explore.Engine   // default snapshot
 	// BenignEvery / Arrays / Iters pass through to corpusgen.Options.
 	// Arrays enables both array decoy shapes: the runtime-sized ring
 	// (Unbounded footprints) and the static-bound sweep (bounded
@@ -60,9 +59,6 @@ func (o SoakOptions) withDefaults() SoakOptions {
 	}
 	if o.Strategy == "" {
 		o.Strategy = explore.Random
-	}
-	if o.Engine == "" {
-		o.Engine = explore.EngineSnapshot
 	}
 	return o
 }
@@ -126,7 +122,6 @@ type SoakReport struct {
 	Corpus     int              `json:"corpus_size"`
 	Schedules  int              `json:"schedules"`
 	Strategy   explore.Strategy `json:"strategy"`
-	Engine     explore.Engine   `json:"engine"`
 	Programs   []SoakProgram    `json:"programs"`
 	Categories []SoakCategory   `json:"categories"`
 	// Aggregates. Precision = detected/(detected+false positives), recall
@@ -171,7 +166,6 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 			t0 := time.Now()
 			d, err := explore.Differential(explore.GenSubject(p, len(progs)), explore.Options{
 				Strategy:    o.Strategy,
-				Engine:      o.Engine,
 				Schedules:   o.Schedules,
 				Seed:        o.exploreSeed(p.Index),
 				Quantum:     o.Quantum,
@@ -215,7 +209,6 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 		Corpus:    len(progs),
 		Schedules: o.Schedules,
 		Strategy:  o.Strategy,
-		Engine:    o.Engine,
 		Programs:  rows,
 	}
 	byCat := map[string]*SoakCategory{}
@@ -286,8 +279,8 @@ func (r *SoakReport) Gate(strict bool) error {
 // String renders the per-category table plus the aggregate line.
 func (r *SoakReport) String() string {
 	var s strings.Builder
-	fmt.Fprintf(&s, "soak: %d programs (seed %d), %d schedules/mode, %s/%s\n",
-		r.Corpus, r.GenSeed, r.Schedules, r.Strategy, r.Engine)
+	fmt.Fprintf(&s, "soak: %d programs (seed %d), %d schedules/mode, %s\n",
+		r.Corpus, r.GenSeed, r.Schedules, r.Strategy)
 	fmt.Fprintf(&s, "%-8s %9s %9s %7s %6s %10s %10s\n",
 		"category", "programs", "detected", "missed", "fps", "precision", "recall")
 	for _, c := range r.Categories {

@@ -396,9 +396,7 @@ func samePage(a, b []byte) bool {
 	return a != nil && b != nil && &a[0] == &b[0]
 }
 
-// SetPolicy replaces the schedule policy for the next run. Valid only on
-// machines whose fast-path admissibility does not depend on the policy:
-// built with DispatchStep or DispatchFast (New computes fastOK once).
+// SetPolicy replaces the schedule policy for the next run.
 func (m *Machine) SetPolicy(p SchedulePolicy) {
 	m.cfg.Policy = p
 }

@@ -50,7 +50,7 @@ func newSnapMachine(t *testing.T, policy SchedulePolicy) *Machine {
 		Seed:      1,
 		MaxTicks:  5_000_000,
 		Snapshots: true,
-		Dispatch:  DispatchStep, // SetPolicy below requires policy-independent fastOK
+		Dispatch:  DispatchStep,
 		Policy:    policy,
 	})
 	if err != nil {

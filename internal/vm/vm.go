@@ -66,23 +66,20 @@ type RequestConfig struct {
 type DispatchMode int
 
 const (
-	// DispatchAuto (the default) uses the basic-block fast path whenever
-	// it is provably equivalent to step-at-a-time execution and demotes
-	// otherwise: a schedule policy is injected, debug tracing is on, or a
-	// per-access cost is charged. Within Auto the machine still demotes
-	// dynamically whenever kernel activity (events, timers, scheduling) is
-	// due; armed watchpoints do not demote — blocks whose static footprint
-	// is disjoint from the armed registers run unchecked, the rest run
-	// with per-access pre-checks (see fastpath.go).
-	DispatchAuto DispatchMode = iota
-	// DispatchStep forces the legacy one-instruction-at-a-time loop.
+	// DispatchFast (the default) is the fast tier: basic-block superstep
+	// dispatch, with or without a schedule policy. It stays bit-identical
+	// to DispatchStep: the machine demotes to stepping whenever kernel
+	// activity (events, timers, scheduling) is due, and no scheduling
+	// decision point can occur inside a window, because a window never
+	// frees a core while the run queue is non-empty. Armed watchpoints do
+	// not demote — blocks whose static footprint is disjoint from the
+	// armed registers run unchecked, the rest run with per-access
+	// pre-checks (see fastpath.go). Debug tracing or a per-access cost
+	// disables the tier for the whole run.
+	DispatchFast DispatchMode = iota
+	// DispatchStep is the reference interpreter: the legacy
+	// one-instruction-at-a-time loop the fast tier is checked against.
 	DispatchStep
-	// DispatchFast uses the fast path even under a schedule policy. This
-	// is safe — no scheduling decision point can occur inside a fast
-	// window, because a window never frees a core while the run queue is
-	// non-empty — and is what lets recorded schedules replay on the fast
-	// path (see TestFastPathReplay).
-	DispatchFast
 )
 
 // Config parameterizes a machine.
@@ -372,14 +369,11 @@ func New(bin *compile.Binary, k *kernel.Kernel, cfg Config) (*Machine, error) {
 	}
 	// The fast path is admissible at all only when the configuration
 	// cannot observe per-instruction machine activity: no per-access cost
-	// charging, no debug tracing, and no schedule policy — unless
-	// DispatchFast asserts the policy-compatible fast path (see
-	// DispatchMode). Within an admissible run, trySuperstep still demotes
-	// dynamically per window.
+	// charging and no debug tracing. Within an admissible run,
+	// trySuperstep still demotes dynamically per window.
 	m.fastOK = cfg.Dispatch != DispatchStep &&
 		cfg.Costs.AccessCheck == 0 &&
-		cfg.Debug == nil &&
-		(cfg.Dispatch == DispatchFast || cfg.Policy == nil)
+		cfg.Debug == nil
 	for i := 0; i < cfg.Cores; i++ {
 		c := &Core{
 			ID:         i,
