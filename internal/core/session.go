@@ -25,6 +25,10 @@ import (
 // consumes RNG draws at construction), no whitelist reload timer (closure
 // events are unsnapshottable), and the per-run Policy is supplied to
 // RunSchedule rather than via the config.
+//
+// Close hands the machine's memory image back for the next NewSession to
+// reuse, clearing only the pages the session wrote; a session nobody
+// closes is simply garbage collected. Snapshots outlive their session.
 type Session struct {
 	cfg  RunConfig
 	bin  *compile.Binary
@@ -79,11 +83,13 @@ func NewSession(p *Program, cfg RunConfig) (*Session, error) {
 	}
 	for _, s := range cfg.Starts {
 		if _, err := m.Start(s.Fn, s.Arg); err != nil {
+			m.Release()
 			return nil, err
 		}
 	}
 	init, err := m.Snapshot()
 	if err != nil {
+		m.Release()
 		return nil, err
 	}
 	return &Session{cfg: cfg, bin: bin, m: m, init: init}, nil
@@ -92,6 +98,10 @@ func NewSession(p *Program, cfg RunConfig) (*Session, error) {
 // Machine exposes the session's machine (snapshots, memory hashing,
 // segment access). State is only meaningful between runs.
 func (s *Session) Machine() *vm.Machine { return s.m }
+
+// Close releases the session's machine image (see vm.Machine.Release).
+// The session must not run again; closing it twice is a no-op.
+func (s *Session) Close() { s.m.Release() }
 
 // finish extracts the per-run results exactly like core.Run does.
 func (s *Session) finish(res *vm.Result) (*vm.Result, error) {

@@ -226,3 +226,29 @@ func TestSessionSnapshotPortableAcrossSessions(t *testing.T) {
 			full.Snapshot, full.Ticks, full.MemHash, full.Demotions)
 	}
 }
+
+// TestSessionCloseRecycles: closing a session twice is a no-op, and a
+// session built after the close — on the recycled image whenever the pool
+// kept it — runs the same schedule to the same final state.
+func TestSessionCloseRecycles(t *testing.T) {
+	p := corpusgen.One(corpusgen.Options{Count: 8, Seed: 21, Arrays: true}, 1)
+	const quantum, seed = 19, 3
+	var first *vm.Result
+	for round := 0; round < 2; round++ {
+		s := genSession(t, p, 1, false)
+		rng := rand.New(rand.NewSource(8))
+		res, err := s.RunSchedule(vm.PolicyFunc(func(sp vm.SchedPoint) int {
+			return rng.Intn(len(sp.Runnable))
+		}), quantum, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		s.Close()
+		if first == nil {
+			first = res
+			continue
+		}
+		sameOutcome(t, "session after Close", res, first)
+	}
+}

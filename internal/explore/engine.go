@@ -88,13 +88,17 @@ func (c *campaign) pool(mode Mode) *sessionPool {
 	return p
 }
 
-// close releases every pooled session. Campaign entry points defer it so
-// a finished campaign does not pin worker-count 8 MB machine images.
+// close closes every pooled session, handing their 8 MB machine images
+// back for the next campaign's sessions to reuse. Campaign entry points
+// defer it; every session is back in its pool once a campaign returns.
 func (c *campaign) close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, p := range c.pools {
 		p.mu.Lock()
+		for _, s := range p.free {
+			s.Close()
+		}
 		p.free = nil
 		p.mu.Unlock()
 	}

@@ -227,6 +227,7 @@ func newCampaign(subject *Subject, opts Options) (*campaign, error) {
 	}
 	c := &campaign{subject: subject, prog: prog, opts: opts, pools: map[Mode]*sessionPool{}}
 	if err := c.serialReference(); err != nil {
+		c.close()
 		return nil, err
 	}
 	return c, nil

@@ -120,6 +120,48 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestDifferentialRecyclesImages: closing a campaign hands its machine
+// images to a process-wide pool that concurrent campaigns draw from. Two
+// subjects explore side by side at parallelism 4, twice each; the second
+// round builds its sessions on recycled images and must reproduce the
+// first round's reports exactly. Run under -race it also checks the pool
+// hand-off between goroutines.
+func TestDifferentialRecyclesImages(t *testing.T) {
+	for _, id := range [][2]string{{"NSS", "341323"}, {"Apache", "44402"}} {
+		id := id
+		t.Run(id[0]+"_"+id[1], func(t *testing.T) {
+			t.Parallel()
+			b, err := bugs.ByID(id[0], id[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			subject, err := BugSubject(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, strat := range []Strategy{Random, DFS} {
+				opts := Options{Strategy: strat, Schedules: 24, Seed: 3, Bound: 2, Parallelism: 4}
+				var first []byte
+				for round := 0; round < 2; round++ {
+					d, err := Differential(subject, opts)
+					if err != nil {
+						t.Fatalf("%s round %d: %v", strat, round, err)
+					}
+					enc, err := json.Marshal(d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if first == nil {
+						first = enc
+					} else if !bytes.Equal(enc, first) {
+						t.Errorf("%s: report on recycled images differs from the first round", strat)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestDFSEnumeration checks the structure of the preemption-bounded search:
 // the root schedule is the empty prefix (pure round-robin), every explored
 // prefix respects the deviation bound, no prefix repeats, and the budget is

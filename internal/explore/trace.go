@@ -164,13 +164,15 @@ func Replay(tr *Trace) (*ReplayResult, error) {
 // Bounds on the machine a trace may ask Replay to build.
 const (
 	maxTraceUnits = 64            // cores and watchpoints
-	maxTraceTicks = 1_000_000_000 // max_ticks
+	maxTraceTicks = 1_000_000_000 // max_ticks, quantum and timeout_ticks
 )
 
 // validate rejects a trace whose configuration Replay cannot trust: an
 // unknown mode would silently run as prevention, and unbounded cores,
-// watchpoints or max_ticks would let a hand-edited file over-allocate or
-// hang the replay. Each error names the offending field.
+// watchpoints or tick counts would let a hand-edited file over-allocate or
+// hang the replay. Every decision costs at least one tick, so a decision
+// list longer than max_ticks cannot be a recorded run. Each error names
+// the offending field.
 func (tr *Trace) validate() error {
 	switch {
 	case tr.Version != 1 && tr.Version != TraceVersion:
@@ -185,6 +187,12 @@ func (tr *Trace) validate() error {
 		return fmt.Errorf("explore: trace watchpoints %d outside [1, %d]", tr.Watchpoints, maxTraceUnits)
 	case tr.MaxTicks > maxTraceTicks:
 		return fmt.Errorf("explore: trace max_ticks %d above %d", tr.MaxTicks, uint64(maxTraceTicks))
+	case tr.Quantum > maxTraceTicks:
+		return fmt.Errorf("explore: trace quantum %d above %d", tr.Quantum, uint64(maxTraceTicks))
+	case tr.TimeoutTicks > maxTraceTicks:
+		return fmt.Errorf("explore: trace timeout_ticks %d above %d", tr.TimeoutTicks, uint64(maxTraceTicks))
+	case tr.MaxTicks > 0 && uint64(len(tr.Decisions)) > tr.MaxTicks:
+		return fmt.Errorf("explore: trace has %d decisions, more than its max_ticks %d", len(tr.Decisions), tr.MaxTicks)
 	}
 	return nil
 }

@@ -54,6 +54,9 @@ func TestReplayRejectsMalformedTrace(t *testing.T) {
 		{"watchpoints", func(tr *Trace) { tr.Watchpoints = -1 }},
 		{"watchpoints", func(tr *Trace) { tr.Watchpoints = 1 << 20 }},
 		{"max_ticks", func(tr *Trace) { tr.MaxTicks = 1_000_000_001 }},
+		{"quantum", func(tr *Trace) { tr.Quantum = 1_000_000_001 }},
+		{"timeout_ticks", func(tr *Trace) { tr.TimeoutTicks = 1_000_000_001 }},
+		{"decisions", func(tr *Trace) { tr.MaxTicks = uint64(len(tr.Decisions)) - 1 }},
 	}
 	for _, c := range cases {
 		tr, err := ReadTrace(filepath.Join("testdata", "trace_v1.json"))

@@ -119,3 +119,44 @@ func BenchmarkContextSwitch(b *testing.B) {
 func BenchmarkDecisionPoint(b *testing.B) {
 	runDecisionBench(b, func(p SchedPoint) int { return len(p.Runnable) - 1 }, 200)
 }
+
+// Microbenchmarks for copy-on-write snapshot cost. Each iteration writes
+// one page and then captures or restores, so ns/op and B/op are the cost
+// of a capture or restore after a run that touched a single page — the
+// per-page overhead the branch-point DFS pays many times per schedule.
+
+// snapSink keeps the captured snapshots observable to the compiler.
+var snapSink *Snapshot
+
+// BenchmarkSnapshotCapture: store to one page, capture.
+func BenchmarkSnapshotCapture(b *testing.B) {
+	m := newSnapMachine(b, headRunnable)
+	addr := m.Bin.Globals["counter"]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Store(addr, 8, uint64(i))
+		s, err := m.Snapshot()
+		if err != nil {
+			b.Fatal(err)
+		}
+		snapSink = s
+	}
+}
+
+// BenchmarkSnapshotRestore: store to one page, restore the capture taken
+// before the loop.
+func BenchmarkSnapshotRestore(b *testing.B) {
+	m := newSnapMachine(b, headRunnable)
+	addr := m.Bin.Globals["counter"]
+	snap, err := m.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Store(addr, 8, uint64(i)+1)
+		m.Restore(snap)
+	}
+}

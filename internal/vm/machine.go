@@ -233,8 +233,11 @@ func (m *Machine) storeRaw(addr uint32, sz uint8, v uint64) {
 	}
 	if m.memTrack {
 		// A store spans at most two pages (sz <= 8 << pageShift).
-		m.pageDirty[addr>>pageShift] = true
-		m.pageDirty[(addr+uint32(sz)-1)>>pageShift] = true
+		p0, p1 := addr>>pageShift, (addr+uint32(sz)-1)>>pageShift
+		m.pageDirty[p0] = true
+		m.pageDirty[p1] = true
+		m.chunkDirty[p0>>chunkShift] = true
+		m.chunkDirty[p1>>chunkShift] = true
 	}
 	switch sz {
 	case 8:

@@ -1,9 +1,10 @@
 package vm
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"kivati/internal/compile"
 	"kivati/internal/hw"
@@ -18,22 +19,57 @@ import (
 // kernel state, RNG cursor, decision counter, and data memory — at a
 // quiescent point: before Run starts, or inside a SchedulePolicy.Pick
 // callback (the machine is between instructions, the current segment is
-// closed, and no core is mid-step). Memory is shared copy-on-write at page
-// granularity: the store path marks dirty pages, Snapshot copies only
-// pages dirtied since the previous capture, and Restore copies back only
-// pages that differ, so a schedule whose runs touch a few dozen pages
-// costs a few dozen page copies instead of re-zeroing the whole image.
+// closed, and no core is mid-step).
 //
-// Snapshots are immutable once taken and machine-portable: a snapshot
-// taken on one machine restores onto any machine built from the same
-// binary and configuration (the explorer gives each worker its own
-// machine and shares snapshots freely).
+// Memory is shared copy-on-write through a two-level page directory: 64
+// chunk pointers, each chunk a table of 32 page pointers. The store path
+// marks the written page and its chunk dirty — from the machine's birth,
+// so the initial InitMem and Start writes are tracked too, and every page
+// nothing wrote shares one all-zero page. Snapshot copies the directory by
+// value, clones only dirty chunks and copies only dirty pages; Restore
+// skips every chunk it shares with the snapshot that has not been written
+// since, and copies back only pages that differ in the rest. Capture and
+// restore therefore cost O(64 + pages written), not O(address space).
+//
+// Snapshots are immutable once taken and machine-portable: a published
+// chunk or page is never written again, so a snapshot taken on one
+// machine restores onto any machine built from the same binary and
+// configuration (the explorer gives each worker its own machine and
+// shares snapshots freely).
 
 const (
-	pageShift = 12
-	pageSize  = 1 << pageShift
-	numPages  = int(compile.MemSize >> pageShift)
+	pageShift  = 12
+	pageSize   = 1 << pageShift
+	numPages   = int(compile.MemSize >> pageShift)
+	chunkShift = 5
+	chunkPages = 1 << chunkShift
+	numChunks  = numPages >> chunkShift
 )
+
+// pageChunk is one immutable second-level table of the page directory.
+type pageChunk [chunkPages][]byte
+
+// pageDir is the first level: the image as numChunks shared chunks.
+type pageDir [numChunks]*pageChunk
+
+// zeroPage is the shared capture of every page nothing has written, and
+// zeroChunk the chunk of zeroPages every fresh directory starts from.
+var (
+	zeroPage  = make([]byte, pageSize)
+	zeroChunk = func() *pageChunk {
+		c := new(pageChunk)
+		for i := range c {
+			c[i] = zeroPage
+		}
+		return c
+	}()
+)
+
+// memImage is a machine's data memory. Snapshot machines draw an all-zero
+// one from imagePool and return it, all zero again, through Release.
+type memImage [compile.MemSize]byte
+
+var imagePool = sync.Pool{New: func() any { return new(memImage) }}
 
 // countingSource wraps a deterministic rand source and counts draws, so a
 // snapshot can record the RNG cursor and a restore can rewind it by
@@ -135,7 +171,7 @@ type Snapshot struct {
 	runq    []int
 	cores   []coreSnap
 	events  []event
-	pages   [][]byte
+	pages   pageDir
 
 	reqArrivals map[int]uint64
 	reqQueue    []int
@@ -179,6 +215,9 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	if !m.cfg.Snapshots {
 		return nil, fmt.Errorf("vm: machine not built with Config.Snapshots")
 	}
+	if m.Mem == nil {
+		return nil, errReleased
+	}
 	for i := range m.events {
 		if m.events[i].kind == evFn {
 			return nil, fmt.Errorf("vm: pending closure event at tick %d is not snapshottable", m.events[i].tick)
@@ -195,7 +234,6 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		runq:         make([]int, len(m.runq)),
 		cores:        make([]coreSnap, len(m.cores)),
 		events:       append([]event(nil), m.events...),
-		pages:        make([][]byte, numPages),
 		reqArrivals:  make(map[int]uint64, len(m.reqArrivals)),
 		reqQueue:     append([]int(nil), m.reqQueue...),
 		reqWaiters:   make([]int, len(m.reqWaiters)),
@@ -251,32 +289,67 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	for i, w := range m.reqWaiters {
 		s.reqWaiters[i] = w.ID
 	}
-	// CoW page capture: refresh the shadow copy of pages written since the
-	// last capture, then share every page by reference. Captured pages are
-	// never written again (stores replace the shadow pointer on the next
-	// Snapshot, Restore redirects it), which is what makes snapshots
-	// immutable and portable across machines. All-zero pages — most of the
-	// image at the initial capture — share one global page instead of
-	// getting private copies.
-	for p := 0; p < numPages; p++ {
-		if m.shadow[p] == nil || m.pageDirty[p] {
-			page := m.Mem[p<<pageShift : (p+1)<<pageShift]
-			if bytes.Equal(page, zeroPage) {
-				m.shadow[p] = zeroPage
-			} else {
-				cp := make([]byte, pageSize)
-				copy(cp, page)
-				m.shadow[p] = cp
-			}
-			m.pageDirty[p] = false
+	// CoW page capture: give each dirty chunk a fresh table holding fresh
+	// copies of its dirty pages, then share the whole directory by value.
+	// Published chunks and pages are never written again, which is what
+	// makes snapshots immutable and portable across machines.
+	for ci := range m.chunkDirty {
+		if !m.chunkDirty[ci] {
+			continue
 		}
-		s.pages[p] = m.shadow[p]
+		nc := *m.shadow[ci]
+		for j := range nc {
+			p := ci<<chunkShift + j
+			if m.pageDirty[p] {
+				nc[j] = append([]byte(nil), m.Mem[p<<pageShift:(p+1)<<pageShift]...)
+				m.pageDirty[p] = false
+			}
+		}
+		m.shadow[ci] = &nc
+		m.chunkDirty[ci] = false
 	}
+	s.pages = m.shadow
 	return s, nil
 }
 
-// zeroPage is the shared capture of every all-zero page.
-var zeroPage = make([]byte, pageSize)
+// errReleased is what a released machine answers with instead of reading
+// the zeros of an image it no longer owns.
+var errReleased = errors.New("vm: machine used after Release")
+
+// Release returns a snapshot machine's memory image to the pool vm.New
+// draws from; a machine built without Config.Snapshots just drops it.
+// The machine is unusable afterwards: Run and Restore panic, Snapshot
+// fails. Calling Release again is a no-op. Snapshots taken on the machine
+// stay valid — they share none of its image.
+func (m *Machine) Release() {
+	if m.Mem == nil {
+		return
+	}
+	if m.memTrack {
+		// Every page not provably zero is dirty or holds a private copy in
+		// the directory; clear exactly those so the pooled image is zero.
+		for ci, c := range &m.shadow {
+			if c == zeroChunk && !m.chunkDirty[ci] {
+				continue
+			}
+			for j, pg := range c {
+				p := ci<<chunkShift + j
+				if m.pageDirty[p] || !samePage(pg, zeroPage) {
+					clear(m.Mem[p<<pageShift : (p+1)<<pageShift])
+				}
+			}
+		}
+		imagePool.Put((*memImage)(m.Mem))
+	}
+	m.Mem = nil
+}
+
+// mustLive panics when op runs on a released machine.
+func (m *Machine) mustLive(op string) {
+	if m.Mem == nil {
+		panic(fmt.Sprintf("%v: %s", errReleased, op))
+	}
+}
 
 // Restore rewinds the machine to a snapshot. The machine must have been
 // built from the same binary and an equivalent configuration (core count,
@@ -284,6 +357,7 @@ var zeroPage = make([]byte, pageSize)
 // same machine. After Restore the machine continues exactly as the source
 // machine would have from the capture point; Run may be re-entered.
 func (m *Machine) Restore(s *Snapshot) {
+	m.mustLive("Restore")
 	m.clock = s.clock
 	m.eventSeq = s.eventSeq
 	m.schedSeq = s.schedSeq
@@ -332,13 +406,22 @@ func (m *Machine) Restore(s *Snapshot) {
 
 	// Memory: copy back only pages that provably differ from the
 	// snapshot — a page is unchanged when it still shares the snapshot's
-	// copy and has not been written since.
-	for p := 0; p < numPages; p++ {
-		if m.pageDirty[p] || !samePage(m.shadow[p], s.pages[p]) {
-			copy(m.Mem[p<<pageShift:(p+1)<<pageShift], s.pages[p])
-			m.shadow[p] = s.pages[p]
-			m.pageDirty[p] = false
+	// copy and has not been written since. A chunk shared with the
+	// snapshot and not written since holds only such pages.
+	for ci, sc := range &s.pages {
+		mc := m.shadow[ci]
+		if mc == sc && !m.chunkDirty[ci] {
+			continue
 		}
+		for j, pg := range sc {
+			p := ci<<chunkShift + j
+			if m.pageDirty[p] || !samePage(mc[j], pg) {
+				copy(m.Mem[p<<pageShift:(p+1)<<pageShift], pg)
+				m.pageDirty[p] = false
+			}
+		}
+		m.shadow[ci] = sc
+		m.chunkDirty[ci] = false
 	}
 
 	m.reqArrivals = make(map[int]uint64, len(s.reqArrivals))
@@ -392,9 +475,8 @@ func (m *Machine) Restore(s *Snapshot) {
 	m.K.Log.RestoreState(s.log)
 }
 
-func samePage(a, b []byte) bool {
-	return a != nil && b != nil && &a[0] == &b[0]
-}
+// samePage reports whether two directory entries are one shared page.
+func samePage(a, b []byte) bool { return &a[0] == &b[0] }
 
 // SetPolicy replaces the schedule policy for the next run.
 func (m *Machine) SetPolicy(p SchedulePolicy) {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"kivati/internal/compile"
 	"kivati/internal/kernel"
 )
 
@@ -36,9 +37,14 @@ void main() {
 
 // newSnapMachine builds a snapshot-capable prevention-mode machine with the
 // given schedule policy and main started, but not yet run.
-func newSnapMachine(t *testing.T, policy SchedulePolicy) *Machine {
+func newSnapMachine(t testing.TB, policy SchedulePolicy) *Machine {
 	t.Helper()
-	bin := buildSrc(t, snapSrc, compileOptsAnnotated())
+	return newSnapMachineOn(t, buildSrc(t, snapSrc, compileOptsAnnotated()), policy)
+}
+
+// newSnapMachineOn is newSnapMachine on an already-built binary.
+func newSnapMachineOn(t testing.TB, bin *compile.Binary, policy SchedulePolicy) *Machine {
+	t.Helper()
 	k := kernel.New(kernel.Config{
 		Mode:           kernel.Prevention,
 		Opt:            kernel.OptBase,

@@ -11,7 +11,7 @@ import (
 )
 
 // buildSrc compiles MiniC source into a binary.
-func buildSrc(t *testing.T, src string, opts compile.Options) *compile.Binary {
+func buildSrc(t testing.TB, src string, opts compile.Options) *compile.Binary {
 	t.Helper()
 	prog, err := minic.Parse(src)
 	if err != nil {

@@ -299,14 +299,16 @@ type Machine struct {
 	coresBehind bool
 
 	// Copy-on-write snapshot support (snapshot.go). memTrack gates the
-	// dirty-page bookkeeping in storeRaw; shadow[p] is the immutable copy
-	// of page p as of the last Snapshot/Restore (nil = never captured) and
-	// pageDirty[p] records writes since then. rsrc is the draw-counting
-	// RNG source that makes the rng state restorable.
-	memTrack  bool
-	shadow    [][]byte
-	pageDirty []bool
-	rsrc      *countingSource
+	// dirty bookkeeping in storeRaw. shadow is the page directory as of
+	// the last Snapshot/Restore (all zeroChunk at birth): memory equals it
+	// on every page whose pageDirty bit is clear, and chunkDirty[c] is set
+	// whenever a page of chunk c is dirty. rsrc is the draw-counting RNG
+	// source that makes the rng state restorable.
+	memTrack   bool
+	shadow     pageDir
+	pageDirty  [numPages]bool
+	chunkDirty [numChunks]bool
+	rsrc       *countingSource
 
 	// Per-decision access-segment recording for DPOR (segment.go). segLimit
 	// is the number of decision-delimited segments to record (0 = off).
@@ -335,14 +337,22 @@ func New(bin *compile.Binary, k *kernel.Kernel, cfg Config) (*Machine, error) {
 		Bin:         bin,
 		K:           k,
 		Stats:       k.Stats,
-		Mem:         make([]byte, compile.MemSize),
 		cfg:         cfg,
 		reqArrivals: map[int]uint64{},
 	}
 	if cfg.Snapshots {
+		// Dirty tracking starts before the first write, on an all-zero
+		// (possibly recycled) image every chunk of which shares zeroChunk:
+		// the initial capture copies only the pages InitMem and Start wrote.
+		m.Mem = imagePool.Get().(*memImage)[:]
+		for i := range m.shadow {
+			m.shadow[i] = zeroChunk
+		}
+		m.memTrack = true
 		m.rsrc = newCountingSource(cfg.Seed)
 		m.rng = rand.New(m.rsrc)
 	} else {
+		m.Mem = make([]byte, compile.MemSize)
 		m.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
 	for addr, v := range bin.InitMem {
@@ -398,13 +408,6 @@ func New(bin *compile.Binary, k *kernel.Kernel, cfg Config) (*Machine, error) {
 	}
 	if cfg.Requests != nil && cfg.Requests.Count > 0 {
 		m.scheduleArrival()
-	}
-	if cfg.Snapshots {
-		// Dirty tracking starts after InitMem: pages never captured by a
-		// Snapshot are copied wholesale regardless of their dirty bit.
-		m.shadow = make([][]byte, numPages)
-		m.pageDirty = make([]bool, numPages)
-		m.memTrack = true
 	}
 	return m, nil
 }
@@ -513,6 +516,7 @@ type Result struct {
 // Run executes until all threads finish, MaxTicks elapses, a violation
 // callback requests a stop, or the machine deadlocks.
 func (m *Machine) Run() *Result {
+	m.mustLive("Run")
 	for !m.stopped {
 		// Fire due events.
 		for len(m.events) > 0 && m.events[0].tick <= m.clock {
