@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -401,4 +402,49 @@ func pairsAsStrings(prog *minic.Program, fn *minic.FuncDecl) []string {
 		out[i] = pairString(p)
 	}
 	return out
+}
+
+// TestKeyLessMatchesString: the pair sort orders keys exactly as their
+// String forms compare, without building those strings.
+func TestKeyLessMatchesString(t *testing.T) {
+	var keys []Key
+	for _, name := range []string{"", "a", "b", "ab", "*", "*a", ")", "+", "A", "_x", "x1"} {
+		keys = append(keys, Key{Name: name}, Key{Name: name, Deref: true})
+	}
+	for _, a := range keys {
+		for _, b := range keys {
+			if got, want := keyLess(a, b), a.String() < b.String(); got != want {
+				t.Errorf("keyLess(%q, %q) = %v, want %v", a, b, got, want)
+			}
+		}
+	}
+}
+
+// TestAccessSetUnion: union is bitwise OR over sets of any length, returns
+// an operand unchanged when it already covers the other, and Equal ignores
+// trailing zero words.
+func TestAccessSetUnion(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	gen := func() accessSet {
+		s := make(accessSet, r.Intn(3))
+		for i := range s {
+			s[i] = r.Uint64() & r.Uint64() & r.Uint64()
+		}
+		return s
+	}
+	for i := 0; i < 2000; i++ {
+		a, b := gen(), gen()
+		u := a.union(b)
+		for w := 0; w < 3; w++ {
+			if u.word(w) != a.word(w)|b.word(w) {
+				t.Fatalf("%x ∪ %x = %x", a, b, u)
+			}
+		}
+		if a.covers(b) && len(a) > 0 && &u[0] != &a[0] {
+			t.Fatalf("%x ∪ %x: covering operand not returned", a, b)
+		}
+		if !u.Equal(append(u[:len(u):len(u)], 0)) {
+			t.Fatalf("%x: trailing zero word changes equality", u)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math/bits"
 	"sort"
 
 	"kivati/internal/cfg"
@@ -24,68 +25,89 @@ type Pair struct {
 	FirstLvalue minic.Expr // location expression of the first access
 }
 
-// reachingAccess is one element of the data-flow fact set.
-type reachingAccess struct {
-	key  Key
-	node int // CFG node ID
-	idx  int // index into the node's access list
-	typ  uint8
+// accessSet is the lattice element: the set of accesses that reach a
+// program point, as a bitset over the function's admitted accesses (see
+// pairAnalysis.refs). A nil set is empty. Join is union, transfer is
+// gen-only — the paper's analysis pairs a shared access with *all*
+// preceding accesses, not just the closest (Figure 4 pairs lines 2–8
+// despite the intervening access on line 4). Sets are never mutated once
+// built, so Join and Transfer may return an operand unchanged.
+type accessSet []uint64
+
+func (s accessSet) word(i int) uint64 {
+	if i < len(s) {
+		return s[i]
+	}
+	return 0
 }
 
-// accessSet is the lattice element: a set of accesses that reach a program
-// point. Join is union, transfer is gen-only — the paper's analysis pairs a
-// shared access with *all* preceding accesses, not just the closest
-// (Figure 4 pairs lines 2–8 despite the intervening access on line 4).
-type accessSet map[reachingAccess]bool
-
-func (s accessSet) Equal(other dataflow.Facts) bool {
-	o := other.(accessSet)
-	if len(s) != len(o) {
-		return false
-	}
-	for k := range s {
-		if !o[k] {
+// covers reports whether s ⊇ o.
+func (s accessSet) covers(o accessSet) bool {
+	for i, w := range o {
+		if w&^s.word(i) != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-type pairAnalysis struct {
-	accesses map[int][]Access // node ID -> ordered shared accesses
+func (s accessSet) Equal(other dataflow.Facts) bool {
+	o := other.(accessSet)
+	return s.covers(o) && o.covers(s)
 }
 
-func (pairAnalysis) Bottom() dataflow.Facts { return accessSet{} }
-func (pairAnalysis) Entry() dataflow.Facts  { return accessSet{} }
-
-func (pairAnalysis) Join(a, b dataflow.Facts) dataflow.Facts {
-	sa, sb := a.(accessSet), b.(accessSet)
-	if len(sb) == 0 {
-		return sa
+// union returns s ∪ o, or whichever operand already covers the other.
+func (s accessSet) union(o accessSet) accessSet {
+	if s.covers(o) {
+		return s
 	}
-	out := make(accessSet, len(sa)+len(sb))
-	for k := range sa {
-		out[k] = true
+	if o.covers(s) {
+		return o
 	}
-	for k := range sb {
-		out[k] = true
+	out := make(accessSet, max(len(s), len(o)))
+	for i := range out {
+		out[i] = s.word(i) | o.word(i)
 	}
 	return out
+}
+
+// accessRef names one admitted access: a node and its index into the
+// node's access list.
+type accessRef struct{ node, idx int }
+
+type pairAnalysis struct {
+	accesses [][]Access  // node ID -> ordered shared accesses
+	refs     []accessRef // bit number -> access
+	gen      []accessSet // node ID -> the node's own accesses
+}
+
+func (pairAnalysis) Bottom() dataflow.Facts { return accessSet(nil) }
+func (pairAnalysis) Entry() dataflow.Facts  { return accessSet(nil) }
+
+func (pairAnalysis) Join(a, b dataflow.Facts) dataflow.Facts {
+	return a.(accessSet).union(b.(accessSet))
 }
 
 func (p pairAnalysis) Transfer(n *cfg.Node, in dataflow.Facts) dataflow.Facts {
-	accs := p.accesses[n.ID]
-	if len(accs) == 0 {
-		return in
+	return in.(accessSet).union(p.gen[n.ID])
+}
+
+// keyLess orders keys as their String forms do, without building them.
+func keyLess(a, b Key) bool {
+	if a.Deref == b.Deref {
+		return a.Name < b.Name
 	}
-	out := make(accessSet, len(in.(accessSet))+len(accs))
-	for k := range in.(accessSet) {
-		out[k] = true
+	if a.Deref { // "*"+a.Name against b.Name
+		if b.Name == "" || b.Name[0] != '*' {
+			return b.Name != "" && '*' < b.Name[0]
+		}
+		return a.Name < b.Name[1:]
 	}
-	for i, a := range accs {
-		out[reachingAccess{key: a.Key, node: n.ID, idx: i, typ: a.Type}] = true
+	// a.Name against "*"+b.Name
+	if a.Name == "" || a.Name[0] != '*' {
+		return a.Name == "" || a.Name[0] < '*'
 	}
-	return out
+	return a.Name[1:] < b.Name
 }
 
 // posBefore reports whether a lexically precedes b.
@@ -118,7 +140,7 @@ func PairsAdmit(g *cfg.Graph, admit func(Access) (Key, bool)) []Pair {
 // to the globals the callee transitively touches. Extra accesses follow the
 // node's own accesses in evaluation order.
 func PairsExtra(g *cfg.Graph, admit func(Access) (Key, bool), extra func(*cfg.Node) []Access) []Pair {
-	pa := pairAnalysis{accesses: map[int][]Access{}}
+	pa := pairAnalysis{accesses: make([][]Access, len(g.Nodes)), gen: make([]accessSet, len(g.Nodes))}
 	for _, n := range g.Nodes {
 		var shared []Access
 		accs := NodeAccesses(n)
@@ -135,42 +157,38 @@ func PairsExtra(g *cfg.Graph, admit func(Access) (Key, bool), extra func(*cfg.No
 				a.Pos = ExprPos(a.Lvalue)
 			}
 			shared = append(shared, a)
+			pa.refs = append(pa.refs, accessRef{n.ID, len(shared) - 1})
 		}
-		if len(shared) > 0 {
-			pa.accesses[n.ID] = shared
+		pa.accesses[n.ID] = shared
+	}
+	// Bit b stands for pa.refs[b], numbered in node order above, so each
+	// node generates its own run of bits.
+	words := (len(pa.refs) + 63) / 64
+	for b, r := range pa.refs {
+		if pa.gen[r.node] == nil {
+			pa.gen[r.node] = make(accessSet, words)
 		}
+		pa.gen[r.node][b/64] |= 1 << (b % 64)
 	}
 	sol := dataflow.Solve(g, pa)
 
-	byNode := make(map[int]*cfg.Node, len(g.Nodes))
-	for _, n := range g.Nodes {
-		byNode[n.ID] = n
-	}
-
-	type pairKey struct {
-		key                      Key
-		fNode, fIdx, sNode, sIdx int
-	}
-	dedup := map[pairKey]bool{}
 	var pairs []Pair
-	add := func(key Key, fNode, fIdx int, fTyp uint8, fLv minic.Expr, sNode, sIdx int, sTyp uint8) {
-		pk := pairKey{key, fNode, fIdx, sNode, sIdx}
-		if dedup[pk] {
-			return
-		}
-		dedup[pk] = true
+	add := func(key Key, first Access, fNode, fIdx int, second Access, sNode, sIdx int) {
 		pairs = append(pairs, Pair{
 			Key:         key,
-			FirstNode:   byNode[fNode],
+			FirstNode:   g.Nodes[fNode],
 			FirstIdx:    fIdx,
-			SecondNode:  byNode[sNode],
+			SecondNode:  g.Nodes[sNode],
 			SecondIdx:   sIdx,
-			FirstType:   fTyp,
-			SecondType:  sTyp,
-			FirstLvalue: fLv,
+			FirstType:   first.Type,
+			SecondType:  second.Type,
+			FirstLvalue: first.Lvalue,
 		})
 	}
 
+	// Each (first, second) access pair is found once: through the reaching
+	// set when the two lie in different nodes, through the ordered
+	// intra-node loop when they share one.
 	for _, n := range g.Nodes {
 		accs := pa.accesses[n.ID]
 		if len(accs) == 0 {
@@ -188,20 +206,23 @@ func PairsExtra(g *cfg.Graph, admit func(Access) (Key, bool), extra func(*cfg.No
 			// reaching itself around a loop) is excluded for the same
 			// reason; within-statement pairs come from the ordered
 			// intra-node loop below.
-			for r := range in {
-				if r.key != a.Key || r.node == n.ID {
-					continue
+			for w, set := range in {
+				for ; set != 0; set &= set - 1 {
+					r := pa.refs[w*64+bits.TrailingZeros64(set)]
+					if r.node == n.ID {
+						continue
+					}
+					first := pa.accesses[r.node][r.idx]
+					if first.Key != a.Key || !posBefore(first.Pos, a.Pos) {
+						continue
+					}
+					add(a.Key, first, r.node, r.idx, a, n.ID, i)
 				}
-				first := pa.accesses[r.node][r.idx]
-				if !posBefore(first.Pos, a.Pos) {
-					continue
-				}
-				add(a.Key, r.node, r.idx, r.typ, first.Lvalue, n.ID, i, a.Type)
 			}
 			// Pair with earlier accesses within the same node.
 			for j := 0; j < i; j++ {
 				if accs[j].Key == a.Key {
-					add(a.Key, n.ID, j, accs[j].Type, accs[j].Lvalue, n.ID, i, a.Type)
+					add(a.Key, accs[j], n.ID, j, a, n.ID, i)
 				}
 			}
 		}
@@ -210,7 +231,7 @@ func PairsExtra(g *cfg.Graph, admit func(Access) (Key, bool), extra func(*cfg.No
 	sort.Slice(pairs, func(i, j int) bool {
 		a, b := pairs[i], pairs[j]
 		if a.Key != b.Key {
-			return a.Key.String() < b.Key.String()
+			return keyLess(a.Key, b.Key)
 		}
 		if a.FirstNode.ID != b.FirstNode.ID {
 			return a.FirstNode.ID < b.FirstNode.ID

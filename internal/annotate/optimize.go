@@ -223,12 +223,12 @@ func dedupe(g *cfg.Graph, kept, benign []*AR, stats *OptStats) []*AR {
 	})
 
 	idx := make([]int, len(kept))
-	for i := range kept {
+	size := make([]int, len(kept))
+	for i, ar := range kept {
 		idx[i] = i
+		size[i] = regionSize(g, ar)
 	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		return regionSize(g, kept[idx[i]]) > regionSize(g, kept[idx[j]])
-	})
+	sort.SliceStable(idx, func(i, j int) bool { return size[idx[i]] > size[idx[j]] })
 
 	dropped := make([]bool, len(kept))
 	for _, i := range idx {

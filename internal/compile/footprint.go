@@ -35,8 +35,7 @@ func Footprints(code []byte) ([]isa.Footprint, error) {
 	if err != nil {
 		return nil, err
 	}
-	fps, _ := suffixFootprints(decoded, starts, nil)
-	return fps, nil
+	return suffixFootprints(decoded, starts, nil, nil), nil
 }
 
 // FootprintsAnalyzed computes the table with value-range analysis over the
@@ -47,8 +46,7 @@ func FootprintsAnalyzed(code []byte, entries []uint32) ([]isa.Footprint, error) 
 	if err != nil {
 		return nil, err
 	}
-	fps, _ := suffixFootprints(decoded, starts, valrangeAnalysis(decoded, entries))
-	return fps, nil
+	return suffixFootprints(decoded, starts, valrangeAnalysis(decoded, entries), nil), nil
 }
 
 // valrangeAnalysis runs the interval pass with layout-derived options.
@@ -68,12 +66,17 @@ func valrangeOptions() valrange.Options {
 
 // suffixFootprints runs the reverse walk over pre-decoded instructions.
 // rv, when non-nil, is consulted for accesses whose instruction-local
-// footprint is Unbounded. cause maps each PC whose suffix footprint is
-// Unbounded to the PC of the instruction that caused the escape (the
-// deepest unbounded access or untrackable SP/FP overwrite in the window).
-func suffixFootprints(decoded []isa.Instr, starts []uint32, rv accessResolver) (fps []isa.Footprint, cause map[uint32]uint32) {
-	fps = make([]isa.Footprint, len(decoded))
-	cause = make(map[uint32]uint32)
+// footprint is Unbounded. cause, when non-nil, receives for each PC whose
+// suffix footprint is Unbounded the PC of the instruction that caused the
+// escape (the deepest unbounded access or untrackable SP/FP overwrite in
+// the window); only FootprintReport reads it.
+func suffixFootprints(decoded []isa.Instr, starts []uint32, rv accessResolver, cause map[uint32]uint32) []isa.Footprint {
+	fps := make([]isa.Footprint, len(decoded))
+	setCause := func(pc, c uint32) {
+		if cause != nil {
+			cause[pc] = c
+		}
+	}
 	own := func(pc uint32, in isa.Instr) isa.Footprint {
 		f := isa.InstrFootprint(in)
 		if f.Unbounded && rv != nil {
@@ -92,7 +95,7 @@ func suffixFootprints(decoded []isa.Instr, starts []uint32, rv accessResolver) (
 		case in.Op.IsControlFlow():
 			fps[pc] = own(pc, in)
 			if fps[pc].Unbounded {
-				cause[pc] = pc
+				setCause(pc, pc)
 			}
 		default:
 			f := own(pc, in)
@@ -101,19 +104,19 @@ func suffixFootprints(decoded []isa.Instr, starts []uint32, rv accessResolver) (
 				f = f.UnionWith(fps[next].Rebase(in))
 				if f.Unbounded && !ownUnbounded {
 					if c, ok := cause[next]; ok {
-						cause[pc] = c
+						setCause(pc, c)
 					} else {
 						// The escape came from Rebase (an untrackable
 						// SP/FP overwrite at this instruction).
-						cause[pc] = pc
+						setCause(pc, pc)
 					}
 				}
 			}
 			if ownUnbounded {
-				cause[pc] = pc
+				setCause(pc, pc)
 			}
 			fps[pc] = f
 		}
 	}
-	return fps, cause
+	return fps
 }

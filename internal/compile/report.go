@@ -29,7 +29,8 @@ func FootprintReport(bin *Binary) ([]BlockFootprint, error) {
 	if err != nil {
 		return nil, err
 	}
-	fps, cause := suffixFootprints(decoded, starts, valrangeAnalysis(decoded, bin.FuncEntries))
+	cause := map[uint32]uint32{}
+	fps := suffixFootprints(decoded, starts, valrangeAnalysis(decoded, bin.FuncEntries), cause)
 
 	var rows []BlockFootprint
 	leaders := blockLeaders(decoded, starts)

@@ -51,6 +51,7 @@ func FuzzISARoundTrip(f *testing.F) {
 	f.Add([]byte{uint8(OpNOP), uint8(OpRET), uint8(OpHLT)})
 	f.Add([]byte{uint8(OpSYS), SysBeginAtomic, uint8(OpSYS), SysEndAtomic})
 	f.Add([]byte{uint8(OpMOVQ), 3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Add([]byte{uint8(OpMOVQ), 200, 7, 0, 0, 0, 0, 0, 0, 0}) // register out of range
 	f.Fuzz(func(t *testing.T, code []byte) {
 		if len(code) > 1<<16 {
 			return

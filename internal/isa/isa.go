@@ -251,6 +251,9 @@ func Decode(code []byte, pc uint32) (Instr, error) {
 			in.Imm = int64(b[1])
 		}
 	}
+	if in.Rd >= NumRegs || in.Ra >= NumRegs || in.Rb >= NumRegs {
+		return Instr{}, fmt.Errorf("isa: %v at pc %#x names register outside R0..R%d", op, pc, NumRegs-1)
+	}
 	return in, nil
 }
 

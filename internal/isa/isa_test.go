@@ -129,6 +129,38 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode([]byte{byte(OpNOP)}, 5); err == nil {
 		t.Error("pc out of bounds: want error")
 	}
+	// Register operands must name R0..R15: the analyses and the VM index
+	// 16-entry register files with them.
+	for _, c := range []struct {
+		name string
+		code []byte
+	}{
+		{"MOVQ rd", []byte{byte(OpMOVQ), 200, 7, 0, 0, 0, 0, 0, 0, 0}},
+		{"MOVL rd", []byte{byte(OpMOVL), NumRegs, 7, 0, 0, 0}},
+		{"MOVR ra", []byte{byte(OpMOVR), 1, NumRegs}},
+		{"ADD rb", []byte{byte(OpADD), 1, 2, 0xff}},
+		{"ADDI rd", []byte{byte(OpADDI), 16, 2, 0, 0, 0, 0}},
+		{"LD rd", []byte{byte(OpLD + 3), 16, 0, 0x10, 0, 0}},
+		{"ST rs", []byte{byte(OpST + 3), 16, 0, 0x10, 0, 0}},
+		{"LDR rb", []byte{byte(OpLDR + 3), 1, 99, 0, 0, 0, 0}},
+		{"STR rs", []byte{byte(OpSTR + 3), 14, 17, 0, 0, 0, 0}},
+		{"PUSH", []byte{byte(OpPUSH), 16}},
+		{"POP", []byte{byte(OpPOP), 255}},
+		{"JZ", []byte{byte(OpJZ), 16, 0, 0, 0, 0}},
+	} {
+		code := append([]byte{byte(OpNOP)}, c.code...)
+		_, err := Decode(code, 1)
+		if err == nil {
+			t.Errorf("%s: out-of-range register decoded", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "pc 0x1") {
+			t.Errorf("%s: error %q does not name the pc", c.name, err)
+		}
+	}
+	if _, err := Decode([]byte{byte(OpMOVR), NumRegs - 1, 0}, 0); err != nil {
+		t.Errorf("MOVR R15, R0: %v", err)
+	}
 }
 
 func TestWidthOp(t *testing.T) {

@@ -57,8 +57,26 @@ func Analyze(code []byte, entries []uint32, opt Options) (*Analysis, error) {
 }
 
 // AnalyzeDecoded is Analyze over an already-decoded image (decoded is
-// indexed by PC as produced by isa.DecodeProgram).
+// indexed by PC as produced by isa.DecodeProgram). Only the regions whose
+// facts can be read are solved: those holding an indirect access, plus, for
+// the image-wide escape verdict, any region whose pre-scan finds an
+// instruction that could leak a frame address (see mayLeakFrame).
 func AnalyzeDecoded(decoded []isa.Instr, entries []uint32, opt Options) *Analysis {
+	return analyze(decoded, entries, opt, false)
+}
+
+// region is one function's code range [lo, hi): from its entry to the next
+// entry (or the image end). read marks a region holding an indirect access
+// — the only instructions whose facts AccessFootprint returns — and solve
+// the regions pass 1 must run for the escape verdicts.
+type region struct {
+	lo, hi      uint32
+	read, solve bool
+}
+
+// analyze is AnalyzeDecoded; every forces every region to be solved, which
+// the tests use as the reference the selective solve must match.
+func analyze(decoded []isa.Instr, entries []uint32, opt Options, every bool) *Analysis {
 	a := &Analysis{resolved: map[uint32]isa.Footprint{}}
 	ents := make([]uint32, 0, len(entries))
 	for _, e := range entries {
@@ -71,7 +89,6 @@ func AnalyzeDecoded(decoded []isa.Instr, entries []uint32, opt Options) *Analysi
 	}
 	sort.Slice(ents, func(i, j int) bool { return ents[i] < ents[j] })
 
-	type region struct{ lo, hi uint32 }
 	var regions []region
 	for i, lo := range ents {
 		if i > 0 && lo == ents[i-1] {
@@ -84,7 +101,11 @@ func AnalyzeDecoded(decoded []isa.Instr, entries []uint32, opt Options) *Analysi
 				break
 			}
 		}
-		regions = append(regions, region{lo, hi})
+		rg := region{lo: lo, hi: hi, read: every, solve: every}
+		if !every {
+			rg.read, rg.solve = scanRegion(decoded, lo, hi)
+		}
+		regions = append(regions, rg)
 	}
 
 	// Pass 1: slot tracking on, to collect the escape verdicts. A frame
@@ -97,7 +118,9 @@ func AnalyzeDecoded(decoded []isa.Instr, entries []uint32, opt Options) *Analysi
 	// while the arming activation is live (clear_ar at every subroutine
 	// exit detaches the watchpoint before the frame pops, and callee frames
 	// sit strictly below the caller's SP), so it merely poisons the
-	// overlapped cells of its own function's rerun.
+	// overlapped cells of its own function's rerun. A region pass 1 skips
+	// has no escape to report, and the rerun and the resolution below only
+	// visit regions whose facts are read.
 	type fnRun struct {
 		g  *cfg.BinGraph
 		r  *dataflow.EdgeResult
@@ -117,25 +140,29 @@ func AnalyzeDecoded(decoded []isa.Instr, entries []uint32, opt Options) *Analysi
 		runs[i] = fnRun{g: g, r: r, fa: fa}
 	}
 	escAll := false
-	for i := range regions {
-		solve(i, true, nil)
-		escAll = escAll || runs[i].fa.escAll
-	}
-	if escAll {
-		for i := range regions {
-			solve(i, false, nil)
+	for i, rg := range regions {
+		if rg.solve {
+			solve(i, true, nil)
+			escAll = escAll || runs[i].fa.escAll
 		}
-	} else {
-		for i := range regions {
-			if rs := runs[i].fa.escRanges; len(rs) > 0 {
-				solve(i, true, rs)
-			}
+	}
+	for i, rg := range regions {
+		if !rg.read {
+			continue
+		}
+		if escAll {
+			solve(i, false, nil)
+		} else if rs := runs[i].fa.escRanges; len(rs) > 0 {
+			solve(i, true, rs)
 		}
 	}
 
 	// Resolution: replay the transfer through each reachable block and
 	// record a bounded footprint for every provable indirect access.
-	for _, run := range runs {
+	for i, run := range runs {
+		if !regions[i].read {
+			continue
+		}
 		for n, b := range run.g.Blocks {
 			st, ok := run.r.In[n].(*state)
 			if !ok || st.bot {
@@ -157,6 +184,46 @@ func AnalyzeDecoded(decoded []isa.Instr, entries []uint32, opt Options) *Analysi
 		}
 	}
 	return a
+}
+
+// scanRegion walks the instructions of [lo, hi) once. read reports an
+// indirect access; solve reports that pass 1 must run the region, because
+// its facts are read or because mayLeakFrame flags an instruction.
+func scanRegion(decoded []isa.Instr, lo, hi uint32) (read, solve bool) {
+	for pc := lo; pc < hi; pc += uint32(decoded[pc].Len) {
+		in := decoded[pc]
+		if isIndirectAccess(in) {
+			return true, true
+		}
+		solve = solve || mayLeakFrame(in, pc == lo)
+	}
+	return false, solve
+}
+
+// mayLeakFrame is the pre-scan rule for a region with no indirect access.
+// The pass only ever has a frame-based value in SP at function entry, and,
+// since frame addresses are materialized directly (DESIGN.md), one reaches a
+// general register, memory or a callee only through an instruction that
+// copies SP or FP: a MOVR, ADDI or ALU op writing a general register from
+// either, a PUSH of either (except the prologue PUSH FP at the region
+// entry, which saves the caller's FP, Top at entry), or an ST or STR
+// storing either. A region without one has no escape for pass 1 to report.
+func mayLeakFrame(in isa.Instr, atEntry bool) bool {
+	frame := func(r uint8) bool { return r == isa.RegSP || r == isa.RegFP }
+	op := in.Op
+	switch {
+	case op == isa.OpMOVR, op == isa.OpADDI:
+		return !frame(in.Rd) && frame(in.Ra)
+	case op >= isa.OpADD && op <= isa.OpCGE:
+		return !frame(in.Rd) && (frame(in.Ra) || frame(in.Rb))
+	case op == isa.OpPUSH:
+		return in.Ra == isa.RegSP || (in.Ra == isa.RegFP && !atEntry)
+	case op >= isa.OpST && op < isa.OpST+4:
+		return frame(in.Ra)
+	case op >= isa.OpSTR && op < isa.OpSTR+4:
+		return frame(in.Rb)
+	}
+	return false
 }
 
 // isIndirectAccess reports whether in is a load/store through a general
@@ -241,7 +308,9 @@ type state struct {
 	slots    map[int64]Val
 }
 
-func botState() *state { return &state{bot: true} }
+// unreachable is the one bottom state. States are never mutated once a
+// transfer has returned them, so every unreachable point can share it.
+var unreachable = &state{bot: true}
 
 func entryState() *state {
 	st := &state{}
@@ -445,7 +514,7 @@ func (a *fnAnalysis) poisoned(key int64) bool {
 	return false
 }
 
-func (a *fnAnalysis) Bottom() dataflow.Facts   { return botState() }
+func (a *fnAnalysis) Bottom() dataflow.Facts   { return unreachable }
 func (a *fnAnalysis) Entry(int) dataflow.Facts { return entryState() }
 func (a *fnAnalysis) Join(x, y dataflow.Facts) dataflow.Facts {
 	return joinState(x.(*state), y.(*state))
@@ -482,7 +551,7 @@ func (a *fnAnalysis) Flow(n int, in dataflow.Facts) []dataflow.Facts {
 				continue
 			}
 			if st.bot {
-				outs = append(outs, botState())
+				outs = append(outs, unreachable)
 			} else {
 				outs = append(outs, refineBranch(st, lin.Ra, e.zero))
 			}
@@ -698,11 +767,11 @@ func refineBranch(st *state, r uint8, zero bool) *state {
 	v := st.regs[r]
 	if zero {
 		if v.k == kAbs && (v.lo > 0 || v.hi < 0) {
-			return botState()
+			return unreachable
 		}
 	} else {
 		if v.k == kAbs && v.lo == 0 && v.hi == 0 {
-			return botState()
+			return unreachable
 		}
 	}
 	ns := st.clone()
@@ -720,7 +789,7 @@ func refineBranch(st *state, r uint8, zero bool) *state {
 	}
 	nl, nr, feasible := applyRel(p.op, !zero, p.lVal, p.rVal)
 	if !feasible {
-		return botState()
+		return unreachable
 	}
 	ns.refineOperand(p.lKey, p.lOK, nl)
 	ns.refineOperand(p.rKey, p.rOK, nr)

@@ -42,7 +42,9 @@ func (m *Machine) Suspend(tid int, kind kernel.BlockKind) {
 	}
 	t.State = stBlocked
 	t.Block = kind
-	m.tracef("suspend T%d kind=%d pc=%#x", tid, kind, t.PC)
+	if m.cfg.Debug != nil {
+		m.tracef("suspend T%d kind=%d pc=%#x", tid, kind, t.PC)
+	}
 	if kind == kernel.BlockEpoch || kind == kernel.BlockPause {
 		m.epochWaiters = true
 		m.epochBlocked++
@@ -55,7 +57,9 @@ func (m *Machine) Resume(tid int) {
 	if t.State != stBlocked {
 		return
 	}
-	m.tracef("resume T%d pc=%#x", tid, t.PC)
+	if m.cfg.Debug != nil {
+		m.tracef("resume T%d pc=%#x", tid, t.PC)
+	}
 	if t.Block == kernel.BlockEpoch || t.Block == kernel.BlockPause {
 		m.epochBlocked--
 	}

@@ -3,6 +3,9 @@ package vm
 import (
 	"math/rand"
 	"testing"
+
+	"kivati/internal/compile"
+	"kivati/internal/kernel"
 )
 
 // schedSrc is a two-racer program with enough cross-thread interaction that
@@ -144,5 +147,30 @@ func TestPolicySeqMonotonic(t *testing.T) {
 		if s != uint64(i) {
 			t.Fatalf("decision %d had Seq=%d", i, s)
 		}
+	}
+}
+
+// TestSuspendResumeAllocFree: with Config.Debug nil, a Suspend/Resume pair
+// allocates nothing. The debug trace lines must not box their arguments
+// when tracing is off.
+func TestSuspendResumeAllocFree(t *testing.T) {
+	bin := buildSrc(t, "void main() { int x; x = 1; }", compile.Options{})
+	k := newTestKernel(defaultRunOpts())
+	m, err := New(bin, k, Config{Cores: 1, Seed: 1, MaxTicks: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tid, err := m.Start("main", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Boxing a value below 256 reuses a static cell; a PC beyond that range
+	// is what the trace arguments would allocate for.
+	m.threads[tid].PC = 0x12345
+	if allocs := testing.AllocsPerRun(100, func() {
+		m.Suspend(tid, kernel.BlockLock)
+		m.Resume(tid)
+	}); allocs != 0 {
+		t.Fatalf("Suspend/Resume pair allocates %.1f times, want 0", allocs)
 	}
 }

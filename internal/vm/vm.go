@@ -773,11 +773,11 @@ func (m *Machine) preempt(c *Core) {
 	m.runq = append(m.runq, t)
 }
 
-// tracef emits a debug trace line when tracing is enabled.
+// tracef emits a debug trace line. Callers guard it on m.cfg.Debug != nil:
+// passing the arguments boxes them, which allocates even when tracing is
+// off.
 func (m *Machine) tracef(format string, args ...interface{}) {
-	if m.cfg.Debug != nil {
-		fmt.Fprintf(m.cfg.Debug, "[%d] %s\n", m.clock, fmt.Sprintf(format, args...))
-	}
+	fmt.Fprintf(m.cfg.Debug, "[%d] %s\n", m.clock, fmt.Sprintf(format, args...))
 }
 
 // fault kills a thread with an error.
