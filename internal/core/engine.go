@@ -169,12 +169,25 @@ type RunConfig struct {
 	HashMemory bool
 }
 
-func (c *RunConfig) defaults() {
+// MaxUnits bounds RunConfig.Cores and RunConfig.NumWatchpoints: the VM
+// allocates state per core and per watchpoint register, so a hostile count
+// must be refused before it reaches the allocator.
+const MaxUnits = 64
+
+// defaults fills the zero fields of c and rejects the counts outside their
+// bounds, naming the offending field.
+func (c *RunConfig) defaults() error {
 	if c.NumWatchpoints == 0 {
 		c.NumWatchpoints = 4
 	}
 	if c.Cores == 0 {
 		c.Cores = 2
+	}
+	if c.Cores < 1 || c.Cores > MaxUnits {
+		return fmt.Errorf("core: Cores %d outside [1, %d]", c.Cores, MaxUnits)
+	}
+	if c.NumWatchpoints < 1 || c.NumWatchpoints > MaxUnits {
+		return fmt.Errorf("core: NumWatchpoints %d outside [1, %d]", c.NumWatchpoints, MaxUnits)
 	}
 	if c.TimeoutTicks == 0 {
 		c.TimeoutTicks = 10_000
@@ -185,6 +198,7 @@ func (c *RunConfig) defaults() {
 	if len(c.Starts) == 0 {
 		c.Starts = []Start{{Fn: "main"}}
 	}
+	return nil
 }
 
 // compileOptions picks the code-generation variant for a run: vanilla, or
@@ -198,7 +212,9 @@ func (c *RunConfig) compileOptions() compile.Options {
 
 // Run executes the program once under the given configuration.
 func Run(p *Program, cfg RunConfig) (*vm.Result, error) {
-	cfg.defaults()
+	if err := cfg.defaults(); err != nil {
+		return nil, err
+	}
 	bin, err := p.Binary(cfg.compileOptions())
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"kivati/internal/annotate"
@@ -171,5 +172,49 @@ func TestSyncVarWhitelistExtraNames(t *testing.T) {
 	}
 	if withDone.Len() <= base.Len() {
 		t.Errorf("extra flag name added nothing: %d vs %d", withDone.Len(), base.Len())
+	}
+}
+
+// TestRunConfigBounds: core counts and watchpoint counts outside
+// [1, MaxUnits] are refused by both Run and NewSession, naming the field;
+// zero still selects the default.
+func TestRunConfigBounds(t *testing.T) {
+	p, err := Build(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		cores, wp int
+		field     string // "" when the configuration is accepted
+	}{
+		{"defaults", 0, 0, ""},
+		{"one each", 1, 1, ""},
+		{"at bound", MaxUnits, MaxUnits, ""},
+		{"cores negative", -1, 0, "Cores"},
+		{"cores above bound", MaxUnits + 1, 0, "Cores"},
+		{"cores hostile", 50_000_000, 0, "Cores"},
+		{"watchpoints negative", 0, -1, "NumWatchpoints"},
+		{"watchpoints above bound", 0, MaxUnits + 1, "NumWatchpoints"},
+		{"watchpoints hostile", 0, 100_000_000, "NumWatchpoints"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := RunConfig{Cores: tc.cores, NumWatchpoints: tc.wp, Seed: 1}
+			_, runErr := Run(p, cfg)
+			s, sessErr := NewSession(p, cfg)
+			if sessErr == nil {
+				s.Close()
+			}
+			for what, err := range map[string]error{"Run": runErr, "NewSession": sessErr} {
+				switch {
+				case tc.field == "" && err != nil:
+					t.Errorf("%s: %v", what, err)
+				case tc.field != "" && err == nil:
+					t.Errorf("%s accepted %s outside [1, %d]", what, tc.field, MaxUnits)
+				case tc.field != "" && !strings.Contains(err.Error(), tc.field+" "):
+					t.Errorf("%s: error %q does not name %s", what, err, tc.field)
+				}
+			}
+		})
 	}
 }

@@ -40,7 +40,9 @@ type Session struct {
 // snapshot. cfg.Policy must be nil (policies are per-run); cfg.Dispatch
 // selects the tier every run of this session uses.
 func NewSession(p *Program, cfg RunConfig) (*Session, error) {
-	cfg.defaults()
+	if err := cfg.defaults(); err != nil {
+		return nil, err
+	}
 	if cfg.Policy != nil {
 		return nil, fmt.Errorf("core: Session policies are per-run; RunConfig.Policy must be nil")
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 
+	"kivati/internal/core"
 	"kivati/internal/vm"
 )
 
@@ -161,11 +162,9 @@ func Replay(tr *Trace) (*ReplayResult, error) {
 	}, nil
 }
 
-// Bounds on the machine a trace may ask Replay to build.
-const (
-	maxTraceUnits = 64            // cores and watchpoints
-	maxTraceTicks = 1_000_000_000 // max_ticks, quantum and timeout_ticks
-)
+// maxTraceTicks bounds a trace's max_ticks, quantum and timeout_ticks; its
+// cores and watchpoints are bounded by core.MaxUnits.
+const maxTraceTicks = 1_000_000_000
 
 // validate rejects a trace whose configuration Replay cannot trust: an
 // unknown mode would silently run as prevention, and unbounded cores,
@@ -181,10 +180,10 @@ func (tr *Trace) validate() error {
 		return fmt.Errorf("explore: trace mode %q: want %q or %q", tr.Mode, Vanilla, Prevention)
 	case tr.Strategy != Random && tr.Strategy != DFS:
 		return fmt.Errorf("explore: trace strategy %q: want %q or %q", tr.Strategy, Random, DFS)
-	case tr.Cores < 1 || tr.Cores > maxTraceUnits:
-		return fmt.Errorf("explore: trace cores %d outside [1, %d]", tr.Cores, maxTraceUnits)
-	case tr.Watchpoints < 1 || tr.Watchpoints > maxTraceUnits:
-		return fmt.Errorf("explore: trace watchpoints %d outside [1, %d]", tr.Watchpoints, maxTraceUnits)
+	case tr.Cores < 1 || tr.Cores > core.MaxUnits:
+		return fmt.Errorf("explore: trace cores %d outside [1, %d]", tr.Cores, core.MaxUnits)
+	case tr.Watchpoints < 1 || tr.Watchpoints > core.MaxUnits:
+		return fmt.Errorf("explore: trace watchpoints %d outside [1, %d]", tr.Watchpoints, core.MaxUnits)
 	case tr.MaxTicks > maxTraceTicks:
 		return fmt.Errorf("explore: trace max_ticks %d above %d", tr.MaxTicks, uint64(maxTraceTicks))
 	case tr.Quantum > maxTraceTicks:

@@ -13,14 +13,15 @@ import (
 //
 // Both run the same two-compute-thread program on one core with a short
 // quantum, under a schedule policy that makes every quantum edge a real
-// decision. BenchmarkContextSwitch always picks the run-queue head — the
-// thread that did NOT just run — so every decision pays the full
-// context-switch path (preempt, pick, register-file re-arm, fresh block
-// decision). BenchmarkDecisionPoint always picks the tail — the thread
-// that was just preempted — so nearly every decision is a same-pick
-// continuation and the superstep keeps its open block decision across the
-// boundary. The gap between the two ns/decision numbers is the cost the
-// continuation amortizes away.
+// decision, so every quantum passes through the Run loop's timer
+// interrupt, pick and window admission. BenchmarkContextSwitch always picks
+// the run-queue head — the thread that did NOT just run — so every decision
+// pays the full context switch (preempt, pick, register-file re-arm, fresh
+// block decision). BenchmarkDecisionPoint always picks the tail — the
+// thread that was just preempted — so nearly every decision is a same-pick
+// continuation: the next window's admission keeps the open block decision.
+// The gap between the two ns/decision numbers is the cost the continuation
+// amortizes away.
 
 func buildBenchBinary(b *testing.B, src string) *compile.Binary {
 	b.Helper()

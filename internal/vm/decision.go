@@ -15,13 +15,13 @@ package vm
 //     The full-table copy survives as the slow path and as the differential
 //     reference.
 //
-//   - Block-decision continuation. A superstep window's block-edge decision
-//     (checked/unchecked, plus the merge budget) is stamped with the thread
-//     it was made for and the register file's mutation count at decision
-//     time. A window boundary keeps the open decision when both still match,
-//     instead of unconditionally re-deciding; combined with the inline timer
-//     interrupt in superstepSingle this lets a policy that re-picks the
-//     running thread extend the window in place.
+//   - Block-decision continuation. A block-edge decision (checked or
+//     unchecked, plus the merge budget; see enterBlock) is stamped with the
+//     thread it was made for and the register file's mutation count at
+//     decision time. Window admission keeps the open decision when both
+//     still match, instead of unconditionally re-deciding. On one core the
+//     Run loop defers a fresh pick to a window opened at the same clock, so
+//     a policy that re-picks the preempted thread continues its open block.
 
 // adoptCanon synchronizes core c's watchpoint register file with the
 // kernel's canonical state via delta-arming, returning how many registers
@@ -52,8 +52,7 @@ func (m *Machine) resumeOrResetFast(c *Core) {
 		m.samePickCont++
 		return
 	}
-	c.fastLeft = 0
-	c.fastMerge = 0
+	c.dropBlock()
 }
 
 // relevantWindow returns the count and address window of the armed registers

@@ -117,8 +117,7 @@ func (m *Machine) step(c *Core) {
 	// open block decision no longer describes the instructions at the
 	// thread's PC: drop it (the stamp alone cannot catch this — the register
 	// file may be unchanged while the PC moved).
-	c.fastLeft = 0
-	c.fastMerge = 0
+	c.dropBlock()
 	t := c.Cur
 	in, ok := m.DecodeAt(t.PC)
 	if !ok {

@@ -139,8 +139,9 @@ func execKindOf(op isa.Op) uint8 {
 }
 
 // trySuperstep retires one superstep window if the machine state admits
-// one, otherwise returns leaving all state untouched so the legacy loop
-// handles the current clock. Demotion conditions (any one suffices):
+// one and reports whether it did; otherwise it returns false leaving all
+// state untouched so the legacy loop handles the current clock. Demotion
+// conditions (any one suffices):
 //
 //   - an event is due at the current clock;
 //   - a running core has a timer interrupt due;
@@ -161,10 +162,10 @@ func execKindOf(op isa.Op) uint8 {
 // anything besides retire an instruction: a running core's next timer
 // interrupt, a busy core's wake-up (it reschedules or resumes then), a
 // free core's next idle timer reset, the next event, and MaxTicks.
-func (m *Machine) trySuperstep() {
+func (m *Machine) trySuperstep() bool {
 	if len(m.events) > 0 && m.events[0].tick <= m.clock {
 		m.demotions.TimerEdge++
-		return
+		return false
 	}
 	t0 := m.clock
 	bound := ^uint64(0)
@@ -182,7 +183,7 @@ func (m *Machine) trySuperstep() {
 		if c.Cur != nil {
 			if t0 >= c.NextTimer {
 				m.demotions.TimerEdge++
-				return
+				return false
 			}
 			if c.NextTimer < bound {
 				bound = c.NextTimer
@@ -197,7 +198,7 @@ func (m *Machine) trySuperstep() {
 		}
 		// Free core. If anything is runnable it schedules right now.
 		if len(m.runq) > 0 {
-			return
+			return false
 		}
 		nt := c.NextTimer
 		if t0 >= nt {
@@ -213,7 +214,7 @@ func (m *Machine) trySuperstep() {
 	}
 	m.fastCores = active
 	if len(active) == 0 {
-		return
+		return false
 	}
 	if len(m.events) > 0 && m.events[0].tick < bound {
 		bound = m.events[0].tick
@@ -222,15 +223,7 @@ func (m *Machine) trySuperstep() {
 		bound = m.cfg.MaxTicks
 	}
 	if bound <= t0 {
-		return
-	}
-
-	// Single-core machines take the continuation executor, which can chain
-	// several windows (and their timer-interrupt decision points) without
-	// returning to the Run loop.
-	if len(active) == 1 && len(m.cores) == 1 {
-		m.superstepSingle(active[0], t0, bound)
-		return
+		return false
 	}
 
 	// Lockstep rounds: in the legacy loop every aligned running core
@@ -238,9 +231,9 @@ func (m *Machine) trySuperstep() {
 	// the tick. Round k therefore executes at clock t0 + k*Instr; n is the
 	// number of whole rounds that fit strictly before the bound.
 	instr := m.cfg.Costs.Instr
-	n := (bound - t0 + instr - 1) / instr
-	if n == 0 {
-		return
+	n := bound - t0
+	if instr != 1 {
+		n = (n + instr - 1) / instr
 	}
 
 	var rounds uint64
@@ -286,11 +279,12 @@ func (m *Machine) trySuperstep() {
 		total += cnt
 	}
 	if total == 0 {
-		return
+		return false
 	}
 	m.Stats.Instructions += total
 	m.fastInstrs += total
 	m.fastWindows++
+	return true
 }
 
 // fastMergeRun is the checked-block merge budget: after a fresh block-edge
@@ -303,38 +297,62 @@ func (m *Machine) trySuperstep() {
 // a block that a fresh decision would have retired unchecked.
 const fastMergeRun = 4
 
-// stepFastBlock retires one instruction of core c's thread in the
-// multi-core lockstep, re-deciding checked/unchecked execution whenever the
-// core crosses a basic-block edge (fastLeft counts the instructions still
-// covered by the current decision; trySuperstep resets it at window
-// admission unless the decision's stamp proves it still valid).
-func (m *Machine) stepFastBlock(c *Core) bool {
+// enterBlock makes the block-edge decision for core c's thread at its
+// current pc, the one place both window executors decide: the length of the
+// straight-line run the decision covers (fastLeft), checked or unchecked
+// execution — inherited through the merge budget after a checked decision,
+// otherwise from a fresh blockChecked scan — and the stamp (thread, register
+// file mutation count) that lets a later window keep the decision open (see
+// resumeOrResetFast). It returns false, deciding nothing, when the pc is not
+// fast-enterable: a kernel boundary or not an instruction start.
+func (m *Machine) enterBlock(c *Core) bool {
 	t := c.Cur
-	if c.fastLeft == 0 {
-		pc := t.PC
-		if int(pc) >= len(m.blockLen) || m.blockLen[pc] == 0 {
-			return false
-		}
-		c.fastLeft = m.blockLen[pc]
-		c.fastDecTID = t.ID
-		c.fastDecMuts = c.WP.Muts()
-		if c.fastMerge > 0 {
-			c.fastMerge--
-			c.fastChecked = true
-			m.demotions.CheckedOverlap++
-		} else {
-			c.fastChecked = m.blockChecked(c, t, pc)
-			if c.fastChecked {
-				c.fastMerge = fastMergeRun
-			}
-		}
-		if m.segRecording() {
-			m.segBlockFootprint(t, pc)
+	pc := t.PC
+	if !m.enterable(pc) {
+		return false
+	}
+	c.fastLeft = m.blockLen[pc]
+	c.fastDecTID = t.ID
+	c.fastDecMuts = c.WP.Muts()
+	if c.fastMerge > 0 {
+		c.fastMerge--
+		c.fastChecked = true
+		m.demotions.CheckedOverlap++
+	} else {
+		c.fastChecked = m.blockChecked(c, t, pc)
+		if c.fastChecked {
+			c.fastMerge = fastMergeRun
 		}
 	}
-	if !m.execFast(c, t, c.fastChecked) {
-		c.fastLeft = 0
-		c.fastMerge = 0
+	if m.segRecording() {
+		m.segBlockFootprint(t, pc)
+	}
+	return true
+}
+
+// enterable reports whether the fast tier may start a block at pc: an
+// instruction start that is not a kernel boundary.
+func (m *Machine) enterable(pc uint32) bool {
+	return int(pc) < len(m.blockLen) && m.blockLen[pc] != 0
+}
+
+// dropBlock abandons core c's open block decision and its merge budget, so
+// the next window entry decides afresh.
+func (c *Core) dropBlock() {
+	c.fastLeft = 0
+	c.fastMerge = 0
+}
+
+// stepFastBlock retires one instruction of core c's thread in the
+// multi-core lockstep, deciding at each basic-block edge (fastLeft counts
+// the instructions still covered by the current decision; trySuperstep
+// drops it at window admission unless its stamp proves it still valid).
+func (m *Machine) stepFastBlock(c *Core) bool {
+	if c.fastLeft == 0 && !m.enterBlock(c) {
+		return false
+	}
+	if !m.execFast(c, c.Cur, c.fastChecked) {
+		c.dropBlock()
 		return false
 	}
 	c.fastLeft--
@@ -352,27 +370,8 @@ func (m *Machine) runFastSingle(c *Core, n uint64) uint64 {
 	t := c.Cur
 	var done uint64
 	for done < n {
-		if c.fastLeft == 0 {
-			pc := t.PC
-			if int(pc) >= len(m.blockLen) || m.blockLen[pc] == 0 {
-				return done
-			}
-			c.fastLeft = m.blockLen[pc]
-			c.fastDecTID = t.ID
-			c.fastDecMuts = c.WP.Muts()
-			if c.fastMerge > 0 {
-				c.fastMerge--
-				c.fastChecked = true
-				m.demotions.CheckedOverlap++
-			} else {
-				c.fastChecked = m.blockChecked(c, t, pc)
-				if c.fastChecked {
-					c.fastMerge = fastMergeRun
-				}
-			}
-			if m.segRecording() {
-				m.segBlockFootprint(t, pc)
-			}
+		if c.fastLeft == 0 && !m.enterBlock(c) {
+			return done
 		}
 		chunk := uint64(c.fastLeft)
 		if chunk > n-done {
@@ -380,8 +379,7 @@ func (m *Machine) runFastSingle(c *Core, n uint64) uint64 {
 		}
 		for j := uint64(0); j < chunk; j++ {
 			if !m.execFast(c, t, c.fastChecked) {
-				c.fastLeft = 0
-				c.fastMerge = 0
+				c.dropBlock()
 				return done + j
 			}
 		}
@@ -389,172 +387,6 @@ func (m *Machine) runFastSingle(c *Core, n uint64) uint64 {
 		done += chunk
 	}
 	return done
-}
-
-// superstepSingle is the single-core window executor with same-pick
-// continuation: after retiring a window, it handles the event that ended it
-// — a timer interrupt at the window's own edge, or a syscall/HLT the fast
-// path cannot execute — inline, replicating the legacy Run-loop sequence
-// instruction for instruction (see the step-by-step correspondences below),
-// and, when the core is left running, opens the next window in place
-// instead of returning to the Run loop. With short quanta this collapses
-// the per-decision fixed cost (loop-top scans, admission recompute, clock
-// advance) into one tight loop, and when the policy re-picks the same
-// thread under an unchanged register file the open block decision survives
-// the boundary too. Anything that does not match the plain shapes below —
-// an event due inside the sequence, MaxTicks, a stop request, a thread that
-// blocks or exits, a faulting or would-trap instruction — returns to the
-// Run loop at a state the legacy loop itself would have reached, so the
-// loop finishes the moment exactly as before.
-func (m *Machine) superstepSingle(c *Core, t0, bound uint64) {
-	instr := m.cfg.Costs.Instr
-	costs := &m.cfg.Costs
-	for {
-		n := (bound - t0 + instr - 1) / instr
-		if n == 0 {
-			return
-		}
-		done := m.runFastSingle(c, n)
-		if done > 0 {
-			c.BusyUntil = t0 + done*instr
-			m.Stats.Instructions += done
-			m.fastInstrs += done
-			m.fastWindows++
-		}
-		if done == n {
-			// Window retired to its bound. Continue only when the bound was
-			// this core's own timer: deliver the interrupt inline. The legacy
-			// sequence at clock T (window end) and T+TimerInt, in order:
-			// TimerEdge demotion (trySuperstep's refusal), timer re-arm,
-			// TimerInterrupts++, canonical-state adoption, epoch-waiter
-			// check, preemption, interrupt cost, the idle-core adoption scan,
-			// the flag-gated waiter check, and the scheduling decision.
-			// Quantum > TimerInt guarantees the new timer is not already due.
-			T := t0 + n*instr
-			if bound != c.NextTimer || costs.Quantum <= costs.TimerInt ||
-				(len(m.events) > 0 && m.events[0].tick <= T+costs.TimerInt) ||
-				(m.cfg.MaxTicks > 0 && T+costs.TimerInt >= m.cfg.MaxTicks) {
-				return
-			}
-			m.demotions.TimerEdge++
-			m.clock = T
-			c.NextTimer = T + costs.Quantum
-			m.Stats.TimerInterrupts++
-			m.adoptCanon(c)
-			m.checkEpochWaiters()
-			m.preempt(c)
-			c.BusyUntil = T + costs.TimerInt
-			m.clock = T + costs.TimerInt
-			if m.coresBehind {
-				if c.WP.Epoch != m.K.Canon.Epoch {
-					m.adoptCanon(c)
-				}
-				m.coresBehind = false
-			}
-			if m.epochWaiters {
-				m.checkEpochWaiters()
-			}
-			m.schedule(c)
-			if c.Cur == nil {
-				return
-			}
-		} else {
-			// The window stopped early. When the blocker is a kernel
-			// boundary (SYS or HLT) execute it inline; a faulting or
-			// would-trap instruction instead replays through the Run loop,
-			// whose retry re-runs the block machinery (and its demotion
-			// accounting) that this path must not short-circuit.
-			pc := c.Cur.PC
-			if int(pc) < len(m.blockLen) && m.blockLen[pc] != 0 {
-				return
-			}
-			in, ok := m.DecodeAt(pc)
-			if !ok || (in.Op != isa.OpSYS && in.Op != isa.OpHLT) {
-				return
-			}
-			if done > 0 {
-				// Legacy: the clock advances to the partial window's end T
-				// (no event lies at or before it — the window bound — and
-				// MaxTicks is beyond it), then the loop top runs the
-				// adoption scan (a busy core cannot idle-adopt: the flag
-				// just recomputes) and the waiter check before the core
-				// loop executes the boundary instruction. With done == 0
-				// the loop top already ran at this clock; nothing repeats.
-				m.clock = t0 + done*instr
-				if m.coresBehind {
-					m.coresBehind = c.WP.Epoch != m.K.Canon.Epoch
-				}
-				if m.epochWaiters {
-					m.checkEpochWaiters()
-				}
-			}
-			m.step(c)
-			if c.Cur == nil || m.K.Log.StopRequested() {
-				return
-			}
-			// The thread returned to userspace; the legacy loop advances to
-			// the syscall's completion and takes the loop top there.
-			bu := c.BusyUntil
-			if (len(m.events) > 0 && m.events[0].tick <= bu) ||
-				(m.cfg.MaxTicks > 0 && bu >= m.cfg.MaxTicks) {
-				return
-			}
-			m.clock = bu
-			if m.coresBehind {
-				m.coresBehind = c.WP.Epoch != m.K.Canon.Epoch
-			}
-			if m.epochWaiters {
-				m.checkEpochWaiters()
-			}
-			if m.clock >= c.NextTimer {
-				// The syscall consumed the rest of the quantum (with short
-				// exploration quanta, the common case): the timer interrupt
-				// is due at its completion. Same inline sequence as the
-				// window-edge interrupt above, at the current clock.
-				if costs.Quantum <= costs.TimerInt {
-					return
-				}
-				m.demotions.TimerEdge++
-				c.NextTimer = m.clock + costs.Quantum
-				m.Stats.TimerInterrupts++
-				m.adoptCanon(c)
-				m.checkEpochWaiters()
-				m.preempt(c)
-				c.BusyUntil = m.clock + costs.TimerInt
-				bu = c.BusyUntil
-				if (len(m.events) > 0 && m.events[0].tick <= bu) ||
-					(m.cfg.MaxTicks > 0 && bu >= m.cfg.MaxTicks) {
-					return
-				}
-				m.clock = bu
-				if m.coresBehind {
-					if c.WP.Epoch != m.K.Canon.Epoch {
-						m.adoptCanon(c)
-					}
-					m.coresBehind = false
-				}
-				if m.epochWaiters {
-					m.checkEpochWaiters()
-				}
-				m.schedule(c)
-				if c.Cur == nil {
-					return
-				}
-			}
-		}
-		m.resumeOrResetFast(c)
-		t0 = m.clock
-		bound = c.NextTimer
-		if len(m.events) > 0 && m.events[0].tick < bound {
-			bound = m.events[0].tick
-		}
-		if m.cfg.MaxTicks > 0 && m.cfg.MaxTicks < bound {
-			bound = m.cfg.MaxTicks
-		}
-		if bound <= t0 {
-			return
-		}
-	}
 }
 
 // blockChecked decides, at a basic-block edge, whether the straight-line

@@ -438,12 +438,15 @@ func (m *Machine) Restore(s *Snapshot) {
 	m.Output = append(m.Output[:0], s.output...)
 	m.Latencies = append(m.Latencies[:0], s.latencies...)
 	m.Faults = append(m.Faults[:0], s.faults...)
-	m.stopped = false
 	m.reason = ""
 	m.curCore = nil
 	m.epochWaiters = s.epochWaiters
 	m.epochBlocked = 0
+	m.live = 0
 	for _, t := range m.threads {
+		if t.State != stDone {
+			m.live++
+		}
 		if t.State == stBlocked && (t.Block == kernel.BlockEpoch || t.Block == kernel.BlockPause) {
 			m.epochBlocked++
 		}

@@ -66,16 +66,17 @@ type RequestConfig struct {
 type DispatchMode int
 
 const (
-	// DispatchFast (the default) is the fast tier: basic-block superstep
-	// dispatch, with or without a schedule policy. It stays bit-identical
-	// to DispatchStep: the machine demotes to stepping whenever kernel
-	// activity (events, timers, scheduling) is due, and no scheduling
-	// decision point can occur inside a window, because a window never
-	// frees a core while the run queue is non-empty. Armed watchpoints do
-	// not demote — blocks whose static footprint is disjoint from the
-	// armed registers run unchecked, the rest run with per-access
-	// pre-checks (see fastpath.go). Debug tracing or a per-access cost
-	// disables the tier for the whole run.
+	// DispatchFast (the default) is the fast tier: the Run loop retires
+	// straight-line windows of instructions in bulk, with or without a
+	// schedule policy, and handles every kernel and scheduling transition
+	// itself. It stays bit-identical to DispatchStep: a window ends before
+	// any tick at which kernel activity (events, timers, scheduling) is
+	// due, and no scheduling decision point can occur inside a window,
+	// because a window never frees a core while the run queue is
+	// non-empty. Armed watchpoints do not end windows — blocks whose static
+	// footprint is disjoint from the armed registers run unchecked, the
+	// rest run with per-access pre-checks (see fastpath.go). Debug tracing
+	// or a per-access cost disables the tier for the whole run.
 	DispatchFast DispatchMode = iota
 	// DispatchStep is the reference interpreter: the legacy
 	// one-instruction-at-a-time loop the fast tier is checked against.
@@ -264,8 +265,7 @@ type Machine struct {
 	deltaArms    uint64 // register-file adoptions resolved incrementally
 	fullArms     uint64 // adoptions that fell back to the full-table copy
 
-	fastCores  []*Core // scratch: cores active in the current window
-	fastCounts []int   // scratch: per-core instructions executed this window
+	fastCores []*Core // scratch: cores active in the current window
 
 	curCore *Core // core whose thread is currently executing (for EpochChanged)
 
@@ -282,8 +282,12 @@ type Machine struct {
 	Output    []int64
 	Latencies []uint64
 	Faults    []string
-	stopped   bool
 	reason    string
+
+	// live counts the threads not yet done, so the Run loop's completion
+	// test does not scan the thread table every iteration. Derived state:
+	// maintained by startAt and exitThread, recomputed on Restore.
+	live int
 
 	epochWaiters bool // any thread blocked on epoch/pause (cheap gate)
 	// epochBlocked counts the threads in that state, so the kernel-entry
@@ -436,6 +440,7 @@ func (m *Machine) startAt(entry uint32, arg int64) (int, error) {
 	t.Regs[isa.RegFP] = int64(sp)
 	m.threads = append(m.threads, t)
 	m.runq = append(m.runq, t)
+	m.live++
 	return tid, nil
 }
 
@@ -517,7 +522,7 @@ type Result struct {
 // callback requests a stop, or the machine deadlocks.
 func (m *Machine) Run() *Result {
 	m.mustLive("Run")
-	for !m.stopped {
+	for {
 		// Fire due events.
 		for len(m.events) > 0 && m.events[0].tick <= m.clock {
 			ev := heap.Pop(&m.events).(event)
@@ -558,8 +563,22 @@ func (m *Machine) Run() *Result {
 		// Tiered execution: try to retire a whole trap-free, syscall-free,
 		// event-free window of instructions in one superstep before falling
 		// back to the one-instruction-at-a-time loop below.
-		if m.fastOK {
-			m.trySuperstep()
+		if m.fastOK && m.trySuperstep() && len(m.cores) == 1 {
+			// The only core is busy until the window's end. A window that
+			// stopped at a syscall or HLT before any event, timer or tick
+			// limit fell due leaves the loop top and the fast tier nothing
+			// to do there: step the instruction in this iteration. Else the
+			// rest of it would only advance the clock.
+			c := m.cores[0]
+			m.clock = c.BusyUntil
+			if m.enterable(c.Cur.PC) || m.clock >= c.NextTimer ||
+				(len(m.events) > 0 && m.events[0].tick <= m.clock) ||
+				(m.cfg.MaxTicks > 0 && m.clock >= m.cfg.MaxTicks) {
+				if len(m.events) > 0 && m.events[0].tick < m.clock {
+					m.clock = m.events[0].tick
+				}
+				continue
+			}
 		}
 
 		stepped := false
@@ -584,16 +603,15 @@ func (m *Machine) Run() *Result {
 			}
 			if c.Cur == nil {
 				m.schedule(c)
-				// On a single-core fast-path machine, hand a freshly
-				// scheduled thread's first instruction to the next superstep
-				// window instead of paying a legacy step here: re-entering
-				// the loop at the same clock lets trySuperstep retire the
-				// whole quantum in bulk. Timing is identical — the window
-				// starts at this clock, so round 0 commits exactly where
-				// step() would have, and with one core nothing else can run
-				// in between. (With several cores the deferred instruction
-				// could reorder against a same-tick legacy step on a later
-				// core, so multi-core keeps the schedule-then-step path.)
+				// On a single-core fast-path machine, hand a freshly picked
+				// thread's first instruction to a window opened at this same
+				// clock instead of a legacy step: the window retires the
+				// quantum in bulk, and its admission keeps the open block
+				// decision of a thread the policy picked again (same-pick
+				// continuation). Timing is identical: round 0 commits where
+				// step() would have, and with one core nothing runs between.
+				// Several cores keep schedule-then-step, since the deferred
+				// instruction could reorder against a later core's step.
 				if m.fastOK && c.Cur != nil && len(m.cores) == 1 {
 					deferred = true
 					continue
@@ -619,21 +637,19 @@ func (m *Machine) Run() *Result {
 
 		// Advance the clock to the next interesting moment.
 		next := ^uint64(0)
+		free := false
 		for _, c := range m.cores {
-			if c.Cur != nil || c.BusyUntil > m.clock {
-				if c.BusyUntil > m.clock && c.BusyUntil < next {
+			if c.BusyUntil > m.clock {
+				if c.BusyUntil < next {
 					next = c.BusyUntil
 				}
+			} else if c.Cur == nil {
+				free = true
 			}
 		}
-		if len(m.runq) > 0 {
+		if free && len(m.runq) > 0 {
 			// A free core can pick this up next iteration.
-			for _, c := range m.cores {
-				if c.Cur == nil && c.BusyUntil <= m.clock {
-					next = m.clock + 1
-					break
-				}
-			}
+			next = m.clock + 1
 		}
 		if len(m.events) > 0 && m.events[0].tick < next {
 			next = m.events[0].tick
@@ -650,9 +666,6 @@ func (m *Machine) Run() *Result {
 			next = m.clock + 1
 		}
 		m.clock = next
-	}
-	if m.reason == "" {
-		m.reason = "stopped"
 	}
 	m.Stats.Ticks = m.clock
 	return &Result{
@@ -700,12 +713,7 @@ func (m *Machine) fire(ev event) {
 }
 
 func (m *Machine) allDone() bool {
-	for _, t := range m.threads {
-		if t.State != stDone {
-			return false
-		}
-	}
-	return len(m.threads) > 0
+	return m.live == 0 && len(m.threads) > 0
 }
 
 // schedule assigns the next runnable thread to core c. Under a Config
@@ -791,6 +799,9 @@ func (m *Machine) fault(t *Thread, format string, args ...interface{}) {
 func (m *Machine) exitThread(t *Thread) {
 	if m.segRecording() {
 		m.seg.Global = true
+	}
+	if t.State != stDone {
+		m.live--
 	}
 	t.State = stDone
 	if t.OnCore >= 0 {
