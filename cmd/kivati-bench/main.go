@@ -10,9 +10,6 @@
 //	kivati-bench -all -scale 0.5     # larger workloads
 //	kivati-bench -all -parallel 8    # fan runs out over 8 workers
 //	kivati-bench -all -json          # machine-readable report on stdout
-//	kivati-bench -bench-out BENCH_vm.json        # VM interpreter throughput baseline
-//	kivati-bench -bench-baseline BENCH_vm.json   # compare current VM against a baseline
-//	kivati-bench -bench-baseline BENCH_vm.json -bench-gate   # also fail on residency regression
 //
 // The independent VM runs inside each table fan out across a worker pool
 // (-parallel, default GOMAXPROCS); output is byte-identical at every
@@ -67,15 +64,12 @@ func main() {
 	ablIters := flag.Int("ablation-iters", 10, "training iterations in the ablation")
 	parallel := flag.Int("parallel", 0, "worker pool size for independent runs (0 = GOMAXPROCS, 1 = serial)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report instead of rendered tables")
-	benchOut := flag.String("bench-out", "", "run the VM interpreter benchmark and write BENCH_vm.json-style output to this file")
-	benchBaseline := flag.String("bench-baseline", "", "compare the VM interpreter benchmark against this baseline JSON file")
-	benchGate := flag.Bool("bench-gate", false, "with -bench-baseline: exit nonzero if prevention-optimized fast residency regresses more than 5 points")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
 
 	o := harness.Options{Scale: *scale, Seed: *seed, Parallelism: *parallel}
-	if !*all && *table == 0 && *figure == 0 && !*ablation && *benchOut == "" && *benchBaseline == "" {
+	if !*all && *table == 0 && *figure == 0 && !*ablation {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -211,39 +205,6 @@ func main() {
 		}
 	}
 
-	// runVMBench measures raw interpreter throughput (instr/sec, fast-path
-	// residency, kernel crossings) per workload and configuration, writing
-	// the report to -bench-out and/or comparing it against -bench-baseline.
-	runVMBench := func() {
-		run("vmbench", func() (any, string, error) {
-			res, err := harness.RunVMBench(o)
-			if err != nil {
-				return nil, "", err
-			}
-			text := res.String()
-			if *benchOut != "" {
-				if err := harness.WriteVMBench(*benchOut, res); err != nil {
-					return nil, "", err
-				}
-			}
-			if *benchBaseline != "" {
-				base, err := harness.ReadVMBench(*benchBaseline)
-				if err != nil {
-					return nil, "", err
-				}
-				text += "\n" + harness.CompareVMBench(base, res)
-				if *benchGate {
-					if err := harness.GateVMBench(base, res); err != nil {
-						return nil, "", err
-					}
-				}
-			} else if *benchGate {
-				return nil, "", fmt.Errorf("-bench-gate requires -bench-baseline")
-			}
-			return res, text, nil
-		})
-	}
-
 	sweepStart := time.Now()
 	switch {
 	case *all:
@@ -261,9 +222,6 @@ func main() {
 		}
 		if *ablation {
 			runAblation()
-		}
-		if *benchOut != "" || *benchBaseline != "" {
-			runVMBench()
 		}
 	}
 	rep.TotalSeconds = time.Since(sweepStart).Seconds()

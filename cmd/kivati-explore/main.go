@@ -14,12 +14,10 @@
 //	kivati-explore -replay traces/NSS-341323-vanilla-17.json
 //	kivati-explore -gen 20 -gen-seed 1          # a generated 20-program corpus
 //	kivati-explore -all -json                   # machine-readable report
-//	kivati-explore -bench-out BENCH_explore.json          # corpus throughput sweep
-//	kivati-explore -bench-baseline BENCH_explore.json -bench-gate
 //
 // Exit status is nonzero if any prevention-mode schedule diverges from the
-// serial result (an engine bug), if a replayed trace fails to reproduce
-// its recorded outcome, or if -bench-gate detects a regression.
+// serial result (an engine bug) or if a replayed trace fails to reproduce
+// its recorded outcome.
 package main
 
 import (
@@ -36,8 +34,11 @@ import (
 	"kivati/internal/bugs"
 	"kivati/internal/corpusgen"
 	"kivati/internal/explore"
-	"kivati/internal/harness"
 )
+
+// schema versions the -json report; a field that changes meaning or goes
+// away needs a new version.
+const schema = "kivati-explore/v3"
 
 // report is the -json output.
 type report struct {
@@ -54,10 +55,39 @@ type report struct {
 	Corpus       int                   `json:"corpus_size,omitempty"`
 	Subjects     []*explore.DiffReport `json:"subjects"`
 	TotalSeconds float64               `json:"total_seconds"`
-	// SchedulesPerSec is executed runs per wall-clock second; the totals
-	// aggregate over subjects and modes.
+	// SchedulesPerSec is executed runs per wall-clock second.
 	SchedulesPerSec float64 `json:"schedules_per_sec"`
-	harness.ExploreTotals
+
+	// Totals over subjects and modes. Runs is below the schedule budget
+	// when a DFS frontier runs out or DPOR prunes, so the rate divides
+	// Runs, never the budget. Decisions counts scheduler decision points;
+	// SamePickContinues counts the kernel crossings same-pick continuation
+	// avoided; DeltaArms/FullArms split the watchpoint re-arms at real
+	// crossings into delta applications and full register-file rewrites.
+	Runs int `json:"runs"`
+	explore.EngineStats
+	Decisions         uint64 `json:"decisions"`
+	SamePickContinues uint64 `json:"same_pick_continues"`
+	DeltaArms         uint64 `json:"delta_arms"`
+	FullArms          uint64 `json:"full_arms"`
+}
+
+// add appends one subject's differential report and adds it to the totals.
+func (r *report) add(d *explore.DiffReport) {
+	r.Subjects = append(r.Subjects, d)
+	for _, mr := range []*explore.Report{d.Vanilla, d.Prevention} {
+		r.Runs += len(mr.Runs)
+		r.Snapshots += mr.Stats.Snapshots
+		r.Restores += mr.Stats.Restores
+		r.Resumed += mr.Stats.Resumed
+		r.Pruned += mr.Stats.Pruned
+		for _, run := range mr.Runs {
+			r.Decisions += uint64(run.Decisions)
+			r.SamePickContinues += run.SamePickContinues
+			r.DeltaArms += run.DeltaArms
+			r.FullArms += run.FullArms
+		}
+	}
 }
 
 func main() {
@@ -78,9 +108,6 @@ func main() {
 	traceDir := flag.String("trace-dir", "", "record a replayable trace for every divergent schedule into this directory")
 	replay := flag.String("replay", "", "replay one recorded trace file and verify it reproduces")
 	jsonOut := flag.Bool("json", false, "emit a JSON report instead of text")
-	benchOut := flag.String("bench-out", "", "run the corpus throughput sweep and write BENCH_explore.json-style output to this file")
-	benchBaseline := flag.String("bench-baseline", "", "compare the throughput sweep against this baseline JSON file")
-	benchGate := flag.Bool("bench-gate", false, "with -bench-baseline: exit nonzero on verdict drift or a schedules/sec collapse")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -120,11 +147,6 @@ func main() {
 		Parallelism: *parallel,
 		DPOR:        *dpor,
 	}
-
-	if *benchOut != "" || *benchBaseline != "" {
-		runBench(opts, *benchOut, *benchBaseline, *benchGate, *jsonOut)
-		return
-	}
 	if *bug == "" && !*all && *gen == 0 {
 		flag.Usage()
 		os.Exit(2)
@@ -156,7 +178,7 @@ func main() {
 	}
 
 	rep := report{
-		Schema:    harness.ExploreBenchSchema,
+		Schema:    schema,
 		Strategy:  opts.Strategy,
 		DPOR:      *dpor,
 		Schedules: *n,
@@ -169,38 +191,16 @@ func main() {
 		rep.GenSeed = genSeed
 		rep.Corpus = *gen
 	}
-
-	engineBugs := 0
-	start := time.Now()
-	for _, s := range subjects {
-		t0 := time.Now()
-		d, err := explore.Differential(s, opts)
-		check(err)
-		rep.Subjects = append(rep.Subjects, d)
-		if !*jsonOut {
-			fmt.Printf("%-14s serial=%s  vanilla: %d/%d diverged  prevention: %d/%d diverged\n",
-				d.Subject, fmtSnapshot(d.Serial),
-				d.VanillaDivergences(), len(d.Vanilla.Runs),
-				d.PreventionDivergences(), len(d.Prevention.Runs))
-			fmt.Fprintf(os.Stderr, "# %s: %.2fs\n", d.Subject, time.Since(t0).Seconds())
-		}
-		engineBugs += d.PreventionDivergences()
-		rep.Add(d)
-		if *traceDir != "" {
-			check(os.MkdirAll(*traceDir, 0o755))
-			check(writeTraces(*traceDir, s, explore.Vanilla, opts, d.Vanilla, *jsonOut))
-			check(writeTraces(*traceDir, s, explore.Prevention, opts, d.Prevention, *jsonOut))
-		}
-	}
-	rep.TotalSeconds = time.Since(start).Seconds()
-	if rep.TotalSeconds > 0 {
-		rep.SchedulesPerSec = float64(rep.Runs) / rep.TotalSeconds
-	}
+	check(sweep(&rep, subjects, opts, *traceDir, !*jsonOut))
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		check(enc.Encode(rep))
+	}
+	engineBugs := 0
+	for _, d := range rep.Subjects {
+		engineBugs += d.PreventionDivergences()
 	}
 	if engineBugs > 0 {
 		fmt.Fprintf(os.Stderr, "kivati-explore: ENGINE BUG: %d prevention-mode schedules diverged from the serial result\n", engineBugs)
@@ -208,36 +208,43 @@ func main() {
 	}
 }
 
-// runBench is the -bench-out / -bench-baseline path: the corpus
-// throughput sweep, optionally gated against a checked-in baseline.
-func runBench(opts explore.Options, out, baseline string, gate, jsonOut bool) {
-	rep, err := harness.RunExploreBench(opts)
-	check(err)
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		check(enc.Encode(rep))
-	} else {
-		fmt.Print(rep.String())
-	}
-	if out != "" {
-		check(harness.WriteExploreBench(out, rep))
-	}
-	if baseline != "" {
-		base, err := harness.ReadExploreBench(baseline)
-		check(err)
-		if gate {
-			if err := harness.GateExploreBench(base, rep); err != nil {
-				fmt.Fprintln(os.Stderr, "kivati-explore:", err)
-				os.Exit(1)
+// sweep runs the differential oracle on every subject and adds each report
+// to rep, recording a trace of every divergent schedule under traceDir if
+// it is set. verbose prints each subject's verdicts to stdout and its wall
+// time and trace files to stderr.
+func sweep(rep *report, subjects []*explore.Subject, opts explore.Options, traceDir string, verbose bool) error {
+	start := time.Now()
+	for _, s := range subjects {
+		t0 := time.Now()
+		d, err := explore.Differential(s, opts)
+		if err != nil {
+			return err
+		}
+		if verbose {
+			fmt.Printf("%-14s serial=%s  vanilla: %d/%d diverged  prevention: %d/%d diverged\n",
+				d.Subject, fmtSnapshot(d.Serial),
+				d.VanillaDivergences(), len(d.Vanilla.Runs),
+				d.PreventionDivergences(), len(d.Prevention.Runs))
+			fmt.Fprintf(os.Stderr, "# %s: %.2fs\n", d.Subject, time.Since(t0).Seconds())
+		}
+		rep.add(d)
+		if traceDir != "" {
+			if err := os.MkdirAll(traceDir, 0o755); err != nil {
+				return err
 			}
-			if !jsonOut {
-				fmt.Println("bench gate: ok")
+			if err := writeTraces(traceDir, s, explore.Vanilla, opts, d.Vanilla, !verbose); err != nil {
+				return err
+			}
+			if err := writeTraces(traceDir, s, explore.Prevention, opts, d.Prevention, !verbose); err != nil {
+				return err
 			}
 		}
-	} else if gate {
-		check(fmt.Errorf("-bench-gate requires -bench-baseline"))
 	}
+	rep.TotalSeconds = time.Since(start).Seconds()
+	if rep.TotalSeconds > 0 {
+		rep.SchedulesPerSec = float64(rep.Runs) / rep.TotalSeconds
+	}
+	return nil
 }
 
 // writeTraces records one replayable trace per divergent schedule.

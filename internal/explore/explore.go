@@ -124,6 +124,14 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Engine != EngineSnapshot {
 		return o, fmt.Errorf("unknown engine %q: %q is the only engine", o.Engine, EngineSnapshot)
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Schedules", o.Schedules}, {"Bound", o.Bound}, {"Horizon", o.Horizon}} {
+		if f.v < 0 {
+			return o, fmt.Errorf("%s %d is negative", f.name, f.v)
+		}
+	}
 	if o.Schedules == 0 {
 		o.Schedules = 100
 	}

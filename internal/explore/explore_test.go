@@ -3,6 +3,7 @@ package explore
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"kivati/internal/bugs"
@@ -18,6 +19,16 @@ func corpusSchedules(t *testing.T) int {
 	return 500
 }
 
+// corpusVanillaDivergences is, per bug, the exact number of the 500
+// random schedules (seed 1) under which the vanilla program diverges from
+// its serial result.
+var corpusVanillaDivergences = map[string]int{
+	"Apache/44402": 500, "Apache/21287": 500, "Apache/25520": 500,
+	"NSS/341323": 499, "NSS/329072": 500, "NSS/225525": 500,
+	"NSS/270689": 500, "NSS/169296": 345, "NSS/201134": 500,
+	"MySQL/19938": 500, "MySQL/25306": 500,
+}
+
 // TestCorpusDifferential is the differential-oracle acceptance test: for
 // every bug in the Table 6 corpus, random exploration must find at least
 // one schedule where the vanilla program diverges from the serial result
@@ -25,6 +36,10 @@ func corpusSchedules(t *testing.T) int {
 // diverge on NO schedule (anything else is an engine bug). One divergent
 // vanilla schedule per bug is then re-recorded as a decision trace and
 // replayed, closing the reproducibility loop.
+//
+// At the full budget the vanilla divergence counts are pinned exactly: they
+// are virtual-clock deterministic, so any change to them is a change in the
+// engine, the scheduler or a fixture, never noise.
 func TestCorpusDifferential(t *testing.T) {
 	n := corpusSchedules(t)
 	for _, b := range bugs.Corpus() {
@@ -47,6 +62,9 @@ func TestCorpusDifferential(t *testing.T) {
 			}
 			if d.VanillaDivergences() == 0 {
 				t.Errorf("vanilla: 0/%d schedules diverged; the bug never manifested", n)
+			}
+			if want := corpusVanillaDivergences[b.App+"/"+b.ID]; n == 500 && d.VanillaDivergences() != want {
+				t.Errorf("vanilla: %d/%d schedules diverged, want exactly %d", d.VanillaDivergences(), n, want)
 			}
 			if got := d.PreventionDivergences(); got != 0 {
 				t.Errorf("prevention: %d/%d schedules diverged from serial — engine bug", got, n)
@@ -291,5 +309,32 @@ func TestTraceRoundTripsThroughJSON(t *testing.T) {
 func TestBugSubjectRequiresFixture(t *testing.T) {
 	if _, err := BugSubject(&bugs.Bug{App: "X", ID: "0"}); err == nil {
 		t.Error("BugSubject accepted a bug with no fixture")
+	}
+}
+
+// TestOptionsRejectNegativeCounts: a negative schedule budget, DFS bound or
+// horizon is an error that names the field, not a panic or a silent
+// one-schedule run.
+func TestOptionsRejectNegativeCounts(t *testing.T) {
+	b, err := bugs.ByID("NSS", "341323")
+	if err != nil {
+		t.Fatal(err)
+	}
+	subject, err := BugSubject(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		field string
+		opts  Options
+	}{
+		{"Schedules -1", Options{Schedules: -1}},
+		{"Bound -1", Options{Strategy: DFS, Bound: -1}},
+		{"Horizon -2", Options{Strategy: DFS, Horizon: -2}},
+	} {
+		_, err := Differential(subject, tc.opts)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: got error %v, want one naming the field", tc.field, err)
+		}
 	}
 }
