@@ -1,0 +1,53 @@
+package kivati_test
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestHostileFlags builds the training, soak and exploration binaries and
+// checks that each out-of-range flag ends the run with exit status 1 and
+// an error naming the flag or the field it sets, before any work is done.
+func TestHostileFlags(t *testing.T) {
+	dir := t.TempDir()
+	out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
+		"./cmd/kivati-train", "./cmd/kivati-soak", "./cmd/kivati-explore").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	prog := filepath.Join(dir, "prog.mc")
+	if err := os.WriteFile(prog, []byte("void main() { print(1); }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		bin  string
+		args []string
+		name string // what stderr must name
+	}{
+		{"kivati-train", []string{"-mode", "bogus", "-out", filepath.Join(dir, "wl.txt"), prog}, `-mode "bogus"`},
+		{"kivati-train", []string{"-iters", "-1", "-out", filepath.Join(dir, "wl.txt"), prog}, "-iters -1"},
+		{"kivati-soak", []string{"-n", "0", "-load", "-load-requests", "-1"}, "Requests -1"},
+		{"kivati-soak", []string{"-n", "-5"}, "-n -5"},
+		{"kivati-explore", []string{"-gen", "-3"}, "-gen -3"},
+	} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(filepath.Join(dir, tc.bin), tc.args...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		switch {
+		case !errors.As(err, &exit) || exit.ExitCode() != 1:
+			t.Errorf("%s %v: got %v, want exit status 1\n%s", tc.bin, tc.args, err, stderr.String())
+		case !strings.Contains(stderr.String(), tc.name):
+			t.Errorf("%s %v: stderr %q does not name %q", tc.bin, tc.args, stderr.String(), tc.name)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "wl.txt")); err == nil {
+		t.Error("a rejected kivati-train run wrote its whitelist")
+	}
+}

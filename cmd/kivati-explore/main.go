@@ -147,6 +147,9 @@ func main() {
 		Parallelism: *parallel,
 		DPOR:        *dpor,
 	}
+	if *gen < 0 {
+		check(fmt.Errorf("-gen %d is negative", *gen))
+	}
 	if *bug == "" && !*all && *gen == 0 {
 		flag.Usage()
 		os.Exit(2)

@@ -55,6 +55,9 @@ func main() {
 	loadInterarrival := flag.Uint64("load-interarrival", 900, "load: mean request interarrival in ticks")
 	jsonOut := flag.Bool("json", false, "emit a JSON report instead of text")
 	flag.Parse()
+	if *n < 0 {
+		check(fmt.Errorf("-n %d is negative", *n))
+	}
 
 	var rep *harness.SoakReport
 	if *n > 0 {

@@ -34,6 +34,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *mode != "prevention" && *mode != "bugfinding" {
+		fatal(fmt.Errorf("-mode %q: want prevention or bugfinding", *mode))
+	}
+	if *iters < 0 {
+		fatal(fmt.Errorf("-iters %d is negative", *iters))
+	}
 
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {

@@ -210,48 +210,17 @@ func (c *RunConfig) compileOptions() compile.Options {
 	return compile.Options{Annotate: true, ShadowWrites: c.Opt.UseUserLib()}
 }
 
-// Run executes the program once under the given configuration.
+// Run executes the program once under the given configuration. Its
+// machine is built and its results extracted by the same code as a
+// Session's, and its memory image is released for the next run to reuse.
 func Run(p *Program, cfg RunConfig) (*vm.Result, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
-	}
-	bin, err := p.Binary(cfg.compileOptions())
+	s, err := newSession(p, cfg)
 	if err != nil {
 		return nil, err
 	}
-	kcfg := kernel.Config{
-		Mode:           cfg.Mode,
-		Opt:            cfg.Opt,
-		NumWatchpoints: cfg.NumWatchpoints,
-		TimeoutTicks:   cfg.TimeoutTicks,
-		PauseTicks:     cfg.PauseTicks,
-		PauseEvery:     cfg.PauseEvery,
-		TrapBefore:     cfg.TrapBefore,
-	}
-	if bin.Opts.ShadowWrites && cfg.Opt.UseUserLib() {
-		kcfg.ShadowDelta = compile.ShadowDelta
-	}
-	log := &trace.Log{OnViolation: cfg.OnViolation}
-	k := kernel.New(kcfg, cfg.Whitelist, log, nil)
-	m, err := vm.New(bin, k, vm.Config{
-		Cores:    cfg.Cores,
-		Seed:     cfg.Seed,
-		MaxTicks: cfg.MaxTicks,
-		Costs:    cfg.Costs,
-		Requests: cfg.Requests,
-		Policy:   cfg.Policy,
-		Dispatch: cfg.Dispatch,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range cfg.Starts {
-		if _, err := m.Start(s.Fn, s.Arg); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Whitelist != nil && cfg.Whitelist.Source != nil {
-		interval := cfg.WhitelistReloadTicks
+	defer s.Close()
+	if wl := s.cfg.Whitelist; wl != nil && wl.Source != nil {
+		interval := s.cfg.WhitelistReloadTicks
 		if interval == 0 {
 			interval = 1_000_000
 		}
@@ -259,29 +228,12 @@ func Run(p *Program, cfg RunConfig) (*vm.Result, error) {
 		reload = func() {
 			// A failed read keeps the current whitelist (§3.2's
 			// long-running-process patching must never regress).
-			_ = cfg.Whitelist.Reload()
-			m.After(interval, reload)
+			_ = wl.Reload()
+			s.m.After(interval, reload)
 		}
-		m.After(interval, reload)
+		s.m.After(interval, reload)
 	}
-	res := m.Run()
-	if cfg.HashMemory {
-		res.MemHash = m.MemHash()
-	}
-	if len(cfg.SnapshotVars) > 0 {
-		res.Snapshot = make(map[string]int64, len(cfg.SnapshotVars))
-		for _, name := range cfg.SnapshotVars {
-			addr, ok := bin.Globals[name]
-			if !ok {
-				return res, fmt.Errorf("core: no global %q to snapshot", name)
-			}
-			res.Snapshot[name] = int64(m.Load(addr, 8))
-		}
-	}
-	if len(res.Faults) > 0 {
-		return res, fmt.Errorf("core: program faulted: %s", res.Faults[0])
-	}
-	return res, nil
+	return s.finish(s.m.Run())
 }
 
 // TrainResult reports one whitelist training campaign (§4.2, Figure 7).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"kivati/internal/compile"
 	"kivati/internal/kernel"
@@ -21,12 +22,13 @@ import (
 // each worker its own Session. Snapshots, however, are portable between
 // Sessions of the same program and configuration (see vm.Snapshot).
 //
-// Restrictions relative to core.Run: no request generator (Requests
-// consumes RNG draws at construction), no whitelist reload timer (closure
-// events are unsnapshottable), and the per-run Policy is supplied to
-// RunSchedule rather than via the config.
+// Restrictions relative to core.Run, which builds and finishes its single
+// run through the same code: no request generator (Requests consumes RNG
+// draws at construction), no whitelist reload timer (closure events are
+// unsnapshottable), no violation callback, and the per-run Policy is
+// supplied to RunSchedule rather than via the config.
 //
-// Close hands the machine's memory image back for the next NewSession to
+// Close hands the machine's memory image back for the next machine to
 // reuse, clearing only the pages the session wrote; a session nobody
 // closes is simply garbage collected. Snapshots outlive their session.
 type Session struct {
@@ -40,9 +42,6 @@ type Session struct {
 // snapshot. cfg.Policy must be nil (policies are per-run); cfg.Dispatch
 // selects the tier every run of this session uses.
 func NewSession(p *Program, cfg RunConfig) (*Session, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
-	}
 	if cfg.Policy != nil {
 		return nil, fmt.Errorf("core: Session policies are per-run; RunConfig.Policy must be nil")
 	}
@@ -54,6 +53,24 @@ func NewSession(p *Program, cfg RunConfig) (*Session, error) {
 	}
 	if cfg.OnViolation != nil {
 		return nil, fmt.Errorf("core: Session does not support violation callbacks")
+	}
+	s, err := newSession(p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if s.init, err = s.m.Snapshot(); err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// newSession builds the kernel and machine for p under cfg and starts the
+// initial threads, without capturing a snapshot: the one construction
+// path behind Run and NewSession.
+func newSession(p *Program, cfg RunConfig) (*Session, error) {
+	if err := cfg.defaults(); err != nil {
+		return nil, err
 	}
 	bin, err := p.Binary(cfg.compileOptions())
 	if err != nil {
@@ -71,14 +88,15 @@ func NewSession(p *Program, cfg RunConfig) (*Session, error) {
 	if bin.Opts.ShadowWrites && cfg.Opt.UseUserLib() {
 		kcfg.ShadowDelta = compile.ShadowDelta
 	}
-	k := kernel.New(kcfg, cfg.Whitelist, &trace.Log{}, nil)
+	k := kernel.New(kcfg, cfg.Whitelist, &trace.Log{OnViolation: cfg.OnViolation}, nil)
 	m, err := vm.New(bin, k, vm.Config{
-		Cores:     cfg.Cores,
-		Seed:      cfg.Seed,
-		MaxTicks:  cfg.MaxTicks,
-		Costs:     cfg.Costs,
-		Dispatch:  cfg.Dispatch,
-		Snapshots: true,
+		Cores:    cfg.Cores,
+		Seed:     cfg.Seed,
+		MaxTicks: cfg.MaxTicks,
+		Costs:    cfg.Costs,
+		Requests: cfg.Requests,
+		Policy:   cfg.Policy,
+		Dispatch: cfg.Dispatch,
 	})
 	if err != nil {
 		return nil, err
@@ -89,12 +107,7 @@ func NewSession(p *Program, cfg RunConfig) (*Session, error) {
 			return nil, err
 		}
 	}
-	init, err := m.Snapshot()
-	if err != nil {
-		m.Release()
-		return nil, err
-	}
-	return &Session{cfg: cfg, bin: bin, m: m, init: init}, nil
+	return &Session{cfg: cfg, bin: bin, m: m}, nil
 }
 
 // Machine exposes the session's machine (snapshots, memory hashing,
@@ -105,8 +118,19 @@ func (s *Session) Machine() *vm.Machine { return s.m }
 // The session must not run again; closing it twice is a no-op.
 func (s *Session) Close() { s.m.Release() }
 
-// finish extracts the per-run results exactly like core.Run does.
+// finish extracts one run's results: the only result-extraction code in
+// the package, shared by Run and every Session run.
 func (s *Session) finish(res *vm.Result) (*vm.Result, error) {
+	// Results alias machine and kernel state that the next restore
+	// rewrites in place; copy out everything a caller might hold across
+	// runs.
+	stats := *res.Stats
+	stats.MissedByAR = maps.Clone(stats.MissedByAR)
+	res.Stats = &stats
+	res.Violations = append([]trace.Violation(nil), res.Violations...)
+	res.Output = append([]int64(nil), res.Output...)
+	res.Latencies = append([]uint64(nil), res.Latencies...)
+	res.Faults = append([]string(nil), res.Faults...)
 	if s.cfg.HashMemory {
 		res.MemHash = s.m.MemHash()
 	}
@@ -123,14 +147,6 @@ func (s *Session) finish(res *vm.Result) (*vm.Result, error) {
 	if len(res.Faults) > 0 {
 		return res, fmt.Errorf("core: program faulted: %s", res.Faults[0])
 	}
-	// Results alias machine state that the next restore rewrites in place;
-	// copy out everything a caller might hold across runs.
-	stats := *res.Stats
-	res.Stats = &stats
-	res.Violations = append([]trace.Violation(nil), res.Violations...)
-	res.Output = append([]int64(nil), res.Output...)
-	res.Latencies = append([]uint64(nil), res.Latencies...)
-	res.Faults = append([]string(nil), res.Faults...)
 	return res, nil
 }
 

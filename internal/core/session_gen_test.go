@@ -2,11 +2,13 @@ package core_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"kivati/internal/annotate"
+	"kivati/internal/bugs"
 	"kivati/internal/core"
 	"kivati/internal/corpusgen"
 	"kivati/internal/kernel"
@@ -42,18 +44,18 @@ func (p *capturePolicy) Pick(sp vm.SchedPoint) int {
 	return p.inner.Pick(sp)
 }
 
-// genSession builds a session for one generated Arrays program in the
-// snapshot engine's configuration: prevention kernel (or the vanilla
-// binary), fast dispatch. The ring-buffer decoy's dynamic indices give
-// its blocks an Unbounded static footprint, so every fast-path visit
-// under prevention demotes to checked mode.
-func genSession(t *testing.T, p *corpusgen.Program, cores int, vanilla bool) *core.Session {
+// genConfig is the snapshot engine's run configuration for one generated
+// Arrays program: prevention kernel (or the vanilla binary), fast
+// dispatch. The ring-buffer decoy's dynamic indices give its blocks an
+// Unbounded static footprint, so every fast-path visit under prevention
+// demotes to checked mode.
+func genConfig(t *testing.T, p *corpusgen.Program, cores int, vanilla bool) (*core.Program, core.RunConfig) {
 	t.Helper()
 	prog, err := core.BuildWithOptions(p.Source, annotate.Options{})
 	if err != nil {
 		t.Fatalf("%s: build: %v", p.Name, err)
 	}
-	s, err := core.NewSession(prog, core.RunConfig{
+	return prog, core.RunConfig{
 		Mode:           kernel.Prevention,
 		Opt:            kernel.OptBase,
 		Vanilla:        vanilla,
@@ -66,7 +68,14 @@ func genSession(t *testing.T, p *corpusgen.Program, cores int, vanilla bool) *co
 		SnapshotVars:   p.SnapshotVars,
 		Dispatch:       vm.DispatchFast,
 		HashMemory:     true,
-	})
+	}
+}
+
+// genSession builds a session in genConfig's configuration.
+func genSession(t *testing.T, p *corpusgen.Program, cores int, vanilla bool) *core.Session {
+	t.Helper()
+	prog, cfg := genConfig(t, p, cores, vanilla)
+	s, err := core.NewSession(prog, cfg)
 	if err != nil {
 		t.Fatalf("%s: session: %v", p.Name, err)
 	}
@@ -227,28 +236,104 @@ func TestSessionSnapshotPortableAcrossSessions(t *testing.T) {
 	}
 }
 
-// TestSessionCloseRecycles: closing a session twice is a no-op, and a
-// session built after the close — on the recycled image whenever the pool
-// kept it — runs the same schedule to the same final state.
+// TestSessionCloseRecycles: every run releases its machine image for the
+// next one to reuse — a session through Close (twice is a no-op), core.Run
+// before it returns. Runs of one schedule built on those recycled images,
+// whenever the pool kept them, reach the same final state: two sessions,
+// then two back-to-back core.Run calls, then a session on the image the
+// last core.Run recycled.
 func TestSessionCloseRecycles(t *testing.T) {
 	p := corpusgen.One(corpusgen.Options{Count: 8, Seed: 21, Arrays: true}, 1)
 	const quantum, seed = 19, 3
-	var first *vm.Result
-	for round := 0; round < 2; round++ {
-		s := genSession(t, p, 1, false)
+	policy := func() vm.SchedulePolicy {
 		rng := rand.New(rand.NewSource(8))
-		res, err := s.RunSchedule(vm.PolicyFunc(func(sp vm.SchedPoint) int {
-			return rng.Intn(len(sp.Runnable))
-		}), quantum, seed)
+		return vm.PolicyFunc(func(sp vm.SchedPoint) int { return rng.Intn(len(sp.Runnable)) })
+	}
+	session := func() (*vm.Result, error) {
+		s := genSession(t, p, 1, false)
+		res, err := s.RunSchedule(policy(), quantum, seed)
+		s.Close()
+		s.Close()
+		return res, err
+	}
+	run := func() (*vm.Result, error) {
+		prog, cfg := genConfig(t, p, 1, false)
+		cfg.Seed = seed
+		cfg.Costs.Quantum = quantum
+		cfg.Policy = policy()
+		return core.Run(prog, cfg)
+	}
+	var first *vm.Result
+	for i, r := range []struct {
+		name string
+		run  func() (*vm.Result, error)
+	}{
+		{"session", session},
+		{"session after Close", session},
+		{"core.Run", run},
+		{"second core.Run", run},
+		{"session after core.Run", session},
+	} {
+		res, err := r.run()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
-		s.Close()
-		s.Close()
-		if first == nil {
+		if i == 0 {
 			first = res
 			continue
 		}
-		sameOutcome(t, "session after Close", res, first)
+		sameOutcome(t, r.name, res, first)
+	}
+}
+
+// TestSessionResultsOwnMissedByAR: a result a caller holds survives later
+// runs of its session. The kernel's Stats.MissedByAR map is rewritten in
+// place on every restore, so a result that shared it would change under
+// the caller when the session resumes a snapshot.
+func TestSessionResultsOwnMissedByAR(t *testing.T) {
+	b, err := bugs.ByID("NSS", "341323")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := core.Build(b.ExploreSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.NewSession(prog, core.RunConfig{
+		Mode:           kernel.Prevention,
+		Opt:            kernel.OptBase,
+		NumWatchpoints: 1,
+		Cores:          1,
+		Seed:           1,
+		MaxTicks:       4_000_000,
+		SnapshotVars:   b.SnapshotVars,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var snaps []*vm.Snapshot
+	first, err := s.RunSchedule(vm.PolicyFunc(func(vm.SchedPoint) int {
+		snap, err := s.Machine().Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, snap)
+		return 0
+	}), 50, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := maps.Clone(first.Stats.MissedByAR)
+	if len(want) == 0 || len(snaps) < 2 {
+		t.Fatalf("fixture missed no AR (%v) or made %d decisions; the test needs both", want, len(snaps))
+	}
+	if _, err := s.RunFrom(snaps[len(snaps)/2], vm.PolicyFunc(func(sp vm.SchedPoint) int {
+		return len(sp.Runnable) - 1
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first.Stats.MissedByAR, want) {
+		t.Errorf("first result's MissedByAR changed under a later RunFrom: %v, want %v", first.Stats.MissedByAR, want)
 	}
 }

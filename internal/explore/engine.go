@@ -150,70 +150,22 @@ func (c *campaign) newSession(mode Mode) (*core.Session, error) {
 	return s, nil
 }
 
-// runSessionJobs mirrors pool.Run — slotted results, lowest-indexed error,
-// serial fast path on the calling goroutine — but leases each worker one
-// reusable Session from the mode's pool.
-func runSessionJobs[T any](p *sessionPool, workers int, jobs []func(*core.Session) (T, error)) ([]T, error) {
-	results := make([]T, len(jobs))
-	if len(jobs) == 0 {
-		return results, nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers == 1 {
-		s, err := p.get()
-		if err != nil {
-			return results, err
-		}
-		defer p.put(s)
-		for i, job := range jobs {
-			res, err := job(s)
+// runJobs runs session jobs through pool.Run: each job leases a session
+// from the mode's pool and puts it back when done.
+func runJobs[T any](p *sessionPool, workers int, jobs []func(*core.Session) (T, error)) ([]T, error) {
+	leased := make([]func() (T, error), len(jobs))
+	for i, job := range jobs {
+		leased[i] = func() (T, error) {
+			s, err := p.get()
 			if err != nil {
-				return results, err
+				var zero T
+				return zero, err
 			}
-			results[i] = res
-		}
-		return results, nil
-	}
-
-	errs := make([]error, len(jobs))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var s *core.Session
-			for i := range next {
-				if s == nil {
-					var err error
-					if s, err = p.get(); err != nil {
-						errs[i] = err
-						continue
-					}
-				}
-				results[i], errs[i] = jobs[i](s)
-			}
-			if s != nil {
-				p.put(s)
-			}
-		}()
-	}
-	for i := range jobs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return results, err
+			defer p.put(s)
+			return job(s)
 		}
 	}
-	return results, nil
+	return pool.Run(workers, leased)
 }
 
 // runFresh executes one full schedule from the initial state on a session
@@ -260,7 +212,7 @@ func (c *campaign) randomWalk(mode Mode, stats *EngineStats) ([]Run, error) {
 			return r, err
 		}
 	}
-	runs, err := runSessionJobs(p, pool.Workers(c.opts.Parallelism), jobs)
+	runs, err := runJobs(p, pool.Workers(c.opts.Parallelism), jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -416,7 +368,7 @@ func (c *campaign) dfs(mode Mode, stats *EngineStats) ([]Run, error) {
 				return out, nil
 			}
 		}
-		results, err := runSessionJobs(p, workers, jobs)
+		results, err := runJobs(p, workers, jobs)
 		if err != nil {
 			return nil, err
 		}

@@ -105,6 +105,9 @@ var loadConfigs = []struct {
 // seed, the arrival schedule — and therefore the whole report — is
 // deterministic.
 func RunLoad(opts LoadOptions) (*LoadReport, error) {
+	if opts.Requests < 0 {
+		return nil, fmt.Errorf("load: Requests %d is negative", opts.Requests)
+	}
 	o := opts.withDefaults()
 	base, ok := serverBase[strings.ToLower(o.Workload)]
 	if !ok {

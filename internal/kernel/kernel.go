@@ -124,9 +124,6 @@ type Machine interface {
 	Boundary() *isa.BoundaryTable
 	DecodeAt(pc uint32) (isa.Instr, bool)
 
-	// After schedules fn to run at Now()+ticks. Pending closures make a
-	// machine unsnapshottable, so kernel timers use AfterTimeout instead.
-	After(ticks uint64, fn func())
 	// AfterTimeout schedules TimeoutWP(wpIdx, gen) to run at Now()+ticks,
 	// stored by the VM as plain data so pending suspension timeouts can be
 	// captured and restored by machine snapshots.

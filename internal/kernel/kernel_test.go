@@ -82,12 +82,6 @@ func (m *mockMachine) DecodeAt(pc uint32) (isa.Instr, bool) {
 	in, ok := m.decoded[pc]
 	return in, ok
 }
-func (m *mockMachine) After(ticks uint64, fn func()) {
-	m.events = append(m.events, struct {
-		at uint64
-		fn func()
-	}{m.now + ticks, fn})
-}
 func (m *mockMachine) AfterTimeout(ticks uint64, wpIdx int, gen uint64) {
 	m.events = append(m.events, struct {
 		at uint64

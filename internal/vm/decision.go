@@ -31,9 +31,9 @@ package vm
 func (m *Machine) adoptCanon(c *Core) int {
 	changed, full := c.WP.AdoptDelta(m.K.Canon)
 	if full {
-		m.fullArms++
+		m.tel.FullArms++
 	} else {
-		m.deltaArms++
+		m.tel.DeltaArms++
 	}
 	return changed
 }
@@ -49,7 +49,7 @@ func (m *Machine) adoptCanon(c *Core) int {
 func (m *Machine) resumeOrResetFast(c *Core) {
 	if c.fastLeft > 0 && c.Cur != nil && c.Cur.ID == c.fastDecTID &&
 		c.WP.Muts() == c.fastDecMuts && !m.segRecording() {
-		m.samePickCont++
+		m.tel.SamePickContinues++
 		return
 	}
 	c.dropBlock()

@@ -408,18 +408,12 @@ func (m *Machine) syscall(c *Core, t *Thread, sysPC uint32, n int) uint64 {
 	case isa.SysLock:
 		m.Stats.OtherSyscalls++
 		enterKernel()
-		if m.cfg.Debug != nil {
-			m.tracef("T%d lock(%#x)", t.ID, uint32(t.Regs[0]))
-		}
 		m.K.Lock(t.ID, uint32(t.Regs[0]))
 		return costs.SyscallEnter
 
 	case isa.SysUnlock:
 		m.Stats.OtherSyscalls++
 		enterKernel()
-		if m.cfg.Debug != nil {
-			m.tracef("T%d unlock(%#x)", t.ID, uint32(t.Regs[0]))
-		}
 		m.K.Unlock(t.ID, uint32(t.Regs[0]))
 		return costs.SyscallEnter
 

@@ -164,7 +164,7 @@ func execKindOf(op isa.Op) uint8 {
 // free core's next idle timer reset, the next event, and MaxTicks.
 func (m *Machine) trySuperstep() bool {
 	if len(m.events) > 0 && m.events[0].tick <= m.clock {
-		m.demotions.TimerEdge++
+		m.tel.Demotions.TimerEdge++
 		return false
 	}
 	t0 := m.clock
@@ -182,7 +182,7 @@ func (m *Machine) trySuperstep() bool {
 		}
 		if c.Cur != nil {
 			if t0 >= c.NextTimer {
-				m.demotions.TimerEdge++
+				m.tel.Demotions.TimerEdge++
 				return false
 			}
 			if c.NextTimer < bound {
@@ -282,8 +282,8 @@ func (m *Machine) trySuperstep() bool {
 		return false
 	}
 	m.Stats.Instructions += total
-	m.fastInstrs += total
-	m.fastWindows++
+	m.tel.FastInstructions += total
+	m.tel.FastWindows++
 	return true
 }
 
@@ -317,7 +317,7 @@ func (m *Machine) enterBlock(c *Core) bool {
 	if c.fastMerge > 0 {
 		c.fastMerge--
 		c.fastChecked = true
-		m.demotions.CheckedOverlap++
+		m.tel.Demotions.CheckedOverlap++
 	} else {
 		c.fastChecked = m.blockChecked(c, t, pc)
 		if c.fastChecked {
@@ -415,7 +415,7 @@ func (m *Machine) blockChecked(c *Core, t *Thread, pc uint32) bool {
 	if f.Unbounded {
 		// An access the analysis could not bound, and at least one armed
 		// register is not exempt: checked.
-		m.demotions.Unbounded++
+		m.tel.Demotions.Unbounded++
 		return true
 	}
 	// Assemble the footprint's components — absolute plus the SP/FP
@@ -443,7 +443,7 @@ func (m *Machine) blockChecked(c *Core, t *Thread, pc uint32) bool {
 		lo64 := int64(uint32(rr.base)) + rr.lo
 		hi64 := int64(uint32(rr.base)) + rr.hi
 		if lo64 < 0 || hi64 > int64(^uint32(0)) {
-			m.demotions.ArmedOverlap++
+			m.tel.Demotions.ArmedOverlap++
 			return true
 		}
 		ranges[n] = hw.AddrRange{Lo: uint32(lo64), Hi: uint32(hi64)}
@@ -463,7 +463,7 @@ func (m *Machine) blockChecked(c *Core, t *Thread, pc uint32) bool {
 		return false
 	}
 	if c.WP.MayMatchRanges(t.ID, ranges[:n]) {
-		m.demotions.ArmedOverlap++
+		m.tel.Demotions.ArmedOverlap++
 		return true
 	}
 	return false
@@ -476,7 +476,7 @@ func (m *Machine) blockChecked(c *Core, t *Thread, pc uint32) bool {
 // model) with identical state at the identical clock.
 func (m *Machine) wouldTrap(c *Core, t *Thread, addr uint32, sz uint8, typ hw.AccessType) bool {
 	if c.WP.Match(t.ID, addr, sz, typ) >= 0 {
-		m.demotions.WouldTrap++
+		m.tel.Demotions.WouldTrap++
 		return true
 	}
 	return false

@@ -42,9 +42,6 @@ func (m *Machine) Suspend(tid int, kind kernel.BlockKind) {
 	}
 	t.State = stBlocked
 	t.Block = kind
-	if m.cfg.Debug != nil {
-		m.tracef("suspend T%d kind=%d pc=%#x", tid, kind, t.PC)
-	}
 	if kind == kernel.BlockEpoch || kind == kernel.BlockPause {
 		m.epochWaiters = true
 		m.epochBlocked++
@@ -56,9 +53,6 @@ func (m *Machine) Resume(tid int) {
 	t := m.threads[tid]
 	if t.State != stBlocked {
 		return
-	}
-	if m.cfg.Debug != nil {
-		m.tracef("resume T%d pc=%#x", tid, t.PC)
 	}
 	if t.Block == kernel.BlockEpoch || t.Block == kernel.BlockPause {
 		m.epochBlocked--
@@ -235,12 +229,14 @@ func (m *Machine) storeRaw(addr uint32, sz uint8, v uint64) {
 	if int(addr)+int(sz) > len(m.Mem) {
 		return
 	}
-	if m.memTrack {
-		// A store spans at most two pages (sz <= 8 << pageShift).
-		p0, p1 := addr>>pageShift, (addr+uint32(sz)-1)>>pageShift
-		m.pageDirty[p0] = true
+	// Dirty tracking for snapshots. A store spans at most two pages
+	// (sz <= 8 << pageShift); only one that crosses a page boundary
+	// touches the second.
+	p0 := addr >> pageShift
+	m.pageDirty[p0] = true
+	m.chunkDirty[p0>>chunkShift] = true
+	if p1 := (addr + uint32(sz) - 1) >> pageShift; p1 != p0 {
 		m.pageDirty[p1] = true
-		m.chunkDirty[p0>>chunkShift] = true
 		m.chunkDirty[p1>>chunkShift] = true
 	}
 	switch sz {

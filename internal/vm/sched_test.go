@@ -150,9 +150,8 @@ func TestPolicySeqMonotonic(t *testing.T) {
 	}
 }
 
-// TestSuspendResumeAllocFree: with Config.Debug nil, a Suspend/Resume pair
-// allocates nothing. The debug trace lines must not box their arguments
-// when tracing is off.
+// TestSuspendResumeAllocFree: a Suspend/Resume pair allocates nothing, even
+// for a thread whose PC would allocate if anything on the path boxed it.
 func TestSuspendResumeAllocFree(t *testing.T) {
 	bin := buildSrc(t, "void main() { int x; x = 1; }", compile.Options{})
 	k := newTestKernel(defaultRunOpts())
@@ -165,7 +164,7 @@ func TestSuspendResumeAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Boxing a value below 256 reuses a static cell; a PC beyond that range
-	// is what the trace arguments would allocate for.
+	// allocates when boxed.
 	m.threads[tid].PC = 0x12345
 	if allocs := testing.AllocsPerRun(100, func() {
 		m.Suspend(tid, kernel.BlockLock)

@@ -65,8 +65,8 @@ var (
 	}()
 )
 
-// memImage is a machine's data memory. Snapshot machines draw an all-zero
-// one from imagePool and return it, all zero again, through Release.
+// memImage is a machine's data memory. Every machine draws an all-zero one
+// from imagePool and returns it, all zero again, through Release.
 type memImage [compile.MemSize]byte
 
 var imagePool = sync.Pool{New: func() any { return new(memImage) }}
@@ -141,28 +141,15 @@ func (c *countingSource) rewind(seed int64, draws uint64) {
 }
 
 type coreSnap struct {
-	wp        *hw.RegisterFile
-	curTID    int // -1 = idle
-	busyUntil uint64
-	nextTimer uint64
-
-	// Open block decision (see Core): a run resumed from this snapshot must
-	// make the identical keep/reset choice at the next window boundary that
-	// the continuous run made, so the decision and its validity stamp are
-	// state, not scratch.
-	fastLeft    uint16
-	fastChecked bool
-	fastMerge   uint8
-	fastDecTID  int
-	fastDecMuts uint64
+	wp     *hw.RegisterFile
+	curTID int // -1 = idle
+	coreState
 }
 
 // Snapshot is an immutable capture of a machine's execution state. See the
 // package comment above for the capture points and portability contract.
 type Snapshot struct {
-	clock    uint64
-	eventSeq uint64
-	schedSeq uint64
+	machState
 	seed     int64
 	rngDraws uint64
 	quantum  uint64
@@ -176,23 +163,10 @@ type Snapshot struct {
 	reqArrivals map[int]uint64
 	reqQueue    []int
 	reqWaiters  []int
-	reqMade     int
 
 	output    []int64
 	latencies []uint64
 	faults    []string
-
-	epochWaiters bool
-	coresBehind  bool
-
-	fastInstrs  uint64
-	fastWindows uint64
-	demotions   Demotions
-
-	decisions    uint64
-	samePickCont uint64
-	deltaArms    uint64
-	fullArms     uint64
 
 	segCount int
 
@@ -207,14 +181,11 @@ func (s *Snapshot) Clock() uint64 { return s.clock }
 // snapshot was taken (the absolute index of the next decision).
 func (s *Snapshot) SchedSeq() uint64 { return s.schedSeq }
 
-// Snapshot captures the machine's state. The machine must have been built
-// with Config.Snapshots and be at a quiescent point (before Run, or inside
-// a Policy.Pick callback). It fails if a closure event (After) is pending,
-// since closures cannot be captured as data.
+// Snapshot captures the machine's state. The machine must be at a quiescent
+// point (before Run, or inside a Policy.Pick callback). It fails on a
+// released machine, and if a closure event (After) is pending, since
+// closures cannot be captured as data.
 func (m *Machine) Snapshot() (*Snapshot, error) {
-	if !m.cfg.Snapshots {
-		return nil, fmt.Errorf("vm: machine not built with Config.Snapshots")
-	}
 	if m.Mem == nil {
 		return nil, errReleased
 	}
@@ -224,32 +195,20 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		}
 	}
 	s := &Snapshot{
-		clock:        m.clock,
-		eventSeq:     m.eventSeq,
-		schedSeq:     m.schedSeq,
-		seed:         m.rsrc.seed,
-		rngDraws:     m.rsrc.n,
-		quantum:      m.cfg.Costs.Quantum,
-		threads:      make([]Thread, len(m.threads)),
-		runq:         make([]int, len(m.runq)),
-		cores:        make([]coreSnap, len(m.cores)),
-		events:       append([]event(nil), m.events...),
-		reqArrivals:  make(map[int]uint64, len(m.reqArrivals)),
-		reqQueue:     append([]int(nil), m.reqQueue...),
-		reqWaiters:   make([]int, len(m.reqWaiters)),
-		reqMade:      m.reqMade,
-		output:       append([]int64(nil), m.Output...),
-		latencies:    append([]uint64(nil), m.Latencies...),
-		faults:       append([]string(nil), m.Faults...),
-		epochWaiters: m.epochWaiters,
-		coresBehind:  m.coresBehind,
-		fastInstrs:   m.fastInstrs,
-		fastWindows:  m.fastWindows,
-		demotions:    m.demotions,
-		decisions:    m.decisions,
-		samePickCont: m.samePickCont,
-		deltaArms:    m.deltaArms,
-		fullArms:     m.fullArms,
+		machState:   m.machState,
+		seed:        m.rsrc.seed,
+		rngDraws:    m.rsrc.n,
+		quantum:     m.cfg.Costs.Quantum,
+		threads:     make([]Thread, len(m.threads)),
+		runq:        make([]int, len(m.runq)),
+		cores:       make([]coreSnap, len(m.cores)),
+		events:      append([]event(nil), m.events...),
+		reqArrivals: make(map[int]uint64, len(m.reqArrivals)),
+		reqQueue:    append([]int(nil), m.reqQueue...),
+		reqWaiters:  make([]int, len(m.reqWaiters)),
+		output:      append([]int64(nil), m.Output...),
+		latencies:   append([]uint64(nil), m.Latencies...),
+		faults:      append([]string(nil), m.Faults...),
 		// A snapshot taken inside Pick(d) has already closed segment d, but
 		// a resumed run re-executes that Pick — including its closeSegment —
 		// so the restored machine must hold only the segments of fully
@@ -267,17 +226,7 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	for i, c := range m.cores {
 		wp := hw.NewRegisterFile(len(c.WP.WPs))
 		wp.CopyFrom(c.WP)
-		cs := coreSnap{
-			wp:          wp,
-			curTID:      -1,
-			busyUntil:   c.BusyUntil,
-			nextTimer:   c.NextTimer,
-			fastLeft:    c.fastLeft,
-			fastChecked: c.fastChecked,
-			fastMerge:   c.fastMerge,
-			fastDecTID:  c.fastDecTID,
-			fastDecMuts: c.fastDecMuts,
-		}
+		cs := coreSnap{wp: wp, curTID: -1, coreState: c.coreState}
 		if c.Cur != nil {
 			cs.curTID = c.Cur.ID
 		}
@@ -316,31 +265,28 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 // the zeros of an image it no longer owns.
 var errReleased = errors.New("vm: machine used after Release")
 
-// Release returns a snapshot machine's memory image to the pool vm.New
-// draws from; a machine built without Config.Snapshots just drops it.
-// The machine is unusable afterwards: Run and Restore panic, Snapshot
-// fails. Calling Release again is a no-op. Snapshots taken on the machine
-// stay valid — they share none of its image.
+// Release returns the machine's memory image to the pool vm.New draws
+// from. The machine is unusable afterwards: Run and Restore panic,
+// Snapshot fails. Calling Release again is a no-op. Snapshots taken on the
+// machine stay valid — they share none of its image.
 func (m *Machine) Release() {
 	if m.Mem == nil {
 		return
 	}
-	if m.memTrack {
-		// Every page not provably zero is dirty or holds a private copy in
-		// the directory; clear exactly those so the pooled image is zero.
-		for ci, c := range &m.shadow {
-			if c == zeroChunk && !m.chunkDirty[ci] {
-				continue
-			}
-			for j, pg := range c {
-				p := ci<<chunkShift + j
-				if m.pageDirty[p] || !samePage(pg, zeroPage) {
-					clear(m.Mem[p<<pageShift : (p+1)<<pageShift])
-				}
+	// Every page not provably zero is dirty or holds a private copy in the
+	// directory; clear exactly those so the pooled image is zero.
+	for ci, c := range &m.shadow {
+		if c == zeroChunk && !m.chunkDirty[ci] {
+			continue
+		}
+		for j, pg := range c {
+			p := ci<<chunkShift + j
+			if m.pageDirty[p] || !samePage(pg, zeroPage) {
+				clear(m.Mem[p<<pageShift : (p+1)<<pageShift])
 			}
 		}
-		imagePool.Put((*memImage)(m.Mem))
 	}
+	imagePool.Put((*memImage)(m.Mem))
 	m.Mem = nil
 }
 
@@ -358,9 +304,7 @@ func (m *Machine) mustLive(op string) {
 // machine would have from the capture point; Run may be re-entered.
 func (m *Machine) Restore(s *Snapshot) {
 	m.mustLive("Restore")
-	m.clock = s.clock
-	m.eventSeq = s.eventSeq
-	m.schedSeq = s.schedSeq
+	m.machState = s.machState
 	m.cfg.Costs.Quantum = s.quantum
 	m.rsrc.rewind(s.seed, s.rngDraws)
 
@@ -383,8 +327,7 @@ func (m *Machine) Restore(s *Snapshot) {
 	for i, cs := range s.cores {
 		c := m.cores[i]
 		c.WP.CopyFrom(cs.wp)
-		c.BusyUntil = cs.busyUntil
-		c.NextTimer = cs.nextTimer
+		c.coreState = cs.coreState
 		if cs.curTID >= 0 {
 			c.Cur = m.threads[cs.curTID]
 		} else {
@@ -392,11 +335,6 @@ func (m *Machine) Restore(s *Snapshot) {
 		}
 		c.nacc = 0
 		c.trapAborted = false
-		c.fastLeft = cs.fastLeft
-		c.fastChecked = cs.fastChecked
-		c.fastMerge = cs.fastMerge
-		c.fastDecTID = cs.fastDecTID
-		c.fastDecMuts = cs.fastDecMuts
 		// The relevant-window cache is derived state keyed on a mutation
 		// count; counts from different timelines may collide, so a restore
 		// always invalidates it.
@@ -433,14 +371,12 @@ func (m *Machine) Restore(s *Snapshot) {
 	for _, tid := range s.reqWaiters {
 		m.reqWaiters = append(m.reqWaiters, m.threads[tid])
 	}
-	m.reqMade = s.reqMade
 
 	m.Output = append(m.Output[:0], s.output...)
 	m.Latencies = append(m.Latencies[:0], s.latencies...)
 	m.Faults = append(m.Faults[:0], s.faults...)
 	m.reason = ""
 	m.curCore = nil
-	m.epochWaiters = s.epochWaiters
 	m.epochBlocked = 0
 	m.live = 0
 	for _, t := range m.threads {
@@ -451,14 +387,6 @@ func (m *Machine) Restore(s *Snapshot) {
 			m.epochBlocked++
 		}
 	}
-	m.coresBehind = s.coresBehind
-	m.fastInstrs = s.fastInstrs
-	m.fastWindows = s.fastWindows
-	m.demotions = s.demotions
-	m.decisions = s.decisions
-	m.samePickCont = s.samePickCont
-	m.deltaArms = s.deltaArms
-	m.fullArms = s.fullArms
 
 	// Segment recording resumes at the snapshot's absolute index. Entries
 	// below it belong to whatever run this machine executed last and are
@@ -488,13 +416,7 @@ func (m *Machine) SetPolicy(p SchedulePolicy) {
 
 // Reseed resets the scheduler RNG to a fresh stream. Valid only at the
 // run's start (clock 0), before any draw has influenced execution.
-func (m *Machine) Reseed(seed int64) {
-	if m.rsrc != nil {
-		m.rsrc.Seed(seed)
-		return
-	}
-	m.rng = rand.New(rand.NewSource(seed))
-}
+func (m *Machine) Reseed(seed int64) { m.rsrc.Seed(seed) }
 
 // SetQuantum sets the scheduling quantum and re-arms every core's first
 // timer accordingly. Valid only at clock 0 (typically right after

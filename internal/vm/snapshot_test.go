@@ -52,12 +52,11 @@ func newSnapMachineOn(t testing.TB, bin *compile.Binary, policy SchedulePolicy) 
 		TimeoutTicks:   10000,
 	}, nil, nil, nil)
 	m, err := New(bin, k, Config{
-		Cores:     1,
-		Seed:      1,
-		MaxTicks:  5_000_000,
-		Snapshots: true,
-		Dispatch:  DispatchStep,
-		Policy:    policy,
+		Cores:    1,
+		Seed:     1,
+		MaxTicks: 5_000_000,
+		Dispatch: DispatchStep,
+		Policy:   policy,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,19 +184,5 @@ func TestSnapshotRejectsPendingClosure(t *testing.T) {
 	m.After(5, func() {})
 	if _, err := m.Snapshot(); err == nil {
 		t.Fatal("Snapshot succeeded with a pending closure event")
-	}
-}
-
-// TestSnapshotRequiresConfig pins the opt-in: machines built without
-// Config.Snapshots must refuse to capture.
-func TestSnapshotRequiresConfig(t *testing.T) {
-	bin := buildSrc(t, snapSrc, compileOptsAnnotated())
-	k := kernel.New(kernel.Config{Mode: kernel.Prevention, Opt: kernel.OptBase, NumWatchpoints: 4}, nil, nil, nil)
-	m, err := New(bin, k, Config{Cores: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Snapshot(); err == nil {
-		t.Fatal("Snapshot succeeded without Config.Snapshots")
 	}
 }

@@ -14,7 +14,6 @@ package vm
 import (
 	"container/heap"
 	"fmt"
-	"io"
 	"math/rand"
 
 	"kivati/internal/compile"
@@ -75,8 +74,8 @@ const (
 	// because a window never frees a core while the run queue is
 	// non-empty. Armed watchpoints do not end windows — blocks whose static
 	// footprint is disjoint from the armed registers run unchecked, the
-	// rest run with per-access pre-checks (see fastpath.go). Debug tracing
-	// or a per-access cost disables the tier for the whole run.
+	// rest run with per-access pre-checks (see fastpath.go). A per-access
+	// cost disables the tier for the whole run.
 	DispatchFast DispatchMode = iota
 	// DispatchStep is the reference interpreter: the legacy
 	// one-instruction-at-a-time loop the fast tier is checked against.
@@ -95,15 +94,8 @@ type Config struct {
 	// with two or more runnable threads) and fully determines the
 	// interleaving. See SchedulePolicy.
 	Policy SchedulePolicy
-	// Debug, if non-nil, receives a line per scheduling/kernel event.
-	Debug io.Writer
 	// Dispatch selects the execution tier (see DispatchMode).
 	Dispatch DispatchMode
-	// Snapshots enables copy-on-write snapshot support: dirty-page
-	// tracking in the store path plus a draw-counting RNG source, the
-	// state Machine.Snapshot/Restore need. Off by default; the tracking
-	// costs one branch per store.
-	Snapshots bool
 }
 
 type threadState int
@@ -132,11 +124,10 @@ type Thread struct {
 
 // Core is one CPU core with its own watchpoint register file.
 type Core struct {
-	ID        int
-	WP        *hw.RegisterFile
-	Cur       *Thread
-	BusyUntil uint64
-	NextTimer uint64
+	ID  int
+	WP  *hw.RegisterFile
+	Cur *Thread
+	coreState
 
 	// Fixed access-recording buffer for the instruction in flight (no
 	// instruction performs more than two memory accesses). Owned by
@@ -144,6 +135,20 @@ type Core struct {
 	accs        [2]access
 	nacc        int
 	trapAborted bool
+
+	// Cached relevant-window summary for blockChecked, keyed by
+	// (wpCacheTID, wpCacheMuts); see Machine.relevantWindow. Pure derived
+	// state: never snapshotted, invalidated on Restore.
+	wpCacheTID       int
+	wpCacheMuts      uint64
+	wpRelCount       int
+	wpRelLo, wpRelHi uint32
+}
+
+// coreState is the per-core state a snapshot restores verbatim.
+type coreState struct {
+	BusyUntil uint64
+	NextTimer uint64
 
 	// Watchpoint-aware fast path state: fastLeft counts the instructions
 	// still covered by the core's current block-edge decision, fastChecked
@@ -155,29 +160,38 @@ type Core struct {
 	// (fastDecTID/fastDecMuts); window admission keeps an open decision only
 	// while both still match (see resumeOrResetFast), so a decision point
 	// that re-picks the same thread under an unchanged register file extends
-	// the open superstep instead of re-deciding. All five fields are part of
-	// snapshots — a resumed run must make the identical keep/reset choices.
+	// the open superstep instead of re-deciding. A resumed run must make the
+	// identical keep/reset choices, so the decision is state, not scratch.
 	fastLeft    uint16
 	fastChecked bool
 	fastMerge   uint8
 	fastDecTID  int
 	fastDecMuts uint64
+}
 
-	// Cached relevant-window summary for blockChecked, keyed by
-	// (wpCacheTID, wpCacheMuts); see Machine.relevantWindow. Pure derived
-	// state: never snapshotted, invalidated on Restore.
-	wpCacheTID       int
-	wpCacheMuts      uint64
-	wpRelCount       int
-	wpRelLo, wpRelHi uint32
+// machState is the machine-wide scalar state a snapshot restores verbatim.
+type machState struct {
+	clock    uint64
+	eventSeq uint64
+	schedSeq uint64 // decision points consumed so far (policy runs only)
+	reqMade  int
+
+	epochWaiters bool // any thread blocked on epoch/pause (cheap gate)
+	// coresBehind is set by EpochChanged whenever the canonical watchpoint
+	// state advances and cleared once every core has adopted it; while
+	// false, the Run loop skips the per-iteration idle-core adoption scan
+	// (lazy cross-core propagation batched at window edges).
+	coresBehind bool
+
+	tel Telemetry // reported as Result.Telemetry
 }
 
 // eventKind discriminates pending timer events. All kernel- and
 // machine-originated events are plain data (evWake/evWPTimeout/evArrival)
 // so a Snapshot can capture and a Restore can replay the pending queue on
-// any machine; evFn carries an opaque closure (used only by debug/tooling
-// hooks such as the whitelist-reload trainer) and makes a machine
-// unsnapshottable while pending.
+// any machine; evFn carries an opaque closure (used only by core.Run's
+// whitelist-reload timer) and makes a machine unsnapshottable while
+// pending.
 type eventKind uint8
 
 const (
@@ -221,14 +235,13 @@ type Machine struct {
 	Stats *kernel.Stats
 	Mem   []byte
 
-	cfg      Config
-	clock    uint64
-	rng      *rand.Rand
-	threads  []*Thread
-	cores    []*Core
-	runq     []*Thread
-	events   eventHeap
-	eventSeq uint64
+	cfg Config
+	machState
+	rng     *rand.Rand
+	threads []*Thread
+	cores   []*Core
+	runq    []*Thread
+	events  eventHeap
 
 	decoded []isa.Instr // indexed by PC; Len==0 means not an instruction start
 
@@ -253,30 +266,16 @@ type Machine struct {
 	// share Binaries across machines).
 	fps []isa.Footprint
 
-	// Fast-path telemetry. Kept off kernel.Stats so Stats stays
-	// byte-identical between dispatch modes (the differential gate).
-	fastInstrs  uint64 // instructions retired by the fast path
-	fastWindows uint64 // fast windows executed
-	demotions   Demotions
-
-	// Decision-point cost accounting (also outside kernel.Stats).
-	decisions    uint64 // scheduler decision points (free core, ≥2 runnable)
-	samePickCont uint64 // window boundaries that kept the open block decision
-	deltaArms    uint64 // register-file adoptions resolved incrementally
-	fullArms     uint64 // adoptions that fell back to the full-table copy
-
 	fastCores []*Core // scratch: cores active in the current window
 
 	curCore *Core // core whose thread is currently executing (for EpochChanged)
 
-	schedSeq    uint64 // decision points consumed so far (policy runs only)
-	runnableBuf []int  // scratch for SchedPoint.Runnable, reused across decisions
+	runnableBuf []int // scratch for SchedPoint.Runnable, reused across decisions
 
 	// server workload state
 	reqArrivals map[int]uint64
 	reqQueue    []int
 	reqWaiters  []*Thread
-	reqMade     int
 
 	// results
 	Output    []int64
@@ -289,26 +288,17 @@ type Machine struct {
 	// maintained by startAt and exitThread, recomputed on Restore.
 	live int
 
-	epochWaiters bool // any thread blocked on epoch/pause (cheap gate)
-	// epochBlocked counts the threads in that state, so the kernel-entry
-	// waiter checks return without scanning the thread table when no one
-	// can possibly wake. Derived state: maintained by Suspend/Resume,
-	// recomputed on Restore.
+	// epochBlocked counts the threads blocked on epoch/pause, so the
+	// kernel-entry waiter checks return without scanning the thread table
+	// when no one can possibly wake. Derived state: maintained by
+	// Suspend/Resume, recomputed on Restore.
 	epochBlocked int
 
-	// coresBehind is set by EpochChanged whenever the canonical watchpoint
-	// state advances and cleared once every core has adopted it; while
-	// false, the Run loop skips the per-iteration idle-core adoption scan
-	// (lazy cross-core propagation batched at window edges).
-	coresBehind bool
-
-	// Copy-on-write snapshot support (snapshot.go). memTrack gates the
-	// dirty bookkeeping in storeRaw. shadow is the page directory as of
-	// the last Snapshot/Restore (all zeroChunk at birth): memory equals it
-	// on every page whose pageDirty bit is clear, and chunkDirty[c] is set
-	// whenever a page of chunk c is dirty. rsrc is the draw-counting RNG
-	// source that makes the rng state restorable.
-	memTrack   bool
+	// Copy-on-write snapshot support (snapshot.go). shadow is the page
+	// directory as of the last Snapshot/Restore (all zeroChunk at birth):
+	// memory equals it on every page whose pageDirty bit is clear, and
+	// chunkDirty[c] is set whenever a page of chunk c is dirty. rsrc is the
+	// draw-counting RNG source that makes the rng state restorable.
 	shadow     pageDir
 	pageDirty  [numPages]bool
 	chunkDirty [numChunks]bool
@@ -344,21 +334,15 @@ func New(bin *compile.Binary, k *kernel.Kernel, cfg Config) (*Machine, error) {
 		cfg:         cfg,
 		reqArrivals: map[int]uint64{},
 	}
-	if cfg.Snapshots {
-		// Dirty tracking starts before the first write, on an all-zero
-		// (possibly recycled) image every chunk of which shares zeroChunk:
-		// the initial capture copies only the pages InitMem and Start wrote.
-		m.Mem = imagePool.Get().(*memImage)[:]
-		for i := range m.shadow {
-			m.shadow[i] = zeroChunk
-		}
-		m.memTrack = true
-		m.rsrc = newCountingSource(cfg.Seed)
-		m.rng = rand.New(m.rsrc)
-	} else {
-		m.Mem = make([]byte, compile.MemSize)
-		m.rng = rand.New(rand.NewSource(cfg.Seed))
+	// Dirty tracking starts before the first write, on an all-zero
+	// (possibly recycled) image every chunk of which shares zeroChunk: the
+	// initial capture copies only the pages InitMem and Start wrote.
+	m.Mem = imagePool.Get().(*memImage)[:]
+	for i := range m.shadow {
+		m.shadow[i] = zeroChunk
 	}
+	m.rsrc = newCountingSource(cfg.Seed)
+	m.rng = rand.New(m.rsrc)
 	for addr, v := range bin.InitMem {
 		m.storeRaw(addr, 8, uint64(v))
 	}
@@ -383,17 +367,14 @@ func New(bin *compile.Binary, k *kernel.Kernel, cfg Config) (*Machine, error) {
 	}
 	// The fast path is admissible at all only when the configuration
 	// cannot observe per-instruction machine activity: no per-access cost
-	// charging and no debug tracing. Within an admissible run,
-	// trySuperstep still demotes dynamically per window.
-	m.fastOK = cfg.Dispatch != DispatchStep &&
-		cfg.Costs.AccessCheck == 0 &&
-		cfg.Debug == nil
+	// charging. Within an admissible run, trySuperstep still demotes
+	// dynamically per window.
+	m.fastOK = cfg.Dispatch != DispatchStep && cfg.Costs.AccessCheck == 0
 	for i := 0; i < cfg.Cores; i++ {
 		c := &Core{
 			ID:         i,
 			WP:         hw.NewRegisterFile(k.Cfg.NumWatchpoints),
-			NextTimer:  cfg.Costs.Quantum,
-			fastDecTID: -1,
+			coreState:  coreState{NextTimer: cfg.Costs.Quantum, fastDecTID: -1},
 			wpCacheTID: -1,
 		}
 		m.cores = append(m.cores, c)
@@ -482,6 +463,30 @@ type Demotions struct {
 	WouldTrap uint64 `json:"would_trap,omitempty"`
 }
 
+// Telemetry is the VM's own instrumentation of a run. It lives outside
+// kernel.Stats, which must stay byte-identical across dispatch modes (the
+// differential gate).
+type Telemetry struct {
+	// FastInstructions / FastWindows report fast-path residency: how many
+	// instructions retired on the basic-block fast path and in how many
+	// superstep windows.
+	FastInstructions uint64
+	FastWindows      uint64
+	// Demotions breaks down why work left (or never reached) the unchecked
+	// fast path; see the Demotions type.
+	Demotions Demotions
+	// Decision-point cost accounting: Decisions counts scheduler decision
+	// points (a free core with two or more runnable threads);
+	// SamePickContinues counts superstep-window boundaries that kept the
+	// open block decision (crossings avoided); DeltaArms/FullArms split
+	// watchpoint adoptions into incremental delta applications vs
+	// full-table copies.
+	Decisions         uint64
+	SamePickContinues uint64
+	DeltaArms         uint64
+	FullArms          uint64
+}
+
 // Result summarizes a run.
 type Result struct {
 	Stats      *kernel.Stats
@@ -494,25 +499,7 @@ type Result struct {
 	// Snapshot holds the final values of the globals a caller requested
 	// via core.RunConfig.SnapshotVars (nil otherwise).
 	Snapshot map[string]int64
-	// FastInstructions / FastWindows report fast-path residency: how many
-	// instructions retired on the basic-block fast path and in how many
-	// superstep windows. They live here, not in Stats, so Stats stays
-	// byte-identical across dispatch modes.
-	FastInstructions uint64
-	FastWindows      uint64
-	// Demotions breaks down why work left (or never reached) the unchecked
-	// fast path; see the Demotions type.
-	Demotions Demotions
-	// Decision-point cost accounting: Decisions counts scheduler decision
-	// points (a free core with two or more runnable threads);
-	// SamePickContinues counts superstep-window boundaries that kept the
-	// open block decision (crossings avoided); DeltaArms/FullArms split
-	// watchpoint adoptions into incremental delta applications vs
-	// full-table copies. All telemetry outside the bit-identical gate.
-	Decisions         uint64
-	SamePickContinues uint64
-	DeltaArms         uint64
-	FullArms          uint64
+	Telemetry
 	// MemHash is the FNV-1a hash of final data memory, filled only when
 	// the caller requested it (core.RunConfig.HashMemory).
 	MemHash uint64
@@ -669,20 +656,14 @@ func (m *Machine) Run() *Result {
 	}
 	m.Stats.Ticks = m.clock
 	return &Result{
-		Stats:             m.Stats,
-		Violations:        m.K.Log.Violations,
-		Output:            m.Output,
-		Latencies:         m.Latencies,
-		Faults:            m.Faults,
-		Reason:            m.reason,
-		Ticks:             m.clock,
-		FastInstructions:  m.fastInstrs,
-		FastWindows:       m.fastWindows,
-		Demotions:         m.demotions,
-		Decisions:         m.decisions,
-		SamePickContinues: m.samePickCont,
-		DeltaArms:         m.deltaArms,
-		FullArms:          m.fullArms,
+		Stats:      m.Stats,
+		Violations: m.K.Log.Violations,
+		Output:     m.Output,
+		Latencies:  m.Latencies,
+		Faults:     m.Faults,
+		Reason:     m.reason,
+		Ticks:      m.clock,
+		Telemetry:  m.tel,
 	}
 }
 
@@ -727,7 +708,7 @@ func (m *Machine) schedule(c *Core) {
 	}
 	i := 0
 	if len(m.runq) > 1 {
-		m.decisions++
+		m.tel.Decisions++
 		if m.cfg.Policy != nil {
 			// Decision point: close the access segment accumulated since
 			// the previous decision before consulting the policy, so a
@@ -779,13 +760,6 @@ func (m *Machine) preempt(c *Core) {
 	t.OnCore = -1
 	c.Cur = nil
 	m.runq = append(m.runq, t)
-}
-
-// tracef emits a debug trace line. Callers guard it on m.cfg.Debug != nil:
-// passing the arguments boxes them, which allocates even when tracing is
-// off.
-func (m *Machine) tracef(format string, args ...interface{}) {
-	fmt.Fprintf(m.cfg.Debug, "[%d] %s\n", m.clock, fmt.Sprintf(format, args...))
 }
 
 // fault kills a thread with an error.
