@@ -51,3 +51,41 @@ func TestHostileFlags(t *testing.T) {
 		t.Error("a rejected kivati-train run wrote its whitelist")
 	}
 }
+
+// TestPaperTablesGolden builds kivati-bench and runs the full paper sweep
+// (-all: Tables 1-9 and Figure 7 at the default scale and seed), comparing
+// stdout byte for byte with testdata/paper_tables_golden.txt. It is the one
+// gate over every optimization level, both operating modes and the
+// bug-corpus tables; wall-clock timings go to stderr and are not compared.
+func TestPaperTablesGolden(t *testing.T) {
+	dir := t.TempDir()
+	out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "./cmd/kivati-bench").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(filepath.Join(dir, "kivati-bench"), "-all")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("kivati-bench -all: %v\n%s", err, stderr.String())
+	}
+	want, err := os.ReadFile("testdata/paper_tables_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stdout.Bytes(); !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("paper tables differ from the golden at line %d:\n got: %q\nwant: %q", i+1, g, w)
+			}
+		}
+	}
+}
