@@ -32,7 +32,7 @@ import "fmt"
 // with *every* preceding access in the function (Figure 4), so an inline
 // reset write would form a (W,W) pair with the region's final write — and
 // (W,W) regions watch *reads* (Figure 6), which suspends the other thread's
-// first-read begin_atomic until it gives up after MaxBeginRetries and runs
+// first-read begin_atomic until it gives up at the retry bound and runs
 // its witness window unmonitored. So: (1) every fixture's witness variable
 // has only regions whose first access is a read — such begins are never
 // suspended, hence never give up — and (2) resets and refills live in

@@ -354,8 +354,12 @@ func (rf *RegisterFile) Match(tid int, addr uint32, sz uint8, t AccessType) int 
 }
 
 // FreeIndex returns the index of a disarmed register, or -1 if all are in
-// use — the condition under which Kivati logs a missed AR.
+// use — the condition under which Kivati logs a missed AR. The armed count
+// answers a full file without a scan.
 func (rf *RegisterFile) FreeIndex() int {
+	if rf.armed == len(rf.WPs) {
+		return -1
+	}
 	for i := range rf.WPs {
 		if !rf.WPs[i].Armed {
 			return i

@@ -37,31 +37,22 @@ func (k *Kernel) BeginAtomic(t int, syscallPC uint32, arID int, addr uint32, siz
 	// ARs, this thread is a remote about to access that shared variable —
 	// suspend it until those ARs complete (§3.3).
 	if idx := k.WatchedByOther(t, addr, size, first); idx >= 0 {
-		m := k.Meta[idx]
 		// A remote access can be detected via a begin_atomic as well as
 		// via a watchpoint (§2.2): record the access this thread is about
-		// to make against the ARs it would interrupt.
+		// to make against the ARs it would interrupt. Past the retry bound
+		// the thread is no longer delayed (the analog of the 10 ms timeout
+		// for trap-suspended threads; prevents livelock when the watching
+		// AR is re-begun every loop iteration), and the access is recorded
+		// as not reordered.
 		key := [2]int{t, arID}
 		k.beginRetries[key]++
-		if k.beginRetries[key] <= k.Cfg.MaxBeginRetries {
-			rec := RemoteRec{Thread: t, PC: syscallPC, Type: first, Tick: k.M.Now(), Undone: true}
-			for _, ar := range m.ARs {
-				ar.Remotes = append(ar.Remotes, rec)
-			}
-			m.BeginSuspended = append(m.BeginSuspended, t)
+		rec := RemoteRec{Thread: t, PC: syscallPC, Type: first, Tick: k.M.Now(),
+			Undone: k.beginRetries[key] <= maxBeginRetries}
+		k.recordRemote(rec, idx)
+		if rec.Undone {
 			k.M.SetPC(t, syscallPC) // retry the begin_atomic on wake
-			k.M.Suspend(t, BlockBegin)
-			k.Stats.Suspensions++
-			k.armTimeout(idx)
+			k.suspendOn(t, idx, BlockBegin)
 			return
-		}
-		// Retry bound exceeded: stop delaying this thread (the analog of
-		// the 10 ms timeout for trap-suspended threads; prevents livelock
-		// when the watching AR is re-begun every loop iteration). The
-		// access is still recorded, flagged as not reordered.
-		rec := RemoteRec{Thread: t, PC: syscallPC, Type: first, Tick: k.M.Now(), Undone: false}
-		for _, ar := range m.ARs {
-			ar.Remotes = append(ar.Remotes, rec)
 		}
 		k.Stats.BeginRetryGiveUps++
 	}
@@ -71,16 +62,11 @@ func (k *Kernel) BeginAtomic(t int, syscallPC uint32, arID int, addr uint32, siz
 	// updating types and size to the most aggressive union (§3.2).
 	if idx := k.OwnWP(t, addr); idx >= 0 {
 		wp := k.Canon.WPs[idx]
-		newTypes := wp.Types | watch
-		newSize := wp.Size
-		if size > newSize {
-			newSize = size
-		}
-		if newTypes != wp.Types || newSize != wp.Size {
-			wp.Types, wp.Size = newTypes, newSize
-			k.Canon.Set(idx, wp)
-			k.Canon.Epoch++
-			k.M.EpochChanged()
+		union := wp
+		union.Types |= watch
+		union.Size = max(wp.Size, size)
+		if union != wp {
+			k.reprogram(idx, union)
 			k.waitForEpoch(t)
 		}
 		k.attachAR(t, syscallPC, arID, addr, size, watch, first, idx)
@@ -89,7 +75,7 @@ func (k *Kernel) BeginAtomic(t int, syscallPC uint32, arID int, addr uint32, siz
 	}
 
 	// Arm a free watchpoint, if any.
-	idx := k.FreeWPIndex()
+	idx := k.Canon.FreeIndex()
 	if idx < 0 {
 		// All watchpoints in use by other threads: log that this AR
 		// cannot be monitored (§3.2, quantified in Tables 8 and 9).
@@ -104,15 +90,8 @@ func (k *Kernel) BeginAtomic(t int, syscallPC uint32, arID int, addr uint32, siz
 		Addr: addr, Size: size, Types: watch, Armed: true, Owner: t, LocalOf: local,
 	})
 	k.Canon.Epoch++
-	m := k.Meta[idx]
-	m.Gen++
-	m.SavedValue = k.M.Load(addr, size)
-	m.HasSaved = true
-	if first == hw.Write && k.Cfg.ShadowDelta != 0 {
-		// Initialize the shadow slot so the undo value is defined even
-		// before the first local write executes.
-		k.M.Store(addr+k.Cfg.ShadowDelta, size, m.SavedValue)
-	}
+	k.Meta[idx].Gen++
+	k.saveValue(k.Meta[idx], addr, size, first)
 	k.attachAR(t, syscallPC, arID, addr, size, watch, first, idx)
 	k.M.EpochChanged()
 	k.waitForEpoch(t)
@@ -157,14 +136,8 @@ func (k *Kernel) RecaptureSaved(t int) {
 		if m.Stale || m.Guard || len(m.ARs) == 0 || m.ARs[0].Thread != t {
 			continue
 		}
-		wp := k.Canon.WPs[ar.WP]
-		if !wp.Armed {
-			continue
-		}
-		m.SavedValue = k.M.Load(wp.Addr, wp.Size)
-		m.HasSaved = true
-		if ar.First == hw.Write && k.Cfg.ShadowDelta != 0 {
-			k.M.Store(wp.Addr+k.Cfg.ShadowDelta, wp.Size, m.SavedValue)
+		if wp := k.Canon.WPs[ar.WP]; wp.Armed {
+			k.saveValue(m, wp.Addr, wp.Size, ar.First)
 		}
 	}
 }
@@ -176,13 +149,20 @@ func (k *Kernel) RefreshAR(ar *ActiveAR) {
 	ar.Start = k.M.Now()
 	ar.Depth = k.M.ThreadDepth(ar.Thread)
 	if ar.WP >= 0 {
-		m := k.Meta[ar.WP]
 		wp := k.Canon.WPs[ar.WP]
-		m.SavedValue = k.M.Load(wp.Addr, wp.Size)
-		m.HasSaved = true
-		if ar.First == hw.Write && k.Cfg.ShadowDelta != 0 {
-			k.M.Store(wp.Addr+k.Cfg.ShadowDelta, wp.Size, m.SavedValue)
-		}
+		k.saveValue(k.Meta[ar.WP], wp.Addr, wp.Size, ar.First)
+	}
+}
+
+// saveValue records a watchpoint's rollback value from memory at
+// [addr, addr+size). For an AR whose first access is a write under shadow
+// writes it also initializes the shadow slot, so the undo value is defined
+// even before the first local write executes.
+func (k *Kernel) saveValue(m *WPMeta, addr uint32, size uint8, first hw.AccessType) {
+	m.SavedValue = k.M.Load(addr, size)
+	m.HasSaved = true
+	if first == hw.Write && k.Cfg.ShadowDelta != 0 {
+		k.M.Store(addr+k.Cfg.ShadowDelta, size, m.SavedValue)
 	}
 }
 
@@ -196,15 +176,10 @@ func (k *Kernel) AttachUser(t int, syscallPC uint32, arID int, addr uint32, size
 			k.RefreshAR(old)
 			return
 		}
-		k.detachUserSide(old)
+		k.DetachUser(old)
 	}
 	k.attachAR(t, syscallPC, arID, addr, size, watch, first, idx)
-	m := k.Meta[idx]
-	m.SavedValue = k.M.Load(addr, size)
-	m.HasSaved = true
-	if first == hw.Write && k.Cfg.ShadowDelta != 0 {
-		k.M.Store(addr+k.Cfg.ShadowDelta, size, m.SavedValue)
-	}
+	k.saveValue(k.Meta[idx], addr, size, first)
 }
 
 // waitForEpoch blocks the thread until every core has adopted the new
@@ -309,21 +284,24 @@ func (k *Kernel) detach(ar *ActiveAR) {
 		return
 	}
 	// Reconfigure to the union of the remaining ARs (§3.2).
-	var types hw.AccessType
-	var size uint8
-	for _, a := range m.ARs {
-		types |= a.Watch
-		if a.Size > size {
-			size = a.Size
-		}
-	}
 	wp := k.Canon.WPs[ar.WP]
-	if wp.Types != types || wp.Size != size {
-		wp.Types, wp.Size = types, size
-		k.Canon.Set(ar.WP, wp)
-		k.Canon.Epoch++
-		k.M.EpochChanged()
+	union := wp
+	union.Types, union.Size = 0, 0
+	for _, a := range m.ARs {
+		union.Types |= a.Watch
+		union.Size = max(union.Size, a.Size)
 	}
+	if union != wp {
+		k.reprogram(ar.WP, union)
+	}
+}
+
+// reprogram sets canonical watchpoint register i to wp and tells the
+// machine the canonical state changed.
+func (k *Kernel) reprogram(i int, wp hw.Watchpoint) {
+	k.Canon.Set(i, wp)
+	k.Canon.Epoch++
+	k.M.EpochChanged()
 }
 
 // DetachUser is the user-space detach path (optimization 2): the AR is
@@ -333,10 +311,6 @@ func (k *Kernel) detach(ar *ActiveAR) {
 // crossing happens; the hardware is reconciled on the next kernel entry or
 // trap.
 func (k *Kernel) DetachUser(ar *ActiveAR) {
-	k.detachUserSide(ar)
-}
-
-func (k *Kernel) detachUserSide(ar *ActiveAR) {
 	k.removeFromThread(ar)
 	if ar.WP < 0 {
 		return
@@ -408,32 +382,23 @@ func (k *Kernel) ClearAR(t int) {
 	if k.Cfg.Opt.NullOp() {
 		return
 	}
-	k.clearDepth(t, k.M.ThreadDepth(t))
+	k.ClearDepth(t, k.M.ThreadDepth(t), false)
 }
 
-// clearDepth detaches the thread's ARs with depth >= depth and drops
-// matching timed-out records.
-func (k *Kernel) clearDepth(t, depth int) {
+// ClearDepth terminates the thread's ARs begun at or below the given call
+// depth and drops matching timed-out records. With lazy set it is clear_ar
+// performed entirely in user space (each AR leaves through DetachUser, so
+// a freed watchpoint is only marked stale); otherwise each AR leaves
+// through the kernel's detach.
+func (k *Kernel) ClearDepth(t, depth int, lazy bool) {
 	ts := k.thread(t)
 	for _, ar := range append([]*ActiveAR(nil), ts.ARs...) {
-		if ar.Depth >= depth {
+		switch {
+		case ar.Depth < depth:
+		case lazy:
+			k.DetachUser(ar)
+		default:
 			k.detach(ar)
-		}
-	}
-	for id, ar := range ts.TimedOut {
-		if ar.Depth >= depth {
-			delete(ts.TimedOut, id)
-		}
-	}
-}
-
-// ClearUser performs clear_ar entirely in user space when no watchpoint
-// hardware change beyond lazy release is needed.
-func (k *Kernel) ClearUser(t, depth int) {
-	ts := k.thread(t)
-	for _, ar := range append([]*ActiveAR(nil), ts.ARs...) {
-		if ar.Depth >= depth {
-			k.detachUserSide(ar)
 		}
 	}
 	for id, ar := range ts.TimedOut {
@@ -447,7 +412,7 @@ func (k *Kernel) ClearUser(t, depth int) {
 // (freeing watchpoints and waking suspended remotes) and any locks it held
 // are force-released.
 func (k *Kernel) ThreadExited(t int) {
-	k.clearDepth(t, 0)
+	k.ClearDepth(t, 0, false)
 	// Force-release in ascending address order: unlocking wakes waiters,
 	// and Go's map iteration order would otherwise make the wake sequence
 	// — and therefore every replayed schedule — nondeterministic.

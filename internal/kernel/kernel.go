@@ -159,15 +159,15 @@ type Config struct {
 	// disabled for the owning thread (the hardware analog is resuming
 	// local accesses with the resume-flag/single-step dance).
 	TrapBefore bool
-	// MaxBeginRetries bounds how many times in a row a begin_atomic is
-	// suspended because its address sits in another thread's AR. Past the
-	// bound the begin proceeds (its access is recorded as a detected
-	// remote access but no longer delayed) — the same role the suspension
-	// timeout plays for trap-blocked threads, preventing livelock against
-	// a loop that re-arms its watchpoint every iteration. 0 means the
-	// default of 4.
-	MaxBeginRetries int
 }
+
+// maxBeginRetries bounds how many times in a row a begin_atomic is
+// suspended because its address sits in another thread's AR. Past the bound
+// the begin proceeds (its access is recorded as a detected remote access but
+// no longer delayed) — the same role the suspension timeout plays for
+// trap-blocked threads, preventing livelock against a loop that re-arms its
+// watchpoint every iteration.
+const maxBeginRetries = 4
 
 // RemoteRec records one remote access that hit a watchpoint during an AR.
 type RemoteRec struct {
@@ -281,25 +281,51 @@ func (s *Stats) KernelEntries() uint64 {
 
 // Kernel is the Kivati kernel component.
 type Kernel struct {
-	Cfg   Config
-	M     Machine
-	WL    *whitelist.Whitelist
-	Log   *trace.Log
-	Canon *hw.RegisterFile
-	Meta  []*WPMeta
-	Stats *Stats
+	Cfg Config
+	M   Machine
+	WL  *whitelist.Whitelist
+	Log *trace.Log
+	state
 
 	// Symbolize, if set, maps a PC to a source line for violation
 	// reports.
 	Symbolize func(pc uint32) int
 
+	arInfo func(id int) *annotate.AR
+}
+
+// state is the kernel's mutable state: exactly what a Snapshot captures and
+// Restore puts back, both through copyFrom (snapshot.go).
+type state struct {
+	Canon *hw.RegisterFile
+	Meta  []*WPMeta
+	Stats *Stats
+
 	threads map[int]*threadState
 	mutexes map[uint32]*mutex
 	begins  uint64 // monotone count of monitored begins, for pause sampling
-	arInfo  func(id int) *annotate.AR
 	// beginRetries counts consecutive begin_atomic suspensions per
 	// (thread, AR), cleared when the begin succeeds.
 	beginRetries map[[2]int]int
+}
+
+// newState returns the state of a kernel with n disarmed watchpoints,
+// counting into stats.
+func newState(n int, stats *Stats) state {
+	s := state{
+		Canon:        hw.NewRegisterFile(n),
+		Meta:         make([]*WPMeta, n),
+		Stats:        stats,
+		threads:      map[int]*threadState{},
+		mutexes:      map[uint32]*mutex{},
+		beginRetries: map[[2]int]int{},
+	}
+	metas := make([]WPMeta, n)
+	for i := range s.Meta {
+		s.Meta[i] = &metas[i]
+		s.Canon.Clear(i)
+	}
+	return s
 }
 
 // SetARInfo installs a lookup from AR ID to static AR metadata, used to
@@ -321,25 +347,7 @@ func New(cfg Config, wl *whitelist.Whitelist, log *trace.Log, stats *Stats) *Ker
 	if stats == nil {
 		stats = &Stats{}
 	}
-	if cfg.MaxBeginRetries <= 0 {
-		cfg.MaxBeginRetries = 4
-	}
-	k := &Kernel{
-		Cfg:          cfg,
-		WL:           wl,
-		Log:          log,
-		Stats:        stats,
-		Canon:        hw.NewRegisterFile(cfg.NumWatchpoints),
-		threads:      map[int]*threadState{},
-		mutexes:      map[uint32]*mutex{},
-		beginRetries: map[[2]int]int{},
-	}
-	k.Meta = make([]*WPMeta, cfg.NumWatchpoints)
-	for i := range k.Meta {
-		k.Meta[i] = &WPMeta{}
-		k.Canon.Clear(i)
-	}
-	return k
+	return &Kernel{Cfg: cfg, WL: wl, Log: log, state: newState(cfg.NumWatchpoints, stats)}
 }
 
 // SetMachine attaches the machine.
@@ -426,19 +434,14 @@ func (k *Kernel) OwnWP(t int, addr uint32) int {
 	return -1
 }
 
-// FreeWPIndex returns a free (disarmed) watchpoint index, or -1. Stale
-// watchpoints do not count as free here — reclaiming them requires a kernel
-// entry (ReconcileStale).
-func (k *Kernel) FreeWPIndex() int {
-	if k.Canon.ArmedCount() == len(k.Canon.WPs) {
-		return -1
+// NeedsKernel reports whether terminating ar is kernel work: remote
+// accesses to evaluate, or threads suspended on its watchpoint to wake.
+func (k *Kernel) NeedsKernel(ar *ActiveAR) bool {
+	if ar.WP < 0 {
+		return false
 	}
-	for i, wp := range k.Canon.WPs {
-		if !wp.Armed {
-			return i
-		}
-	}
-	return -1
+	m := k.Meta[ar.WP]
+	return len(ar.Remotes) > 0 || len(m.TrapSuspended) > 0 || len(m.BeginSuspended) > 0
 }
 
 // HasStale reports whether any watchpoint is lazily released and could be

@@ -214,9 +214,9 @@ func TestBeginBlocksOnRemoteWatch(t *testing.T) {
 }
 
 func TestBeginRetryGiveUp(t *testing.T) {
-	k, m := newKernelWithMock(Config{NumWatchpoints: 4, MaxBeginRetries: 2})
+	k, m := newKernelWithMock(Config{NumWatchpoints: 4})
 	k.BeginAtomic(1, 0x10, 1, 0x100, 8, hw.Write, hw.Read)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < maxBeginRetries; i++ {
 		k.BeginAtomic(2, 0x50, 9, 0x100, 8, hw.Read, hw.Write)
 		if m.blocked[2] != BlockBegin {
 			t.Fatalf("retry %d: not blocked", i)

@@ -1,37 +1,108 @@
 package kernel
 
-import (
-	"kivati/internal/hw"
-)
+import "maps"
 
-// Deep-copy snapshots of all mutable kernel state, used by the VM's
-// machine snapshots (vm.Machine.Snapshot). A kernel snapshot is copied
-// OUT on capture and copied back IN on restore, so one snapshot can be
-// restored any number of times — and onto a different Kernel instance, as
-// long as it was built with the same Config (same watchpoint count).
+// Snapshots of the kernel's mutable state (the state struct), used by the
+// VM's machine snapshots (vm.Machine.Snapshot). Capture and restore are one
+// deep copy, copyFrom, run in opposite directions: Snapshot copies the
+// kernel's state out into fresh storage, Restore copies a snapshot's back
+// in. The snapshot is never written after capture, so it can be restored
+// any number of times — and onto a different Kernel instance, as long as it
+// was built with the same Config (same watchpoint count).
 //
 // ActiveAR instances are shared by pointer between the per-watchpoint
-// metadata (Meta[i].ARs) and the per-thread tables; the copies preserve
-// that aliasing through an identity map so FindAR/detach/FreeWP keep
-// operating on one object per dynamic AR after a restore.
+// metadata (Meta[i].ARs) and the per-thread tables; one identity map spans
+// the whole copy, so FindAR/detach/FreeWP keep operating on one object per
+// dynamic AR on either side.
 
 // Snapshot is a deep copy of the kernel's mutable state.
 type Snapshot struct {
-	canon        *hw.RegisterFile
-	meta         []WPMeta
-	threads      map[int]*threadState
-	mutexes      map[uint32]mutex
-	begins       uint64
-	beginRetries map[[2]int]int
-	stats        Stats
+	st    state
+	stats Stats // st.Stats points here: one allocation holds both
 }
 
+// Snapshot deep-copies the kernel's mutable state.
+func (k *Kernel) Snapshot() *Snapshot {
+	s := new(Snapshot)
+	s.st = newState(len(k.Meta), &s.stats)
+	s.st.copyFrom(&k.state)
+	return s
+}
+
+// Restore rewinds the kernel to a snapshot; the snapshot stays pristine
+// and can be restored again.
+func (k *Kernel) Restore(s *Snapshot) { k.state.copyFrom(&s.st) }
+
+// copyFrom makes d a deep copy of s. Canon, the Meta entries and Stats keep
+// their identities — only their contents are replaced — so references held
+// by the VM and user library stay valid. Existing maps and slices are
+// cleared and refilled rather than reallocated: the snapshot engine
+// restores thousands of times per campaign, and keeping capacity also lets
+// the post-restore run's AR attachments append without growing. Whether
+// Stats.MissedByAR is nil is copied too.
+func (d *state) copyFrom(s *state) {
+	am := arMap{}
+	d.Canon.CopyFrom(s.Canon)
+	for i, sm := range s.Meta {
+		dm := d.Meta[i]
+		ars, trap, begin := dm.ARs[:0], dm.TrapSuspended[:0], dm.BeginSuspended[:0]
+		*dm = *sm
+		dm.ARs = am.cloneAll(ars, sm.ARs)
+		dm.TrapSuspended = append(trap, sm.TrapSuspended...)
+		dm.BeginSuspended = append(begin, sm.BeginSuspended...)
+	}
+	for tid := range d.threads {
+		if _, ok := s.threads[tid]; !ok {
+			delete(d.threads, tid)
+		}
+	}
+	for tid, sts := range s.threads {
+		dts := d.threads[tid]
+		if dts == nil {
+			dts = &threadState{TimedOut: make(map[int]*ActiveAR, len(sts.TimedOut))}
+			d.threads[tid] = dts
+		}
+		dts.ARs = am.cloneAll(dts.ARs[:0], sts.ARs)
+		clear(dts.TimedOut)
+		for id, ar := range sts.TimedOut {
+			dts.TimedOut[id] = am.clone(ar)
+		}
+	}
+	for addr := range d.mutexes {
+		if _, ok := s.mutexes[addr]; !ok {
+			delete(d.mutexes, addr)
+		}
+	}
+	for addr, smu := range s.mutexes {
+		dmu := d.mutexes[addr]
+		if dmu == nil {
+			dmu = &mutex{}
+			d.mutexes[addr] = dmu
+		}
+		w := dmu.waiters[:0]
+		*dmu = *smu
+		dmu.waiters = append(w, smu.waiters...)
+	}
+	d.begins = s.begins
+	clear(d.beginRetries)
+	maps.Copy(d.beginRetries, s.beginRetries)
+	missed := d.Stats.MissedByAR
+	*d.Stats = *s.Stats
+	if s.Stats.MissedByAR != nil {
+		if missed == nil {
+			missed = make(map[int]uint64, len(s.Stats.MissedByAR))
+		}
+		clear(missed)
+		maps.Copy(missed, s.Stats.MissedByAR)
+		d.Stats.MissedByAR = missed
+	}
+}
+
+// arMap maps each source ActiveAR to its copy, so an AR reached twice is
+// copied once.
 type arMap map[*ActiveAR]*ActiveAR
 
 func (am arMap) clone(ar *ActiveAR) *ActiveAR {
-	if ar == nil {
-		return nil
-	}
 	if c, ok := am[ar]; ok {
 		return c
 	}
@@ -42,153 +113,10 @@ func (am arMap) clone(ar *ActiveAR) *ActiveAR {
 	return c
 }
 
-func (am arMap) cloneSlice(ars []*ActiveAR) []*ActiveAR {
-	if ars == nil {
-		return nil
+// cloneAll appends copies of ars to dst.
+func (am arMap) cloneAll(dst, ars []*ActiveAR) []*ActiveAR {
+	for _, ar := range ars {
+		dst = append(dst, am.clone(ar))
 	}
-	out := make([]*ActiveAR, len(ars))
-	for i, ar := range ars {
-		out[i] = am.clone(ar)
-	}
-	return out
-}
-
-func cloneMeta(src []*WPMeta, am arMap) []WPMeta {
-	out := make([]WPMeta, len(src))
-	for i, m := range src {
-		out[i] = *m
-		out[i].ARs = am.cloneSlice(m.ARs)
-		out[i].TrapSuspended = append([]int(nil), m.TrapSuspended...)
-		out[i].BeginSuspended = append([]int(nil), m.BeginSuspended...)
-	}
-	return out
-}
-
-func cloneThreads(src map[int]*threadState, am arMap) map[int]*threadState {
-	out := make(map[int]*threadState, len(src))
-	for tid, ts := range src {
-		c := &threadState{
-			ARs:      am.cloneSlice(ts.ARs),
-			TimedOut: make(map[int]*ActiveAR, len(ts.TimedOut)),
-		}
-		for id, ar := range ts.TimedOut {
-			c.TimedOut[id] = am.clone(ar)
-		}
-		out[tid] = c
-	}
-	return out
-}
-
-func cloneStats(s *Stats) Stats {
-	c := *s
-	if s.MissedByAR != nil {
-		c.MissedByAR = make(map[int]uint64, len(s.MissedByAR))
-		for id, n := range s.MissedByAR {
-			c.MissedByAR[id] = n
-		}
-	}
-	return c
-}
-
-// Snapshot deep-copies the kernel's mutable state.
-func (k *Kernel) Snapshot() *Snapshot {
-	am := arMap{}
-	s := &Snapshot{
-		canon:        hw.NewRegisterFile(len(k.Canon.WPs)),
-		meta:         cloneMeta(k.Meta, am),
-		threads:      cloneThreads(k.threads, am),
-		mutexes:      make(map[uint32]mutex, len(k.mutexes)),
-		begins:       k.begins,
-		beginRetries: make(map[[2]int]int, len(k.beginRetries)),
-		stats:        cloneStats(k.Stats),
-	}
-	s.canon.CopyFrom(k.Canon)
-	for addr, mu := range k.mutexes {
-		c := *mu
-		c.waiters = append([]int(nil), mu.waiters...)
-		s.mutexes[addr] = c
-	}
-	for key, n := range k.beginRetries {
-		s.beginRetries[key] = n
-	}
-	return s
-}
-
-// Restore rewinds the kernel to a snapshot (deep copy back in; the
-// snapshot stays pristine and can be restored again). Canon, Meta entries
-// and Stats keep their identities — only their contents are replaced — so
-// references held by the VM and user library stay valid. Existing maps and
-// slices are cleared and refilled rather than reallocated: the snapshot
-// engine restores thousands of times per campaign, and keeping capacity
-// also lets the post-restore run's AR attachments append without growing.
-func (k *Kernel) Restore(s *Snapshot) {
-	am := arMap{}
-	k.Canon.CopyFrom(s.canon)
-	for i := range k.Meta {
-		src := &s.meta[i]
-		dst := k.Meta[i]
-		ars, trap, begin := dst.ARs[:0], dst.TrapSuspended[:0], dst.BeginSuspended[:0]
-		*dst = *src
-		for _, ar := range src.ARs {
-			ars = append(ars, am.clone(ar))
-		}
-		dst.ARs = ars
-		dst.TrapSuspended = append(trap, src.TrapSuspended...)
-		dst.BeginSuspended = append(begin, src.BeginSuspended...)
-	}
-	for tid := range k.threads {
-		if _, ok := s.threads[tid]; !ok {
-			delete(k.threads, tid)
-		}
-	}
-	for tid, ts := range s.threads {
-		dst, ok := k.threads[tid]
-		if !ok {
-			dst = &threadState{TimedOut: make(map[int]*ActiveAR, len(ts.TimedOut))}
-			k.threads[tid] = dst
-		}
-		dst.ARs = dst.ARs[:0]
-		for _, ar := range ts.ARs {
-			dst.ARs = append(dst.ARs, am.clone(ar))
-		}
-		clear(dst.TimedOut)
-		for id, ar := range ts.TimedOut {
-			dst.TimedOut[id] = am.clone(ar)
-		}
-	}
-	for addr := range k.mutexes {
-		if _, ok := s.mutexes[addr]; !ok {
-			delete(k.mutexes, addr)
-		}
-	}
-	for addr, mu := range s.mutexes {
-		dst, ok := k.mutexes[addr]
-		if !ok {
-			dst = &mutex{}
-			k.mutexes[addr] = dst
-		}
-		w := dst.waiters[:0]
-		*dst = mu
-		dst.waiters = append(w, mu.waiters...)
-	}
-	k.begins = s.begins
-	clear(k.beginRetries)
-	for key, n := range s.beginRetries {
-		k.beginRetries[key] = n
-	}
-	missed := k.Stats.MissedByAR
-	*k.Stats = s.stats
-	if s.stats.MissedByAR != nil {
-		if missed == nil {
-			missed = make(map[int]uint64, len(s.stats.MissedByAR))
-		} else {
-			clear(missed)
-		}
-		for id, n := range s.stats.MissedByAR {
-			missed[id] = n
-		}
-		k.Stats.MissedByAR = missed
-	} else {
-		k.Stats.MissedByAR = nil
-	}
+	return dst
 }

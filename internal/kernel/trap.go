@@ -20,6 +20,21 @@ type Access struct {
 // undone, recorded against every AR on the watchpoint, and the remote thread
 // is suspended until the ARs complete or the timeout fires.
 func (k *Kernel) HandleTrap(t int, trapPC uint32, acc Access, wpIdx int) {
+	k.trap(t, trapPC, acc, false)
+}
+
+// HandleTrapBefore is the trap handler for before-access hardware (Table 1:
+// SPARC-class). The access has NOT committed: the VM aborted the
+// instruction with the PC still on it, so delaying the thread needs no undo
+// at all — no boundary table, no memory rollback, no leak guards.
+func (k *Kernel) HandleTrapBefore(t int, pc uint32, acc Access, wpIdx int) {
+	k.trap(t, pc, acc, true)
+}
+
+// trap is both trap handlers; before says the access has not committed,
+// which skips the undo engine: the local-write capture of the rollback
+// value and the undo itself.
+func (k *Kernel) trap(t int, pc uint32, acc Access, before bool) {
 	k.Stats.Traps++
 
 	// The hardware reports one register, but on x86 the debug status
@@ -56,7 +71,7 @@ func (k *Kernel) HandleTrap(t int, trapPC uint32, acc Access, wpIdx int) {
 			// delivers these; without it, the kernel records the value
 			// after the first local write so remote writes can be rolled
 			// back (§3.3), and otherwise ignores the trap.
-			if acc.Type == hw.Write {
+			if acc.Type == hw.Write && !before {
 				m.SavedValue = k.M.Load(wp.Addr, wp.Size)
 				m.HasSaved = true
 			}
@@ -74,38 +89,53 @@ func (k *Kernel) HandleTrap(t int, trapPC uint32, acc Access, wpIdx int) {
 		k.Stats.SpuriousTraps++
 		return
 	}
-	if len(remote) > 0 {
-		k.preventRemote(t, trapPC, acc, remote)
+	if len(remote) == 0 {
+		return
 	}
-}
-
-// preventRemote undoes a committed remote access, records it on every AR of
-// every watchpoint it violated, and suspends the remote thread on the first.
-func (k *Kernel) preventRemote(t int, trapPC uint32, acc Access, wpIdxs []int) {
-	primary := wpIdxs[0]
-	instrPC, undone := k.undo(t, trapPC, acc, primary)
-	rec := RemoteRec{Thread: t, PC: instrPC, Type: acc.Type, Tick: k.M.Now(), Undone: undone}
-	if !undone {
-		rec.PC = trapPC
-		k.Stats.Unreorderable++
-	}
-	for _, i := range wpIdxs {
-		for _, ar := range k.Meta[i].ARs {
-			ar.Remotes = append(ar.Remotes, rec)
+	// Undo a committed remote access, record it on every AR of every
+	// watchpoint it violated, and suspend the remote thread on the first.
+	rec := RemoteRec{Thread: t, PC: pc, Type: acc.Type, Tick: k.M.Now(), Undone: true}
+	if !before {
+		if instrPC, undone := k.undo(t, pc, acc, remote[0]); undone {
+			rec.PC = instrPC
+		} else {
+			rec.Undone = false
+			k.Stats.Unreorderable++
 		}
 	}
-	if !undone {
+	k.recordRemote(rec, remote...)
+	if !rec.Undone {
 		// Cannot reorder this access: let the thread continue (§3.3).
 		return
 	}
 	// Suspend on the first watchpoint; if others still watch the variable
 	// when it frees, re-execution traps again and waits on them — the
 	// thread stays delayed until the variable is in no AR (§2.2).
-	m := k.Meta[primary]
-	m.TrapSuspended = append(m.TrapSuspended, t)
-	k.M.Suspend(t, BlockTrap)
+	k.suspendOn(t, remote[0], BlockTrap)
+}
+
+// recordRemote records a remote access on every AR of the watchpoints.
+func (k *Kernel) recordRemote(rec RemoteRec, wpIdxs ...int) {
+	for _, i := range wpIdxs {
+		for _, ar := range k.Meta[i].ARs {
+			ar.Remotes = append(ar.Remotes, rec)
+		}
+	}
+}
+
+// suspendOn suspends thread t on watchpoint wpIdx — a remote trapped on it
+// (BlockTrap) or a begin_atomic on its address (BlockBegin) — and arms the
+// watchpoint's suspension timeout.
+func (k *Kernel) suspendOn(t, wpIdx int, kind BlockKind) {
+	m := k.Meta[wpIdx]
+	if kind == BlockBegin {
+		m.BeginSuspended = append(m.BeginSuspended, t)
+	} else {
+		m.TrapSuspended = append(m.TrapSuspended, t)
+	}
+	k.M.Suspend(t, kind)
 	k.Stats.Suspensions++
-	k.armTimeout(primary)
+	k.armTimeout(wpIdx)
 }
 
 // undo reverses the effects of the instruction that performed the remote
@@ -165,7 +195,7 @@ func (k *Kernel) undo(t int, trapPC uint32, acc Access, wpIdx int) (uint32, bool
 		// configure another watchpoint to guard it (§3.3). PUSHM wrote
 		// the value at the post-push stack pointer.
 		dest := uint32(k.M.Reg(t, isa.RegSP))
-		gi := k.FreeWPIndex()
+		gi := k.Canon.FreeIndex()
 		if gi < 0 {
 			// No hardware left: allow the thread to continue and log
 			// that this access could not be reordered (§3.3).
@@ -201,52 +231,6 @@ func (k *Kernel) undo(t int, trapPC uint32, acc Access, wpIdx int) (uint32, bool
 }
 
 func isPushM(op isa.Op) bool { return op >= isa.OpPUSHM && op < isa.OpPUSHM+4 }
-
-// HandleTrapBefore is the trap handler for before-access hardware (Table 1:
-// SPARC-class). The access has NOT committed: the VM aborted the
-// instruction with the PC still on it, so delaying the thread needs no undo
-// at all — no boundary table, no memory rollback, no leak guards.
-func (k *Kernel) HandleTrapBefore(t int, pc uint32, acc Access, wpIdx int) {
-	k.Stats.Traps++
-	var remote []int
-	matchedAny := false
-	for i := range k.Canon.WPs {
-		wp := k.Canon.WPs[i]
-		m := k.Meta[i]
-		if !wp.Armed || wp.Types&acc.Type == 0 ||
-			!(acc.Addr < wp.Addr+uint32(wp.Size) && wp.Addr < acc.Addr+uint32(acc.Size)) {
-			continue
-		}
-		matchedAny = true
-		if m.Stale {
-			k.Stats.StaleFrees++
-			k.disarm(i)
-			continue
-		}
-		if len(m.ARs) > 0 && m.ARs[0].Thread != t {
-			remote = append(remote, i)
-		}
-	}
-	if !matchedAny {
-		k.Stats.SpuriousTraps++
-		return
-	}
-	if len(remote) == 0 {
-		return
-	}
-	rec := RemoteRec{Thread: t, PC: pc, Type: acc.Type, Tick: k.M.Now(), Undone: true}
-	for _, i := range remote {
-		for _, ar := range k.Meta[i].ARs {
-			ar.Remotes = append(ar.Remotes, rec)
-		}
-	}
-	primary := remote[0]
-	m := k.Meta[primary]
-	m.TrapSuspended = append(m.TrapSuspended, t)
-	k.M.Suspend(t, BlockTrap)
-	k.Stats.Suspensions++
-	k.armTimeout(primary)
-}
 
 // firstIsWrite reports whether any AR on the watchpoint begins with a local
 // write (the case needing the shadow copy under optimization 3).

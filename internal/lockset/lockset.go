@@ -418,16 +418,6 @@ func (i *Info) finish() {
 	}
 }
 
-// HeldThroughout returns the locks provably held across the whole of node n
-// of function fn: held on entry, held on exit, and never released inside.
-func (i *Info) HeldThroughout(fn string, n *cfg.Node) Set {
-	fi := i.Funcs[fn]
-	if fi == nil || n.ID >= len(fi.held) {
-		return Empty()
-	}
-	return fi.held[n.ID]
-}
-
 // Candidate returns the Eraser candidate lockset of a global: the
 // intersection of the locksets over every named access to it, program-wide.
 // ok is false for names that are not globals.

@@ -79,7 +79,7 @@ func Begin(k *kernel.Kernel, t int, syscallPC uint32, arID int, addr uint32, siz
 	// leave registers armed (live or stale), keeping the armed summary
 	// nonzero so blocks whose footprint overlaps those registers keep
 	// running checked — exactly right, since they can still trap.
-	if k.Canon.ArmedCount() == len(k.Canon.WPs) {
+	if k.Canon.FreeIndex() < 0 {
 		if k.HasStale() {
 			return EnterKernel
 		}
@@ -110,12 +110,9 @@ func End(k *kernel.Kernel, t int, arID int, second hw.AccessType) Decision {
 		k.Stats.UserHandled++
 		return SkipUserHandled
 	}
-	if ar.WP >= 0 {
-		m := k.Meta[ar.WP]
-		if len(ar.Remotes) > 0 || len(m.TrapSuspended) > 0 || len(m.BeginSuspended) > 0 {
-			// Violation evaluation and thread wakeups are kernel work.
-			return EnterKernel
-		}
+	if k.NeedsKernel(ar) {
+		// Violation evaluation and thread wakeups are kernel work.
+		return EnterKernel
 	}
 	// Pure release: detach in user space; a freed watchpoint is left
 	// armed and marked stale, a shrunken union is left at the more
@@ -130,28 +127,24 @@ func Clear(k *kernel.Kernel, t int, depth int) Decision {
 	if !k.Cfg.Opt.UseUserLib() {
 		return EnterKernel
 	}
-	needKernel := false
 	any := false
 	for _, ar := range k.ActiveARs(t) {
 		if ar.Depth < depth {
 			continue
 		}
 		any = true
-		if ar.WP >= 0 {
-			m := k.Meta[ar.WP]
-			if len(ar.Remotes) > 0 || len(m.TrapSuspended) > 0 || len(m.BeginSuspended) > 0 {
-				needKernel = true
-			}
+		if k.NeedsKernel(ar) {
+			return EnterKernel
 		}
 	}
-	if needKernel || k.AnyTimedOutAtDepth(t, depth) {
+	if k.AnyTimedOutAtDepth(t, depth) {
 		return EnterKernel
 	}
 	if !any {
 		k.Stats.UserHandled++
 		return SkipUserHandled
 	}
-	k.ClearUser(t, depth)
+	k.ClearDepth(t, depth, true)
 	k.Stats.UserHandled++
 	return SkipUserHandled
 }

@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 
@@ -173,9 +174,6 @@ type Snapshot struct {
 	kern *kernel.Snapshot
 	log  trace.LogState
 }
-
-// Clock returns the virtual time the snapshot was taken at.
-func (s *Snapshot) Clock() uint64 { return s.clock }
 
 // SchedSeq returns the number of decision points consumed when the
 // snapshot was taken (the absolute index of the next decision).
@@ -362,10 +360,8 @@ func (m *Machine) Restore(s *Snapshot) {
 		m.chunkDirty[ci] = false
 	}
 
-	m.reqArrivals = make(map[int]uint64, len(s.reqArrivals))
-	for id, at := range s.reqArrivals {
-		m.reqArrivals[id] = at
-	}
+	clear(m.reqArrivals)
+	maps.Copy(m.reqArrivals, s.reqArrivals)
 	m.reqQueue = append(m.reqQueue[:0], s.reqQueue...)
 	m.reqWaiters = m.reqWaiters[:0]
 	for _, tid := range s.reqWaiters {

@@ -186,3 +186,23 @@ func TestSnapshotRejectsPendingClosure(t *testing.T) {
 		t.Fatal("Snapshot succeeded with a pending closure event")
 	}
 }
+
+// TestRestoreAllocFree pins that Restore reuses the machine's storage: with
+// no atomic region active in the snapshot (whose restore must build fresh
+// AR objects), rewinding a dirtied page allocates nothing.
+func TestRestoreAllocFree(t *testing.T) {
+	m := newSnapMachine(t, headRunnable)
+	addr := m.Bin.Globals["counter"]
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := uint64(0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		i++
+		m.Store(addr, 8, i)
+		m.Restore(snap)
+	}); allocs != 0 {
+		t.Fatalf("Restore allocates %.1f times, want 0", allocs)
+	}
+}
