@@ -31,7 +31,6 @@ func TestHostileFlags(t *testing.T) {
 	}{
 		{"kivati-train", []string{"-mode", "bogus", "-out", filepath.Join(dir, "wl.txt"), prog}, `-mode "bogus"`},
 		{"kivati-train", []string{"-iters", "-1", "-out", filepath.Join(dir, "wl.txt"), prog}, "-iters -1"},
-		{"kivati-soak", []string{"-n", "0", "-load", "-load-requests", "-1"}, "Requests -1"},
 		{"kivati-soak", []string{"-n", "-5"}, "-n -5"},
 		{"kivati-explore", []string{"-gen", "-3"}, "-gen -3"},
 	} {

@@ -3,6 +3,10 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"kivati/internal/kernel"
+	"kivati/internal/stats"
+	"kivati/internal/workloads"
 )
 
 // The harness tests assert the *shapes* the paper reports, at a reduced
@@ -111,6 +115,52 @@ func TestTable5Shape(t *testing.T) {
 	}
 	if !strings.Contains(FormatTable5(rows), "Webstone") {
 		t.Error("formatter missing app")
+	}
+}
+
+// TestTable5Percentiles reruns each Table 5 configuration (runs are
+// deterministic) and checks that the row's p50/p99 are stats.Percentile of
+// that run's request latencies.
+func TestTable5Percentiles(t *testing.T) {
+	o := Options{Scale: 0.15, Seed: 1}
+	rows, err := RunTable5(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byApp := map[string]Table5Row{}
+	for _, r := range rows {
+		byApp[r.App] = r
+	}
+	for _, spec := range workloads.PerfSuite(workloads.Scale(o.Scale)) {
+		if !spec.Server {
+			continue
+		}
+		r, ok := byApp[spec.Name]
+		if !ok {
+			t.Fatalf("no Table 5 row for %s", spec.Name)
+		}
+		for _, c := range []struct {
+			name     string
+			mode     kernel.Mode
+			vanilla  bool
+			p50, p99 uint64
+		}{
+			{"vanilla", kernel.Prevention, true, r.VanillaP50, r.VanillaP99},
+			{"prevention", kernel.Prevention, false, r.PreventionP50, r.PreventionP99},
+			{"bug-finding", kernel.BugFinding, false, r.BugFindingP50, r.BugFindingP99},
+		} {
+			res, err := runSpec(o.defaults(), spec, c.mode, kernel.OptOptimized, c.vanilla)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p50, p99 := stats.Percentile(res.Latencies, 50), stats.Percentile(res.Latencies, 99)
+			if c.p50 != p50 || c.p99 != p99 {
+				t.Errorf("%s %s: row p50/p99 = %d/%d, latencies give %d/%d", spec.Name, c.name, c.p50, c.p99, p50, p99)
+			}
+			if p50 == 0 || p50 > p99 {
+				t.Errorf("%s %s: p50 %d, p99 %d: want 0 < p50 <= p99", spec.Name, c.name, p50, p99)
+			}
+		}
 	}
 }
 

@@ -136,9 +136,6 @@ type SoakReport struct {
 	Recall                float64 `json:"recall"`
 	TotalSeconds          float64 `json:"total_seconds,omitempty"`
 	SchedulesPerSec       float64 `json:"schedules_per_sec,omitempty"`
-	// Load carries the open-loop latency report when the soak run includes
-	// the heavy-traffic half (see RunLoad).
-	Load *LoadReport `json:"load,omitempty"`
 }
 
 // ratio is precision/recall's forgiving division: 1.0 over an empty

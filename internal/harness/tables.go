@@ -243,7 +243,8 @@ func (r *Table4Result) String() string {
 }
 
 // Table5Row is one server application's request latency (mean, in ticks =
-// µs) under vanilla, prevention and bug-finding.
+// µs) under vanilla, prevention and bug-finding. The p50/p99 percentiles
+// of the same runs appear only in -json; FormatTable5 prints the means.
 type Table5Row struct {
 	App         string
 	Vanilla     float64
@@ -252,6 +253,10 @@ type Table5Row struct {
 	BugFinding  float64
 	BugPct      float64
 	NumRequests int
+
+	VanillaP50, VanillaP99       uint64
+	PreventionP50, PreventionP99 uint64
+	BugFindingP50, BugFindingP99 uint64
 }
 
 // RunTable5 measures request latency for the two server workloads under the
@@ -283,18 +288,17 @@ func RunTable5(o Options) ([]Table5Row, error) {
 
 	var out []Table5Row
 	for si, spec := range servers {
-		mean := func(i int) (float64, int) {
-			res := results[si*3+i]
-			return stats.MeanU64(res.Latencies), len(res.Latencies)
-		}
-		van, n := mean(0)
-		prev, _ := mean(1)
-		bug, _ := mean(2)
+		vanLat, prevLat, bugLat := results[si*3].Latencies, results[si*3+1].Latencies, results[si*3+2].Latencies
+		van, prev, bug := stats.MeanU64(vanLat), stats.MeanU64(prevLat), stats.MeanU64(bugLat)
 		out = append(out, Table5Row{
 			App: spec.Name, Vanilla: van,
 			Prevention: prev, PrevPct: (prev - van) / van * 100,
 			BugFinding: bug, BugPct: (bug - van) / van * 100,
-			NumRequests: n,
+			NumRequests: len(vanLat),
+
+			VanillaP50: stats.Percentile(vanLat, 50), VanillaP99: stats.Percentile(vanLat, 99),
+			PreventionP50: stats.Percentile(prevLat, 50), PreventionP99: stats.Percentile(prevLat, 99),
+			BugFindingP50: stats.Percentile(bugLat, 50), BugFindingP99: stats.Percentile(bugLat, 99),
 		})
 	}
 	return out, nil

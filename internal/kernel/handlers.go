@@ -392,13 +392,18 @@ func (k *Kernel) ClearAR(t int) {
 // through the kernel's detach.
 func (k *Kernel) ClearDepth(t, depth int, lazy bool) {
 	ts := k.thread(t)
-	for _, ar := range append([]*ActiveAR(nil), ts.ARs...) {
+	for i := 0; i < len(ts.ARs); {
+		ar := ts.ARs[i]
 		switch {
 		case ar.Depth < depth:
 		case lazy:
 			k.DetachUser(ar)
 		default:
 			k.detach(ar)
+		}
+		// A detach removes ar, shifting the rest down into slot i.
+		if i < len(ts.ARs) && ts.ARs[i] == ar {
+			i++
 		}
 	}
 	for id, ar := range ts.TimedOut {

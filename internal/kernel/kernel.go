@@ -212,9 +212,10 @@ type WPMeta struct {
 	TimeoutArmed   bool
 }
 
+// reset frees the watchpoint's metadata, keeping the AR list's storage for
+// the next AR (or restore) that arms it.
 func (w *WPMeta) reset() {
-	gen := w.Gen + 1
-	*w = WPMeta{Gen: gen}
+	*w = WPMeta{Gen: w.Gen + 1, ARs: w.ARs[:0]}
 }
 
 // threadState is the kernel's per-thread AR table.
@@ -292,6 +293,9 @@ type Kernel struct {
 	Symbolize func(pc uint32) int
 
 	arInfo func(id int) *annotate.AR
+
+	// arPool holds the AR objects Restore copies into (snapshot.go).
+	arPool []*ActiveAR
 }
 
 // state is the kernel's mutable state: exactly what a Snapshot captures and

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"reflect"
 	"testing"
 
 	"kivati/internal/hw"
@@ -288,6 +289,69 @@ func TestClearARDepth(t *testing.T) {
 	}
 	if k.Canon.FreeIndex() != 0 {
 		t.Error("watchpoints not freed by clear_ar")
+	}
+}
+
+// TestClearARAllocFree pins that clear_ar, which OptBase runs at every
+// subroutine exit, releases a held AR without allocating. The inner of two
+// nested ARs on one address is cleared and put back each run; the outer
+// keeps the shared watchpoint, so putting it back needs no allocation.
+func TestClearARAllocFree(t *testing.T) {
+	k, m := newKernelWithMock(Config{NumWatchpoints: 4})
+	m.depths[1] = 1
+	k.BeginAtomic(1, 0, 1, 0x100, 8, hw.Write, hw.Read)
+	m.depths[1] = 2
+	k.BeginAtomic(1, 0, 2, 0x100, 8, hw.Write, hw.Read)
+	inner := k.FindAR(1, 2)
+	if inner == nil || inner.WP < 0 || inner.WP != k.FindAR(1, 1).WP {
+		t.Fatal("nested ARs on one address do not share a watchpoint")
+	}
+	ts, meta, wp := k.thread(1), k.Meta[inner.WP], k.Canon.WPs[inner.WP]
+	if allocs := testing.AllocsPerRun(100, func() {
+		k.ClearAR(1)
+		if k.FindAR(1, 2) != nil || len(meta.ARs) != 1 {
+			t.Fatal("clear_ar at depth 2 did not release exactly the inner AR")
+		}
+		ts.ARs = append(ts.ARs, inner)
+		meta.ARs = append(meta.ARs, inner)
+		k.Canon.Set(inner.WP, wp)
+	}); allocs != 0 {
+		t.Fatalf("clear_ar releasing one AR allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestRestoreInsideARAllocFree is the kernel twin of vm's
+// TestRestoreAllocFree for a snapshot taken with two ARs active: restoring
+// into the kernel's own AR objects allocates nothing, both when the kernel
+// still holds the ARs and when, as at the end of every resumed run, it has
+// released them. The restored ARs equal the captured ones.
+func TestRestoreInsideARAllocFree(t *testing.T) {
+	k, m := newKernelWithMock(Config{NumWatchpoints: 4})
+	k.BeginAtomic(1, 0x10, 1, 0x100, 8, hw.Write, hw.Read)
+	m.depths[2] = 1
+	k.BeginAtomic(2, 0x20, 2, 0x200, 8, hw.Read, hw.Write)
+	k.recordRemote(RemoteRec{Thread: 2, PC: 0x24, Type: hw.Write, Tick: 3}, k.FindAR(1, 1).WP)
+	snap := k.Snapshot()
+	want1, want2 := *k.FindAR(1, 1), *k.FindAR(2, 2)
+	if allocs := testing.AllocsPerRun(100, func() { k.Restore(snap) }); allocs != 0 {
+		t.Fatalf("Restore with 2 ARs active allocates %.1f times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		k.ClearDepth(1, 0, false)
+		k.ClearDepth(2, 0, false)
+		k.Restore(snap)
+	}); allocs != 0 {
+		t.Fatalf("clearing both ARs and restoring allocates %.1f times, want 0", allocs)
+	}
+	got1, got2 := k.FindAR(1, 1), k.FindAR(2, 2)
+	if got1 == nil || got2 == nil {
+		t.Fatal("restore lost an active AR")
+	}
+	if !reflect.DeepEqual(*got1, want1) || !reflect.DeepEqual(*got2, want2) {
+		t.Errorf("restored ARs differ:\n got %+v\n     %+v\nwant %+v\n     %+v", *got1, *got2, want1, want2)
+	}
+	if k.Meta[got1.WP].ARs[0] != got1 || k.Meta[got2.WP].ARs[0] != got2 {
+		t.Error("watchpoint metadata and thread tables hold different AR objects")
 	}
 }
 

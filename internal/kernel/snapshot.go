@@ -14,6 +14,12 @@ import "maps"
 // metadata (Meta[i].ARs) and the per-thread tables; one identity map spans
 // the whole copy, so FindAR/detach/FreeWP keep operating on one object per
 // dynamic AR on either side.
+//
+// Restore writes its AR copies into objects it allocated on earlier
+// restores (Kernel.arPool) instead of fresh ones, so restoring inside an
+// atomic region — every DFS resume — allocates only while the pool grows.
+// Overwriting them is safe: a restore rebuilds every table that can hold
+// an AR, and no handler holds one across a restore.
 
 // Snapshot is a deep copy of the kernel's mutable state.
 type Snapshot struct {
@@ -25,23 +31,24 @@ type Snapshot struct {
 func (k *Kernel) Snapshot() *Snapshot {
 	s := new(Snapshot)
 	s.st = newState(len(k.Meta), &s.stats)
-	s.st.copyFrom(&k.state)
+	s.st.copyFrom(&k.state, nil)
 	return s
 }
 
 // Restore rewinds the kernel to a snapshot; the snapshot stays pristine
 // and can be restored again.
-func (k *Kernel) Restore(s *Snapshot) { k.state.copyFrom(&s.st) }
+func (k *Kernel) Restore(s *Snapshot) { k.state.copyFrom(&s.st, &k.arPool) }
 
 // copyFrom makes d a deep copy of s. Canon, the Meta entries and Stats keep
 // their identities — only their contents are replaced — so references held
 // by the VM and user library stay valid. Existing maps and slices are
 // cleared and refilled rather than reallocated: the snapshot engine
 // restores thousands of times per campaign, and keeping capacity also lets
-// the post-restore run's AR attachments append without growing. Whether
-// Stats.MissedByAR is nil is copied too.
-func (d *state) copyFrom(s *state) {
-	am := arMap{}
+// the post-restore run's AR attachments append without growing. AR copies
+// come from pool when it is not nil. Whether Stats.MissedByAR is nil is
+// copied too.
+func (d *state) copyFrom(s *state, pool *[]*ActiveAR) {
+	am := arCopier{seen: map[*ActiveAR]*ActiveAR{}, pool: pool}
 	d.Canon.CopyFrom(s.Canon)
 	for i, sm := range s.Meta {
 		dm := d.Meta[i]
@@ -98,23 +105,39 @@ func (d *state) copyFrom(s *state) {
 	}
 }
 
-// arMap maps each source ActiveAR to its copy, so an AR reached twice is
-// copied once.
-type arMap map[*ActiveAR]*ActiveAR
+// arCopier copies ActiveARs for one copyFrom. seen maps each source AR to
+// its copy, so an AR reached twice is copied once. With a pool, the n-th
+// copy reuses the pool's n-th object, growing the pool when it runs out.
+type arCopier struct {
+	seen map[*ActiveAR]*ActiveAR
+	pool *[]*ActiveAR
+	n    int
+}
 
-func (am arMap) clone(ar *ActiveAR) *ActiveAR {
-	if c, ok := am[ar]; ok {
+func (am *arCopier) clone(ar *ActiveAR) *ActiveAR {
+	if c, ok := am.seen[ar]; ok {
 		return c
 	}
-	c := new(ActiveAR)
+	var c *ActiveAR
+	switch {
+	case am.pool == nil:
+		c = new(ActiveAR)
+	case am.n < len(*am.pool):
+		c = (*am.pool)[am.n]
+	default:
+		c = new(ActiveAR)
+		*am.pool = append(*am.pool, c)
+	}
+	am.n++
+	remotes := c.Remotes[:0]
 	*c = *ar
-	c.Remotes = append([]RemoteRec(nil), ar.Remotes...)
-	am[ar] = c
+	c.Remotes = append(remotes, ar.Remotes...)
+	am.seen[ar] = c
 	return c
 }
 
 // cloneAll appends copies of ars to dst.
-func (am arMap) cloneAll(dst, ars []*ActiveAR) []*ActiveAR {
+func (am *arCopier) cloneAll(dst, ars []*ActiveAR) []*ActiveAR {
 	for _, ar := range ars {
 		dst = append(dst, am.clone(ar))
 	}

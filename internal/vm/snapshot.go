@@ -3,7 +3,6 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"sync"
 
@@ -161,13 +160,13 @@ type Snapshot struct {
 	events  []event
 	pages   pageDir
 
-	reqArrivals map[int]uint64
-	reqQueue    []int
-	reqWaiters  []int
+	// reqWaiters are the threads blocked in recv. With no request
+	// generator (Snapshot refuses one) nothing ever wakes them, and they
+	// are the only request state a snapshottable machine can hold.
+	reqWaiters []int
 
-	output    []int64
-	latencies []uint64
-	faults    []string
+	output []int64
+	faults []string
 
 	segCount int
 
@@ -181,11 +180,15 @@ func (s *Snapshot) SchedSeq() uint64 { return s.schedSeq }
 
 // Snapshot captures the machine's state. The machine must be at a quiescent
 // point (before Run, or inside a Policy.Pick callback). It fails on a
-// released machine, and if a closure event (After) is pending, since
-// closures cannot be captured as data.
+// released machine, on a machine built with a request generator (its
+// arrivals and latencies are not captured), and if a closure event (After)
+// is pending, since closures cannot be captured as data.
 func (m *Machine) Snapshot() (*Snapshot, error) {
 	if m.Mem == nil {
 		return nil, errReleased
+	}
+	if m.cfg.Requests != nil {
+		return nil, errors.New("vm: a machine built with Config.Requests is not snapshottable")
 	}
 	for i := range m.events {
 		if m.events[i].kind == evFn {
@@ -193,20 +196,17 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		}
 	}
 	s := &Snapshot{
-		machState:   m.machState,
-		seed:        m.rsrc.seed,
-		rngDraws:    m.rsrc.n,
-		quantum:     m.cfg.Costs.Quantum,
-		threads:     make([]Thread, len(m.threads)),
-		runq:        make([]int, len(m.runq)),
-		cores:       make([]coreSnap, len(m.cores)),
-		events:      append([]event(nil), m.events...),
-		reqArrivals: make(map[int]uint64, len(m.reqArrivals)),
-		reqQueue:    append([]int(nil), m.reqQueue...),
-		reqWaiters:  make([]int, len(m.reqWaiters)),
-		output:      append([]int64(nil), m.Output...),
-		latencies:   append([]uint64(nil), m.Latencies...),
-		faults:      append([]string(nil), m.Faults...),
+		machState:  m.machState,
+		seed:       m.rsrc.seed,
+		rngDraws:   m.rsrc.n,
+		quantum:    m.cfg.Costs.Quantum,
+		threads:    make([]Thread, len(m.threads)),
+		runq:       make([]int, len(m.runq)),
+		cores:      make([]coreSnap, len(m.cores)),
+		events:     append([]event(nil), m.events...),
+		reqWaiters: make([]int, len(m.reqWaiters)),
+		output:     append([]int64(nil), m.Output...),
+		faults:     append([]string(nil), m.Faults...),
 		// A snapshot taken inside Pick(d) has already closed segment d, but
 		// a resumed run re-executes that Pick — including its closeSegment —
 		// so the restored machine must hold only the segments of fully
@@ -229,9 +229,6 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 			cs.curTID = c.Cur.ID
 		}
 		s.cores[i] = cs
-	}
-	for id, at := range m.reqArrivals {
-		s.reqArrivals[id] = at
 	}
 	for i, w := range m.reqWaiters {
 		s.reqWaiters[i] = w.ID
@@ -360,16 +357,12 @@ func (m *Machine) Restore(s *Snapshot) {
 		m.chunkDirty[ci] = false
 	}
 
-	clear(m.reqArrivals)
-	maps.Copy(m.reqArrivals, s.reqArrivals)
-	m.reqQueue = append(m.reqQueue[:0], s.reqQueue...)
 	m.reqWaiters = m.reqWaiters[:0]
 	for _, tid := range s.reqWaiters {
 		m.reqWaiters = append(m.reqWaiters, m.threads[tid])
 	}
 
 	m.Output = append(m.Output[:0], s.output...)
-	m.Latencies = append(m.Latencies[:0], s.latencies...)
 	m.Faults = append(m.Faults[:0], s.faults...)
 	m.reason = ""
 	m.curCore = nil

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"kivati/internal/compile"
@@ -187,9 +188,29 @@ func TestSnapshotRejectsPendingClosure(t *testing.T) {
 	}
 }
 
-// TestRestoreAllocFree pins that Restore reuses the machine's storage: with
-// no atomic region active in the snapshot (whose restore must build fresh
-// AR objects), rewinding a dirtied page allocates nothing.
+// TestSnapshotRejectsRequests pins that a snapshot carries no request
+// state: a machine with a request generator refuses capture, naming the
+// field, instead of capturing a snapshot that would lose its arrivals.
+func TestSnapshotRejectsRequests(t *testing.T) {
+	k := kernel.New(kernel.Config{Mode: kernel.Prevention, NumWatchpoints: 4}, nil, nil, nil)
+	m, err := New(buildSrc(t, snapSrc, compileOptsAnnotated()), k, Config{
+		Cores:    1,
+		Seed:     1,
+		Requests: &RequestConfig{MeanInterarrival: 500, Count: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	_, err = m.Snapshot()
+	if err == nil || !strings.Contains(err.Error(), "Requests") {
+		t.Fatalf("Snapshot of a request-generating machine: err = %v, want one naming Requests", err)
+	}
+}
+
+// TestRestoreAllocFree pins that Restore reuses the machine's storage:
+// rewinding a dirtied page allocates nothing. The kernel's
+// TestRestoreInsideARAllocFree covers restores with atomic regions active.
 func TestRestoreAllocFree(t *testing.T) {
 	m := newSnapMachine(t, headRunnable)
 	addr := m.Bin.Globals["counter"]

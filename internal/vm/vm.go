@@ -812,6 +812,3 @@ func (m *Machine) arrive() {
 		m.scheduleArrival()
 	}
 }
-
-// RequestsServed returns how many requests completed.
-func (m *Machine) RequestsServed() int { return len(m.Latencies) }
