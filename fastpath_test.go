@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"kivati/internal/annotate"
 	"kivati/internal/bugs"
 	"kivati/internal/core"
 	"kivati/internal/kernel"
@@ -69,9 +70,14 @@ func assertResultsIdentical(t *testing.T, name string, step, fast *vm.Result) {
 	}
 }
 
+// diffCores are the core counts the differential gates sweep: the default
+// 2 (the paper's dual-core machine), and 3 and 4, where the chunked
+// lockstep first has to prove blocks pairwise independent.
+var diffCores = []int{2, 3, 4}
+
 // TestFastPathDifferentialWorkloads runs the full performance suite under
-// vanilla, prevention-base and prevention-optimized configurations,
-// comparing legacy and fast dispatch pairwise.
+// vanilla, prevention-base and prevention-optimized configurations on
+// every diffCores machine, comparing legacy and fast dispatch pairwise.
 func TestFastPathDifferentialWorkloads(t *testing.T) {
 	for _, spec := range workloads.PerfSuite(diffScale) {
 		p, err := core.Build(spec.Source)
@@ -113,25 +119,86 @@ func TestFastPathDifferentialWorkloads(t *testing.T) {
 		for _, cc := range configs {
 			name := spec.Name + "/" + cc.name
 			t.Run(name, func(t *testing.T) {
-				cfg := cc.mut(base)
-				if cfg.Requests != nil {
-					// Each run needs its own request generator state.
-					r := *cfg.Requests
-					cfg.Requests = &r
-				}
-				step := runDispatchMode(t, p, cfg, vm.DispatchStep)
-				cfg2 := cc.mut(base)
-				if cfg2.Requests != nil {
-					r := *cfg2.Requests
-					cfg2.Requests = &r
-				}
-				fast := runDispatchMode(t, p, cfg2, vm.DispatchFast)
-				assertResultsIdentical(t, name, step, fast)
-				if cc.name == "vanilla" && fast.FastInstructions == 0 {
-					t.Errorf("%s: fast path never engaged on a watchpoint-free run", name)
+				for _, cores := range diffCores {
+					name := fmt.Sprintf("%s/cores=%d", name, cores)
+					cfg := cc.mut(base)
+					cfg.Cores = cores
+					if cfg.Requests != nil {
+						// Each run needs its own request generator state.
+						r := *cfg.Requests
+						cfg.Requests = &r
+					}
+					step := runDispatchMode(t, p, cfg, vm.DispatchStep)
+					cfg2 := cc.mut(base)
+					cfg2.Cores = cores
+					if cfg2.Requests != nil {
+						r := *cfg2.Requests
+						cfg2.Requests = &r
+					}
+					fast := runDispatchMode(t, p, cfg2, vm.DispatchFast)
+					assertResultsIdentical(t, name, step, fast)
+					if cc.name == "vanilla" && fast.FastInstructions == 0 {
+						t.Errorf("%s: fast path never engaged on a watchpoint-free run", name)
+					}
 				}
 			})
 		}
+	}
+}
+
+// TestFastPathChunkEngagement pins how much of the paper's 2-core
+// measurement the chunked lockstep carries: over the bench suite's 12
+// protect rows (each application vanilla and under optimized prevention,
+// configured as the protect benchmark runs them), at least half of the
+// fast instructions must retire in chunks.
+func TestFastPathChunkEngagement(t *testing.T) {
+	var fast, chunked uint64
+	for _, spec := range workloads.BenchSuite(diffScale) {
+		var opts annotate.Options
+		for _, s := range spec.Starts {
+			opts.Roots = append(opts.Roots, s.Fn)
+		}
+		p, err := core.BuildWithOptions(spec.Source, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		wl, err := p.SyncVarWhitelist(spec.FlagVars...)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		for _, prevention := range []bool{false, true} {
+			cfg := core.RunConfig{
+				Mode:           kernel.Prevention,
+				Opt:            kernel.OptBase,
+				Vanilla:        true,
+				NumWatchpoints: 4,
+				Cores:          2,
+				Seed:           1,
+				MaxTicks:       400_000_000,
+				TimeoutTicks:   10_000,
+				Starts:         spec.Starts,
+			}
+			if prevention {
+				cfg.Opt = kernel.OptOptimized
+				cfg.Vanilla = false
+				cfg.Whitelist = wl
+			}
+			if spec.Requests != nil {
+				r := *spec.Requests
+				cfg.Requests = &r
+			}
+			res, err := core.Run(p, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", spec.Name, err)
+			}
+			t.Logf("%s prevention=%v: %d of %d fast instructions chunked",
+				spec.Name, prevention, res.ChunkedInstructions, res.FastInstructions)
+			fast += res.FastInstructions
+			chunked += res.ChunkedInstructions
+		}
+	}
+	if fast == 0 || 2*chunked < fast {
+		t.Errorf("%d of %d fast instructions retired in chunks, want at least half", chunked, fast)
 	}
 }
 

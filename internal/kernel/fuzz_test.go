@@ -83,9 +83,9 @@ func TestKernelStateFuzz(t *testing.T) {
 					pc = u.pc + uint32(m.decoded[u.pc].Len)
 				}
 				if !cfg.TrapBefore {
-					k.HandleTrap(tid, pc, acc, rng.Intn(cfg.NumWatchpoints))
-				} else if idx := k.Canon.Match(tid, acc.Addr, acc.Size, acc.Type); idx >= 0 {
-					k.HandleTrapBefore(tid, pc, acc, idx)
+					k.HandleTrap(tid, pc, acc)
+				} else if k.Canon.Match(tid, acc.Addr, acc.Size, acc.Type) >= 0 {
+					k.HandleTrapBefore(tid, pc, acc)
 				}
 			case 7:
 				// Advance time: fire pending timeouts.

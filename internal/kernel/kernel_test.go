@@ -265,6 +265,35 @@ func TestTimeoutReleasesAndMarksUnprevented(t *testing.T) {
 	}
 }
 
+// TestTimeoutWPDoesNotAllocate: delivering a suspension timeout walks the
+// watchpoint's AR list in place and leaves the list's storage to the next
+// arming, so a warmed-up arm/suspend/time-out cycle allocates nothing.
+func TestTimeoutWPDoesNotAllocate(t *testing.T) {
+	k, m := newKernelWithMock(Config{NumWatchpoints: 4, TimeoutTicks: 1000})
+	ars := []*ActiveAR{{ID: 1, Thread: 1, WP: 0}, {ID: 2, Thread: 1, WP: 0}}
+	ts := k.thread(1)
+	suspended := []int{2}
+	cycle := func() {
+		meta := k.Meta[0]
+		meta.ARs = append(meta.ARs, ars...)
+		ts.ARs = append(ts.ARs, ars...)
+		meta.TrapSuspended = suspended
+		m.blocked[2] = BlockTrap
+		k.TimeoutWP(0, meta.Gen)
+	}
+	cycle()
+	if k.Stats.Timeouts != 1 || len(ts.ARs) != 0 || len(ts.TimedOut) != 2 || !ars[0].TimedOut {
+		t.Fatalf("timeout not delivered: timeouts=%d ars=%d timed-out=%d",
+			k.Stats.Timeouts, len(ts.ARs), len(ts.TimedOut))
+	}
+	if _, still := m.blocked[2]; still {
+		t.Fatal("timeout did not resume the suspended thread")
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("TimeoutWP cycle allocates %.1f times, want 0", n)
+	}
+}
+
 func TestClearARDepth(t *testing.T) {
 	k, m := newKernelWithMock(Config{NumWatchpoints: 4})
 	m.depths[1] = 1
@@ -463,7 +492,7 @@ func TestNullOpDoesNothing(t *testing.T) {
 func TestSpuriousTrap(t *testing.T) {
 	k, _ := newKernelWithMock(Config{NumWatchpoints: 4})
 	// Trap reported on a disarmed register (stale core state).
-	k.HandleTrap(2, 0x40, Access{Addr: 0x100, Size: 8, Type: hw.Write}, 0)
+	k.HandleTrap(2, 0x40, Access{Addr: 0x100, Size: 8, Type: hw.Write})
 	if k.Stats.SpuriousTraps != 1 {
 		t.Errorf("SpuriousTraps = %d", k.Stats.SpuriousTraps)
 	}
@@ -478,7 +507,7 @@ func TestLocalWriteCapture(t *testing.T) {
 	}
 	// Local write commits, then traps: the kernel records the new value.
 	m.Store(0x100, 8, 99)
-	k.HandleTrap(1, 0x40, Access{Addr: 0x100, Size: 8, Type: hw.Write}, 0)
+	k.HandleTrap(1, 0x40, Access{Addr: 0x100, Size: 8, Type: hw.Write})
 	if k.Meta[0].SavedValue != 99 {
 		t.Errorf("SavedValue after local write trap = %d, want 99", k.Meta[0].SavedValue)
 	}

@@ -19,7 +19,7 @@ type Access struct {
 // handler classifies the access as local or remote; remote accesses are
 // undone, recorded against every AR on the watchpoint, and the remote thread
 // is suspended until the ARs complete or the timeout fires.
-func (k *Kernel) HandleTrap(t int, trapPC uint32, acc Access, wpIdx int) {
+func (k *Kernel) HandleTrap(t int, trapPC uint32, acc Access) {
 	k.trap(t, trapPC, acc, false)
 }
 
@@ -27,7 +27,7 @@ func (k *Kernel) HandleTrap(t int, trapPC uint32, acc Access, wpIdx int) {
 // SPARC-class). The access has NOT committed: the VM aborted the
 // instruction with the PC still on it, so delaying the thread needs no undo
 // at all — no boundary table, no memory rollback, no leak guards.
-func (k *Kernel) HandleTrapBefore(t int, pc uint32, acc Access, wpIdx int) {
+func (k *Kernel) HandleTrapBefore(t int, pc uint32, acc Access) {
 	k.trap(t, pc, acc, true)
 }
 
@@ -272,11 +272,12 @@ func (k *Kernel) TimeoutWP(wpIdx int, gen uint64) {
 	k.Stats.Timeouts++
 	// Move the watchpoint's ARs to the timed-out table; their end_atomics
 	// still record violations, flagged as not prevented.
-	for _, ar := range append([]*ActiveAR(nil), m.ARs...) {
+	// removeFromThread leaves m.ARs alone, so the list is walked in place;
+	// FreeWP's reset then keeps its storage for the next arming.
+	for _, ar := range m.ARs {
 		ar.TimedOut = true
 		k.removeFromThread(ar)
 		k.thread(ar.Thread).TimedOut[ar.ID] = ar
 	}
-	m.ARs = nil
 	k.FreeWP(wpIdx)
 }

@@ -55,7 +55,7 @@ func TestUndoRemoteWriteRestoresSavedValue(t *testing.T) {
 	nextPC := stPC + 6 // ST is 6 bytes
 	m.lastPC[2] = stPC
 	m.pcs[2] = nextPC
-	k.HandleTrap(2, nextPC, Access{Addr: 0x100, Size: 8, Type: hw.Write}, 0)
+	k.HandleTrap(2, nextPC, Access{Addr: 0x100, Size: 8, Type: hw.Write})
 
 	if got := m.Load(0x100, 8); got != 7 {
 		t.Errorf("memory = %d, want 7 (rolled back)", got)
@@ -102,7 +102,7 @@ func TestUndoUsesShadowPageUnderOpt3(t *testing.T) {
 	m.Store(0x100, 8, 99)
 	m.lastPC[2] = stPC
 	m.pcs[2] = stPC + 6
-	k.HandleTrap(2, stPC+6, Access{Addr: 0x100, Size: 8, Type: hw.Write}, 0)
+	k.HandleTrap(2, stPC+6, Access{Addr: 0x100, Size: 8, Type: hw.Write})
 	if got := m.Load(0x100, 8); got != 50 {
 		t.Errorf("memory = %d, want 50 (restored from shadow)", got)
 	}
@@ -120,7 +120,7 @@ func TestUndoPushMArmsGuard(t *testing.T) {
 	m.Store(0x800, 8, 5) // the leaked value
 	m.lastPC[2] = pushmPC
 	m.pcs[2] = pushmPC + 5
-	k.HandleTrap(2, pushmPC+5, Access{Addr: 0x100, Size: 8, Type: hw.Read}, 0)
+	k.HandleTrap(2, pushmPC+5, Access{Addr: 0x100, Size: 8, Type: hw.Read})
 
 	if k.Stats.GuardsArmed != 1 {
 		t.Fatalf("GuardsArmed = %d", k.Stats.GuardsArmed)
@@ -149,7 +149,7 @@ func TestUndoPushMArmsGuard(t *testing.T) {
 	m.pcs[3] = stPC + 6
 	// Point the ST's address at the guard: the handler matches by the
 	// access, not the instruction operand, so report the access at 0x800.
-	k.HandleTrap(3, stPC+6, Access{Addr: 0x800, Size: 8, Type: hw.Write}, guardIdx)
+	k.HandleTrap(3, stPC+6, Access{Addr: 0x800, Size: 8, Type: hw.Write})
 	if m.blocked[3] != BlockTrap {
 		t.Errorf("thread 3 not suspended on the guard: %v", m.blocked[3])
 	}
@@ -179,7 +179,7 @@ func TestUndoRefusesUnknownPC(t *testing.T) {
 	m.Store(0x100, 8, 1)
 	k.BeginAtomic(1, 0, 1, 0x100, 8, hw.ReadWrite, hw.Read)
 	// Trap PC with no boundary-table entry and not a function entry.
-	k.HandleTrap(2, 0x9999, Access{Addr: 0x100, Size: 8, Type: hw.Write}, 0)
+	k.HandleTrap(2, 0x9999, Access{Addr: 0x100, Size: 8, Type: hw.Write})
 	if k.Stats.Unreorderable != 1 {
 		t.Errorf("Unreorderable = %d", k.Stats.Unreorderable)
 	}
@@ -201,7 +201,7 @@ func TestUndoRefusesBoundaryMismatch(t *testing.T) {
 	// The boundary table says the instruction before stPC+6 is the ST,
 	// but the thread actually came from somewhere else (control transfer).
 	m.lastPC[2] = 0x4444
-	k.HandleTrap(2, stPC+6, Access{Addr: 0x100, Size: 8, Type: hw.Write}, 0)
+	k.HandleTrap(2, stPC+6, Access{Addr: 0x100, Size: 8, Type: hw.Write})
 	if k.Stats.BoundaryMismatch != 1 {
 		t.Errorf("BoundaryMismatch = %d", k.Stats.BoundaryMismatch)
 	}

@@ -628,7 +628,7 @@ func (a *fnAnalysis) storeTo(st *state, target Val, sz int64, v Val) {
 }
 
 // step applies one instruction's transfer to st in place. Order mirrors
-// vm.execFast: operand values are read before any destination is written.
+// vm.execRun: operand values are read before any destination is written.
 func (a *fnAnalysis) step(st *state, in isa.Instr) {
 	if st.bot {
 		return
@@ -734,7 +734,7 @@ func (a *fnAnalysis) step(st *state, in isa.Instr) {
 		} else {
 			st.setReg(in.Rd, top())
 		}
-		// Matches execFast's write order: POP SP ends at sp+8.
+		// Matches execRun's write order: POP SP ends at sp+8.
 		st.setReg(isa.RegSP, vAdd(sp, cst(8)))
 	case op == isa.OpCALL, op == isa.OpCALLM:
 		// Arguments travel through R8+; a frame address there escapes to

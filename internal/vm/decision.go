@@ -47,6 +47,8 @@ func (m *Machine) adoptCanon(c *Core) int {
 // fast fields are part of snapshots, so a run resumed from a mid-decision
 // snapshot makes the identical keep/reset choice the continuous run made.
 func (m *Machine) resumeOrResetFast(c *Core) {
+	// The evaluated footprint belongs to the window that evaluated it.
+	c.fpInMem = false
 	if c.fastLeft > 0 && c.Cur != nil && c.Cur.ID == c.fastDecTID &&
 		c.WP.Muts() == c.fastDecMuts && !m.segRecording() {
 		m.tel.SamePickContinues++

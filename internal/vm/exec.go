@@ -35,11 +35,11 @@ func (m *Machine) rec(c *Core, t *Thread, addr uint32, sz uint8, typ hw.AccessTy
 		// Before-access hardware (Table 1: SPARC-class): the trap
 		// fires before the access commits, aborting the instruction
 		// with the PC still on it. No undo is ever needed.
-		if idx := c.WP.Match(t.ID, addr, sz, typ); idx >= 0 {
+		if c.WP.Match(t.ID, addr, sz, typ) >= 0 {
 			c.trapAborted = true
 			m.adoptCanon(c)
 			m.checkEpochWaiters()
-			m.K.HandleTrapBefore(t.ID, t.PC, kernel.Access{Addr: addr, Size: sz, Type: typ}, idx)
+			m.K.HandleTrapBefore(t.ID, t.PC, kernel.Access{Addr: addr, Size: sz, Type: typ})
 			return false
 		}
 	}
@@ -301,7 +301,7 @@ func (m *Machine) finish(c *Core, t *Thread, cost uint64, accs []access) {
 		}
 	}
 	for _, a := range accs {
-		if idx := c.WP.Match(t.ID, a.addr, a.sz, a.typ); idx >= 0 {
+		if c.WP.Match(t.ID, a.addr, a.sz, a.typ) >= 0 {
 			// Trap: a kernel entry. The core adopts the canonical
 			// watchpoint state, then the kernel handles the trap
 			// (possibly undoing the access and suspending the thread).
@@ -313,7 +313,7 @@ func (m *Machine) finish(c *Core, t *Thread, cost uint64, accs []access) {
 				// does not describe; the segment conflicts with all.
 				m.seg.Global = true
 			}
-			m.K.HandleTrap(t.ID, t.PC, kernel.Access{Addr: a.addr, Size: a.sz, Type: a.typ}, idx)
+			m.K.HandleTrap(t.ID, t.PC, kernel.Access{Addr: a.addr, Size: a.sz, Type: a.typ})
 			break
 		}
 	}

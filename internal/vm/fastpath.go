@@ -1,12 +1,17 @@
 package vm
 
 import (
+	"encoding/binary"
+
 	"kivati/internal/hw"
 	"kivati/internal/isa"
 )
 
 // This file implements the tiered-execution fast path: basic-block
-// superstep dispatch over the pre-decoded instruction stream.
+// superstep dispatch over a dense op stream, the decoded instructions laid
+// out in address order with their dispatch kinds and run facts resolved
+// once in New, so a straight-line run is one contiguous slice and one
+// interpreter, execRun, retires it.
 //
 // The paper's performance argument (§5) is that the non-AR common case —
 // no watchpoint armed anywhere — must be nearly free. The legacy Run loop
@@ -16,7 +21,12 @@ import (
 // activity is due and no scheduling decision can arise, the machine
 // computes the largest window [clock, bound) in which the legacy loop
 // provably does nothing but retire straight-line instructions, executes
-// the whole window in a tight lockstep loop, and charges cost in bulk.
+// the whole window, and charges cost in bulk. One active core retires the
+// window block by block; several active cores run it in lockstep rounds,
+// and whenever their open blocks are provably independent — unchecked,
+// fault-free, footprints inside memory and pairwise disjoint — each core
+// retires its share of the coming rounds back to back as one chunk, since
+// instructions of different cores that touch disjoint memory commute.
 //
 // Armed watchpoints do not end the window. At every basic-block edge the
 // dispatcher compares the block's static address footprint (compile-time
@@ -32,111 +42,195 @@ import (
 // is bit-identical (the differential gate in fastpath_test.go holds the
 // interpreter to that).
 
-// buildBlockLen precomputes, for every instruction start, how many
-// instructions the fast path may retire beginning there without leaving
-// straight-line code: 0 for pcs the fast path must not enter (SYS and HLT
-// need the kernel; non-starts are decode faults), 1 for control flow
-// (the block ends but the instruction itself is fast-executable), and
-// 1 + blockLen[next] otherwise. starts is the list of instruction-start
-// pcs in ascending order; the walk is in reverse so each entry is O(1).
-// compile.Footprints runs the same reverse walk, so footprint entry pc
-// covers (a superset of) the blockLen[pc] instructions dispatched from pc.
-func (m *Machine) buildBlockLen(starts []uint32) {
-	m.blockLen = make([]uint16, len(m.decoded))
-	m.execKind = make([]uint8, len(m.decoded))
+// fastOp is one instruction of the dense op stream the fast tier executes:
+// the decoded instruction laid out in address order with its dispatch kind
+// resolved, its own and fall-through pcs, and the static facts of the
+// straight-line run that starts at it. A straight-line run of ops is thus
+// one contiguous slice of Machine.ops.
+type fastOp struct {
+	kind       uint8 // okXXX dispatch kind
+	rd, ra, rb uint8
+	sz         uint8
+	// safe reports that no op of the run can fault in the fast tier by
+	// itself: no DIV/MOD (division by zero) and no op the fast tier refuses.
+	// Memory accesses can still leave data memory; the chunked lockstep
+	// rules that out with the evaluated footprint.
+	safe bool
+	// run is how many ops the fast tier may retire starting here without
+	// leaving straight-line code: 0 for kernel boundaries (SYS, HLT need the
+	// kernel), 1 for control flow (the block ends but the op itself is
+	// fast-executable), and 1 + the next op's run otherwise.
+	run  uint16
+	imm  int64
+	addr uint32 // absolute address or jump target
+	pc   uint32
+	next uint32 // fall-through pc
+	// tidx is the op index of the jump target addr (JMP, JZ, JNZ, CALL), so
+	// execRun can hand the next block its op without a pc lookup.
+	tidx uint32
+}
+
+// Fast-interpreter dispatch kinds, resolved at decode time so execRun jumps
+// straight to a handler. The 8-byte memory forms, the stack and control
+// ops and the ALU ops are specialised inline; other widths go through
+// loadRaw/storeRaw. okNone marks what the fast tier must refuse: kernel
+// boundaries, and the sentinel op non-starts map to.
+const (
+	okNone uint8 = iota
+	okNOP
+	okMOVI
+	okMOVR
+	okADD
+	okSUB
+	okMUL
+	okAND
+	okOR
+	okXOR
+	okSHL
+	okSHR
+	okCEQ
+	okCNE
+	okCLT
+	okCLE
+	okCGT
+	okCGE
+	okDIV
+	okMOD
+	okADDI
+	okLD
+	okLD8
+	okST
+	okST8
+	okLDR
+	okLDR8
+	okSTR
+	okSTR8
+	okPUSH
+	okPOP
+	okPUSHM
+	okJMP
+	okJZ
+	okJNZ
+	okCALL
+	okCALLM
+	okRET
+)
+
+// aluKinds maps the register-register ALU opcodes, OpADD through OpCGE,
+// to their dispatch kinds.
+var aluKinds = [...]uint8{
+	okADD, okSUB, okMUL, okDIV, okMOD, okAND, okOR, okXOR, okSHL, okSHR,
+	okCEQ, okCNE, okCLT, okCLE, okCGT, okCGE,
+}
+
+func opKind(op isa.Op) uint8 {
+	wide := op&3 == 3 // an 8-byte member of a width group
+	switch {
+	case op == isa.OpNOP:
+		return okNOP
+	case op == isa.OpMOVQ || op == isa.OpMOVL:
+		return okMOVI
+	case op == isa.OpMOVR:
+		return okMOVR
+	case op >= isa.OpADD && op <= isa.OpCGE:
+		return aluKinds[op-isa.OpADD]
+	case op == isa.OpADDI:
+		return okADDI
+	case op >= isa.OpLD && op < isa.OpLD+4:
+		return pick(wide, okLD8, okLD)
+	case op >= isa.OpST && op < isa.OpST+4:
+		return pick(wide, okST8, okST)
+	case op >= isa.OpLDR && op < isa.OpLDR+4:
+		return pick(wide, okLDR8, okLDR)
+	case op >= isa.OpSTR && op < isa.OpSTR+4:
+		return pick(wide, okSTR8, okSTR)
+	case op == isa.OpPUSH:
+		return okPUSH
+	case op == isa.OpPOP:
+		return okPOP
+	case op >= isa.OpPUSHM && op < isa.OpPUSHM+4:
+		return okPUSHM
+	case op == isa.OpJMP:
+		return okJMP
+	case op == isa.OpJZ:
+		return okJZ
+	case op == isa.OpJNZ:
+		return okJNZ
+	case op == isa.OpCALL:
+		return okCALL
+	case op == isa.OpCALLM:
+		return okCALLM
+	case op == isa.OpRET:
+		return okRET
+	}
+	return okNone
+}
+
+func pick(c bool, a, b uint8) uint8 {
+	if c {
+		return a
+	}
+	return b
+}
+
+// buildOps lays the decoded instructions out as the dense op stream and
+// fills the pc->index table. starts is the list of instruction-start pcs in ascending order; op i+1 is
+// the instruction at starts[i], and op 0 is the sentinel every non-start pc
+// maps to (kind okNone, run 0). The walk is in reverse so each op's run and
+// safe flag are O(1) from its successor's. compile.Footprints runs the same
+// reverse walk, so the footprint of the op at pc covers (a superset of) the
+// run instructions dispatched from pc.
+func (m *Machine) buildOps(starts []uint32) {
+	m.opAt = make([]uint32, len(m.decoded))
+	m.ops = make([]fastOp, len(starts)+1)
+	m.ops[0].pc = ^uint32(0) // matches no thread pc
 	const maxLen = ^uint16(0)
 	for i := len(starts) - 1; i >= 0; i-- {
 		pc := starts[i]
 		in := m.decoded[pc]
-		m.execKind[pc] = execKindOf(in.Op)
-		switch {
-		case in.Op.IsKernelBoundary():
-			// The legacy path must execute it.
-		case in.Op.IsControlFlow():
-			m.blockLen[pc] = 1
-		default:
-			n := uint16(1)
-			if next := pc + uint32(in.Len); int(next) < len(m.blockLen) {
-				if bl := m.blockLen[next]; bl < maxLen {
-					n += bl
-				} else {
-					n = maxLen
-				}
+		o := &m.ops[i+1]
+		*o = fastOp{
+			kind: opKind(in.Op), rd: in.Rd, ra: in.Ra, rb: in.Rb, sz: in.Sz,
+			imm: in.Imm, addr: in.Addr, pc: pc, next: pc + uint32(in.Len),
+		}
+		m.opAt[pc] = uint32(i + 1)
+		if in.Op.IsKernelBoundary() {
+			continue // okNone, run 0: the legacy path must execute it
+		}
+		o.safe = o.kind != okNone && o.kind != okDIV && o.kind != okMOD
+		o.run = 1
+		if in.Op.IsControlFlow() || i+1 == len(starts) {
+			continue
+		}
+		if nx := &m.ops[i+2]; nx.run > 0 {
+			if nx.run < maxLen {
+				o.run += nx.run
+			} else {
+				o.run = maxLen
 			}
-			m.blockLen[pc] = n
+			o.safe = o.safe && nx.safe
+		}
+	}
+	for i := range m.ops {
+		switch o := &m.ops[i]; o.kind {
+		case okJMP, okJZ, okJNZ, okCALL:
+			o.tidx = m.opIndex(o.addr)
 		}
 	}
 }
 
-// Fast-interpreter dispatch kinds: one dense small integer per instruction
-// form, precomputed at decode time, so execFast dispatches through a jump
-// table instead of re-classifying the opcode's ranges on every retirement.
-// ekNone marks everything the fast path must refuse — kernel boundaries,
-// non-starts, and ops only the legacy interpreter (which faults them)
-// handles.
-const (
-	ekNone uint8 = iota
-	ekNOP
-	ekMOVI
-	ekMOVR
-	ekALU
-	ekADDI
-	ekLD
-	ekST
-	ekLDR
-	ekSTR
-	ekPUSH
-	ekPOP
-	ekPUSHM
-	ekJMP
-	ekJZ
-	ekJNZ
-	ekCALL
-	ekCALLM
-	ekRET
-)
-
-func execKindOf(op isa.Op) uint8 {
-	switch {
-	case op == isa.OpNOP:
-		return ekNOP
-	case op == isa.OpMOVQ || op == isa.OpMOVL:
-		return ekMOVI
-	case op == isa.OpMOVR:
-		return ekMOVR
-	case op >= isa.OpADD && op <= isa.OpCGE:
-		return ekALU
-	case op == isa.OpADDI:
-		return ekADDI
-	case op >= isa.OpLD && op < isa.OpLD+4:
-		return ekLD
-	case op >= isa.OpST && op < isa.OpST+4:
-		return ekST
-	case op >= isa.OpLDR && op < isa.OpLDR+4:
-		return ekLDR
-	case op >= isa.OpSTR && op < isa.OpSTR+4:
-		return ekSTR
-	case op == isa.OpPUSH:
-		return ekPUSH
-	case op == isa.OpPOP:
-		return ekPOP
-	case op >= isa.OpPUSHM && op < isa.OpPUSHM+4:
-		return ekPUSHM
-	case op == isa.OpJMP:
-		return ekJMP
-	case op == isa.OpJZ:
-		return ekJZ
-	case op == isa.OpJNZ:
-		return ekJNZ
-	case op == isa.OpCALL:
-		return ekCALL
-	case op == isa.OpCALLM:
-		return ekCALLM
-	case op == isa.OpRET:
-		return ekRET
+// opIndex returns the op-stream index of the instruction at pc (0, the
+// sentinel, for pcs that are not instruction starts).
+func (m *Machine) opIndex(pc uint32) uint32 {
+	if int(pc) >= len(m.opAt) {
+		return 0
 	}
-	return ekNone
+	return m.opAt[pc]
 }
+
+// blockLen returns the run length of the op at pc: the number of
+// instructions the fast tier may retire from pc (0 where it must not enter).
+func (m *Machine) blockLen(pc uint32) uint16 { return m.ops[m.opIndex(pc)].run }
 
 // trySuperstep retires one superstep window if the machine state admits
 // one and reports whether it did; otherwise it returns false leaving all
@@ -244,19 +338,37 @@ func (m *Machine) trySuperstep() bool {
 		stopped = rounds < n
 	} else {
 	loop:
-		for k := uint64(0); k < n; k++ {
-			for i, c := range active {
-				if !m.stepFastBlock(c) {
-					// Core i cannot proceed (kernel boundary, faulting
-					// instruction, or a checked access that would trap):
-					// in the legacy loop its round-k instruction commits
-					// at t0+k*instr *after* the round-k instructions of
-					// cores ordered before it, and *before* those of
-					// cores ordered after it. So cores < i keep round k;
-					// cores >= i replay it (and everything later) on the
-					// legacy path.
-					rounds, stopIdx, stopped = k, i, true
-					break loop
+		for k := uint64(0); k < n; {
+			l, hold := m.chunkLen(active, n-k)
+			if l > 0 {
+				// Rounds k..k+l-1 as one chunk per core, core after core:
+				// the cores' blocks touch pairwise disjoint memory and none
+				// of their ops can bail, so retiring each core's l ops back
+				// to back commits exactly what l interleaved rounds would.
+				for _, c := range active {
+					if m.execRun(c, c.Cur, l, false) != l {
+						panic("vm: chunked lockstep run bailed")
+					}
+					c.fastLeft -= uint16(l)
+				}
+				m.tel.ChunkedInstructions += l * uint64(len(active))
+				k += l
+				continue
+			}
+			for end := min(k+hold, n); k < end; k++ {
+				for i, c := range active {
+					if !m.stepFastBlock(c) {
+						// Core i cannot proceed (kernel boundary, faulting
+						// instruction, or a checked access that would
+						// trap): in the legacy loop its round-k instruction
+						// commits at t0+k*instr *after* the round-k
+						// instructions of cores ordered before it, and
+						// *before* those of cores ordered after it. So
+						// cores < i keep round k; cores >= i replay it (and
+						// everything later) on the legacy path.
+						rounds, stopIdx, stopped = k, i, true
+						break loop
+					}
 				}
 			}
 		}
@@ -298,7 +410,7 @@ func (m *Machine) trySuperstep() bool {
 const fastMergeRun = 4
 
 // enterBlock makes the block-edge decision for core c's thread at its
-// current pc, the one place both window executors decide: the length of the
+// current pc, the one place every window executor decides: the length of the
 // straight-line run the decision covers (fastLeft), checked or unchecked
 // execution — inherited through the merge budget after a checked decision,
 // otherwise from a fresh blockChecked scan — and the stamp (thread, register
@@ -308,12 +420,18 @@ const fastMergeRun = 4
 func (m *Machine) enterBlock(c *Core) bool {
 	t := c.Cur
 	pc := t.PC
-	if !m.enterable(pc) {
+	idx := c.fastIdx // the last run's successor, if it names pc's op
+	if int(idx) >= len(m.ops) || m.ops[idx].pc != pc {
+		idx = m.opIndex(pc)
+	}
+	if m.ops[idx].run == 0 {
 		return false
 	}
-	c.fastLeft = m.blockLen[pc]
+	c.fastLeft = m.ops[idx].run
+	c.fastIdx = idx
 	c.fastDecTID = t.ID
 	c.fastDecMuts = c.WP.Muts()
+	c.fpInMem = false
 	if c.fastMerge > 0 {
 		c.fastMerge--
 		c.fastChecked = true
@@ -332,9 +450,7 @@ func (m *Machine) enterBlock(c *Core) bool {
 
 // enterable reports whether the fast tier may start a block at pc: an
 // instruction start that is not a kernel boundary.
-func (m *Machine) enterable(pc uint32) bool {
-	return int(pc) < len(m.blockLen) && m.blockLen[pc] != 0
-}
+func (m *Machine) enterable(pc uint32) bool { return m.blockLen(pc) != 0 }
 
 // dropBlock abandons core c's open block decision and its merge budget, so
 // the next window entry decides afresh.
@@ -351,7 +467,7 @@ func (m *Machine) stepFastBlock(c *Core) bool {
 	if c.fastLeft == 0 && !m.enterBlock(c) {
 		return false
 	}
-	if !m.execFast(c, c.Cur, c.fastChecked) {
+	if m.execRun(c, c.Cur, 1, c.fastChecked) == 0 {
 		c.dropBlock()
 		return false
 	}
@@ -359,13 +475,69 @@ func (m *Machine) stepFastBlock(c *Core) bool {
 	return true
 }
 
+// chunkLen reports how many of the next left lockstep rounds the active
+// cores may retire as one chunk each, back to back in core order. A chunk
+// is exact when no core can bail inside it and no two cores' instructions
+// can observe each other, so every active core's open block must be
+// unchecked, its run free of ops that can fault, and its footprint —
+// evaluated at the block's entry — bounded, inside data memory and
+// disjoint from every other core's. Segment recording (DPOR) attributes
+// footprints per block entry in lockstep order, so it keeps the
+// one-instruction rounds.
+//
+// When it refuses (l == 0), hold is how many rounds, at least 1, the
+// refusal provably stands: the blocks that caused it stay open that long,
+// so the lockstep runs them one instruction per core without re-testing.
+//
+// Blocks are entered here, in core order, stopping at the first core that
+// is not eligible: each enterBlock then happens where stepFastBlock would
+// have made it in the coming round — cores before it retire their round
+// instruction without bailing, and nothing another core does can change a
+// decision (watchpoint state is frozen inside a window and a decision reads
+// only the core's own thread) — so every counter the decisions feed stays
+// identical.
+func (m *Machine) chunkLen(active []*Core, left uint64) (l, hold uint64) {
+	if m.segRecording() {
+		return 0, left
+	}
+	l = left
+	for i, c := range active {
+		if c.fastLeft == 0 && !m.enterBlock(c) {
+			return 0, 1
+		}
+		if c.fastChecked || !c.fpInMem || !m.ops[c.fastIdx].safe {
+			return 0, uint64(c.fastLeft)
+		}
+		for _, d := range active[:i] {
+			if c.overlaps(d) {
+				return 0, uint64(min(c.fastLeft, d.fastLeft))
+			}
+		}
+		l = min(l, uint64(c.fastLeft))
+	}
+	return l, 0
+}
+
+// overlaps reports whether the evaluated footprints of two cores' open
+// blocks share an address.
+func (c *Core) overlaps(d *Core) bool {
+	for _, a := range c.fpRanges[:c.fpN] {
+		for _, b := range d.fpRanges[:d.fpN] {
+			if a.Lo < b.Hi && b.Lo < a.Hi {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // runFastSingle is the one-active-core window executor: it retires up to n
-// instructions in blockLen-sized straight-line chunks, so both the "is
-// this a kernel boundary" lookup and the checked/unchecked watchpoint
-// decision are hoisted to block edges. The decision lives in the core's
-// persistent fast fields (stamped for validity; see resumeOrResetFast), so
-// a window that ends mid-block can hand its open decision to the next one.
-// Returns the number of instructions retired.
+// instructions in block-sized straight-line chunks, so both the "is this a
+// kernel boundary" lookup and the checked/unchecked watchpoint decision are
+// hoisted to block edges. The decision lives in the core's persistent fast
+// fields (stamped for validity; see resumeOrResetFast), so a window that
+// ends mid-block can hand its open decision to the next one. Returns the
+// number of instructions retired.
 func (m *Machine) runFastSingle(c *Core, n uint64) uint64 {
 	t := c.Cur
 	var done uint64
@@ -373,33 +545,92 @@ func (m *Machine) runFastSingle(c *Core, n uint64) uint64 {
 		if c.fastLeft == 0 && !m.enterBlock(c) {
 			return done
 		}
-		chunk := uint64(c.fastLeft)
-		if chunk > n-done {
-			chunk = n - done
-		}
-		for j := uint64(0); j < chunk; j++ {
-			if !m.execFast(c, t, c.fastChecked) {
-				c.dropBlock()
-				return done + j
-			}
+		chunk := min(uint64(c.fastLeft), n-done)
+		got := m.execRun(c, t, chunk, c.fastChecked)
+		done += got
+		if got < chunk {
+			c.dropBlock()
+			return done
 		}
 		c.fastLeft -= uint16(chunk)
-		done += chunk
 	}
 	return done
+}
+
+// Footprint evaluation outcomes (see evalFootprint).
+const (
+	fpBounded   = iota // c.fpRanges holds the evaluated intervals
+	fpUnbounded        // the analysis could not bound an access of the run
+	fpEscapes          // a stack interval leaves [0, 2^32) after evaluation
+)
+
+// evalFootprint evaluates the static footprint of the run at pc against
+// thread t's live SP/FP into core c's fpRanges — the absolute interval plus
+// the SP and FP intervals — and sets fpInMem when every interval lies
+// inside data memory. blockChecked tests the ranges against the armed
+// registers; chunkLen tests them against the other cores' blocks.
+func (m *Machine) evalFootprint(c *Core, t *Thread, pc uint32) int {
+	c.fpN = 0
+	f := &m.fps[pc]
+	if f.Unbounded {
+		return fpUnbounded
+	}
+	n, top := 0, uint32(0)
+	if f.AbsHi > f.AbsLo {
+		c.fpRanges[0] = hw.AddrRange{Lo: f.AbsLo, Hi: f.AbsHi}
+		n, top = 1, f.AbsHi
+	}
+	if f.SPHi > f.SPLo {
+		r, ok := stackRange(t.Regs[isa.RegSP], f.SPLo, f.SPHi)
+		if !ok {
+			return fpEscapes
+		}
+		c.fpRanges[n] = r
+		n, top = n+1, max(top, r.Hi)
+	}
+	if f.FPHi > f.FPLo {
+		r, ok := stackRange(t.Regs[isa.RegFP], f.FPLo, f.FPHi)
+		if !ok {
+			return fpEscapes
+		}
+		c.fpRanges[n] = r
+		n, top = n+1, max(top, r.Hi)
+	}
+	c.fpN = uint8(n)
+	c.fpInMem = int(top) <= len(m.Mem)
+	return fpBounded
+}
+
+// stackRange evaluates the register-relative offset interval [lo, hi)
+// against the register value base. ok is false when the interval leaves
+// [0, 2^32): the accesses would wrap or fault.
+func stackRange(base, lo, hi int64) (r hw.AddrRange, ok bool) {
+	lo64 := int64(uint32(base)) + lo
+	hi64 := int64(uint32(base)) + hi
+	if lo64 < 0 || hi64 > int64(^uint32(0)) {
+		return r, false
+	}
+	return hw.AddrRange{Lo: uint32(lo64), Hi: uint32(hi64)}, true
 }
 
 // blockChecked decides, at a basic-block edge, whether the straight-line
 // run starting at pc must execute with per-access watchpoint checks on
 // core c. False — the common case — means the block's static footprint is
 // provably disjoint from every armed register that could trap thread t, so
-// execFast may commit every access unchecked (Match would return -1 for
-// all of them). The stack components of the footprint are offsets from the
-// block's entry SP/FP, evaluated here against the thread's live registers;
-// an interval that escapes the 32-bit address space is answered
-// conservatively.
+// execRun may commit every access unchecked (Match would return -1 for all
+// of them). The stack components of the footprint are offsets from the
+// block's entry SP/FP, evaluated against the thread's live registers; an
+// interval that escapes the 32-bit address space is answered
+// conservatively. The footprint is evaluated once per decision, and also
+// when nothing is armed inside a multi-core window, where the chunked
+// lockstep needs it.
 func (m *Machine) blockChecked(c *Core, t *Thread, pc uint32) bool {
-	if c.WP.ArmedCount() == 0 {
+	armed := c.WP.ArmedCount() != 0
+	if !armed && len(m.fastCores) < 2 {
+		return false
+	}
+	class := m.evalFootprint(c, t, pc)
+	if !armed {
 		return false
 	}
 	// Thread-relevant armed summary, cached per (thread, register-file
@@ -411,50 +642,25 @@ func (m *Machine) blockChecked(c *Core, t *Thread, pc uint32) bool {
 	if rel == 0 {
 		return false
 	}
-	f := &m.fps[pc]
-	if f.Unbounded {
+	switch class {
+	case fpUnbounded:
 		// An access the analysis could not bound, and at least one armed
 		// register is not exempt: checked.
 		m.tel.Demotions.Unbounded++
 		return true
-	}
-	// Assemble the footprint's components — absolute plus the SP/FP
-	// intervals evaluated against the live registers — and test them against
-	// the register file in one scan. A register-relative interval that
-	// leaves [0, 2^32) after evaluation is answered conservatively (the
-	// block's accesses would wrap or fault; the checked path sorts it out
-	// exactly).
-	var ranges [3]hw.AddrRange
-	n := 0
-	if f.AbsHi > f.AbsLo {
-		ranges[n] = hw.AddrRange{Lo: f.AbsLo, Hi: f.AbsHi}
-		n++
-	}
-	for _, rr := range [2]struct {
-		base   int64
-		lo, hi int64
-	}{
-		{t.Regs[isa.RegSP], f.SPLo, f.SPHi},
-		{t.Regs[isa.RegFP], f.FPLo, f.FPHi},
-	} {
-		if rr.hi <= rr.lo {
-			continue
-		}
-		lo64 := int64(uint32(rr.base)) + rr.lo
-		hi64 := int64(uint32(rr.base)) + rr.hi
-		if lo64 < 0 || hi64 > int64(^uint32(0)) {
-			m.tel.Demotions.ArmedOverlap++
-			return true
-		}
-		ranges[n] = hw.AddrRange{Lo: uint32(lo64), Hi: uint32(hi64)}
-		n++
+	case fpEscapes:
+		// The block's accesses would wrap or fault; the checked path sorts
+		// it out exactly.
+		m.tel.Demotions.ArmedOverlap++
+		return true
 	}
 	// Window prefilter against the cached relevant window: a footprint
 	// disjoint from it cannot hit any non-exempt register, so the common
 	// disjoint case skips the per-register scan entirely.
+	ranges := c.fpRanges[:c.fpN]
 	hit := false
-	for i := 0; i < n; i++ {
-		if ranges[i].Lo < rhi && rlo < ranges[i].Hi {
+	for _, r := range ranges {
+		if r.Lo < rhi && rlo < r.Hi {
 			hit = true
 			break
 		}
@@ -462,7 +668,7 @@ func (m *Machine) blockChecked(c *Core, t *Thread, pc uint32) bool {
 	if !hit {
 		return false
 	}
-	if c.WP.MayMatchRanges(t.ID, ranges[:n]) {
+	if c.WP.MayMatchRanges(t.ID, ranges) {
 		m.tel.Demotions.ArmedOverlap++
 		return true
 	}
@@ -482,171 +688,246 @@ func (m *Machine) wouldTrap(c *Core, t *Thread, addr uint32, sz uint8, typ hw.Ac
 	return false
 }
 
-// execFast retires exactly one instruction of thread t on core c with no
-// kernel interaction and no access recording. In unchecked mode the caller
-// (blockChecked) has proven no access can hit an armed register; in
-// checked mode every access is pre-checked with wouldTrap before anything
-// commits — multi-access instructions (PUSHM, CALLM) check all their
-// accesses first, so a bail-out never leaves a partial commit. It returns
-// false, leaving all machine state untouched, when the instruction must
-// execute on the legacy path instead: a kernel boundary (SYS, HLT), an
-// undecodable pc, a faulting condition (division by zero, out-of-bounds
-// access), or a checked access that would trap. Stop-before semantics make
-// the fallback exact: the legacy step re-executes the instruction at the
-// identical clock with identical state.
-func (m *Machine) execFast(c *Core, t *Thread, checked bool) bool {
-	pc := t.PC
-	if int(pc) >= len(m.execKind) {
-		return false
-	}
-	k := m.execKind[pc]
-	if k == ekNone {
-		return false
-	}
-	in := &m.decoded[pc]
+// opTraps is checked mode's pre-check of op o's accesses, made before
+// anything of the op commits: it reports whether the op must stop the run
+// because an access would trap (see wouldTrap). Multi-access ops (PUSHM,
+// CALLM) check all their accesses; an out-of-bounds access stops the run
+// without a check, as the op's own bounds test would.
+func (m *Machine) opTraps(c *Core, t *Thread, o *fastOp) bool {
 	r := &t.Regs
-	nextPC := pc + uint32(in.Len)
+	switch o.kind {
+	case okLD, okLD8:
+		return m.accessTraps(c, t, o.addr, o.sz, hw.Read)
+	case okST, okST8:
+		return m.accessTraps(c, t, o.addr, o.sz, hw.Write)
+	case okLDR, okLDR8:
+		return m.accessTraps(c, t, uint32(r[o.ra]+o.imm), o.sz, hw.Read)
+	case okSTR, okSTR8:
+		return m.accessTraps(c, t, uint32(r[o.ra]+o.imm), o.sz, hw.Write)
+	case okPUSH, okCALL:
+		return m.accessTraps(c, t, uint32(r[isa.RegSP])-8, 8, hw.Write)
+	case okPOP, okRET:
+		return m.accessTraps(c, t, uint32(r[isa.RegSP]), 8, hw.Read)
+	case okPUSHM, okCALLM:
+		sz := o.sz
+		if o.kind == okCALLM {
+			sz = 8 // the target-pc read
+		}
+		sp := uint32(r[isa.RegSP]) - 8
+		if !m.inBounds(o.addr, sz) || !m.inBounds(sp, 8) {
+			return true
+		}
+		return m.wouldTrap(c, t, o.addr, sz, hw.Read) || m.wouldTrap(c, t, sp, 8, hw.Write)
+	}
+	return false
+}
 
-	switch k {
-	case ekNOP:
-	case ekMOVI:
-		r[in.Rd] = in.Imm
-	case ekMOVR:
-		r[in.Rd] = r[in.Ra]
-	case ekALU:
-		v, ok := alu(in.Op, r[in.Ra], r[in.Rb])
-		if !ok {
-			return false // division by zero: fault on the legacy path
+// accessTraps is opTraps for one access.
+func (m *Machine) accessTraps(c *Core, t *Thread, addr uint32, sz uint8, typ hw.AccessType) bool {
+	return !m.inBounds(addr, sz) || m.wouldTrap(c, t, addr, sz, typ)
+}
+
+// execRun is the fast interpreter: it retires up to n ops of core c's open
+// block — the straight-line run at thread t's pc, from op fastIdx on — with
+// no kernel interaction and no access recording, and returns how many it
+// retired. The caller bounds n by the block (fastLeft), so only the last op
+// can be control flow. On return fastIdx names the op at the thread's new
+// pc where it is statically known (fall-through or a direct jump), which
+// the next enterBlock checks against the pc before it uses it.
+// In unchecked mode the caller (blockChecked) has proven no access can hit
+// an armed register; in checked mode opTraps pre-checks every op's accesses
+// before anything of it commits, so a bail-out never leaves a partial
+// commit.
+// It stops early, leaving the op it stopped at and all machine state
+// untouched, when that op must execute on the legacy path instead: a kernel
+// boundary (SYS, HLT), a faulting condition (division by zero,
+// out-of-bounds access), or a checked access that would trap. Stop-before
+// semantics make the fallback exact: the legacy step re-executes the op at
+// the identical clock with identical state. t.PC and t.LastInstr are
+// written once, at the end of the run or at the op that stopped it.
+func (m *Machine) execRun(c *Core, t *Thread, n uint64, checked bool) uint64 {
+	i := c.fastIdx
+	ops := m.ops[i : i+uint32(n)]
+	r := &t.Regs
+	mem := m.Mem
+	// Only the last op can be control flow; the cases that transfer control
+	// overwrite the fall-through successor.
+	next, nidx := ops[len(ops)-1].next, i+uint32(n)
+	for j := range ops {
+		o := &ops[j]
+		if checked && m.opTraps(c, t, o) {
+			return stopRun(t, ops, j)
 		}
-		r[in.Rd] = v
-	case ekADDI:
-		r[in.Rd] = r[in.Ra] + in.Imm
-	case ekLD:
-		if !m.inBounds(in.Addr, in.Sz) {
-			return false
-		}
-		if checked && m.wouldTrap(c, t, in.Addr, in.Sz, hw.Read) {
-			return false
-		}
-		r[in.Rd] = signExtend(m.loadRaw(in.Addr, in.Sz), in.Sz)
-	case ekST:
-		if !m.inBounds(in.Addr, in.Sz) {
-			return false
-		}
-		if checked && m.wouldTrap(c, t, in.Addr, in.Sz, hw.Write) {
-			return false
-		}
-		m.storeRaw(in.Addr, in.Sz, uint64(r[in.Ra]))
-	case ekLDR:
-		addr := uint32(r[in.Ra] + in.Imm)
-		if !m.inBounds(addr, in.Sz) {
-			return false
-		}
-		if checked && m.wouldTrap(c, t, addr, in.Sz, hw.Read) {
-			return false
-		}
-		r[in.Rd] = signExtend(m.loadRaw(addr, in.Sz), in.Sz)
-	case ekSTR:
-		addr := uint32(r[in.Ra] + in.Imm)
-		if !m.inBounds(addr, in.Sz) {
-			return false
-		}
-		if checked && m.wouldTrap(c, t, addr, in.Sz, hw.Write) {
-			return false
-		}
-		m.storeRaw(addr, in.Sz, uint64(r[in.Rb]))
-	case ekPUSH:
-		sp := uint32(r[isa.RegSP]) - 8
-		if !m.inBounds(sp, 8) {
-			return false
-		}
-		if checked && m.wouldTrap(c, t, sp, 8, hw.Write) {
-			return false
-		}
-		r[isa.RegSP] = int64(sp)
-		m.storeRaw(sp, 8, uint64(r[in.Ra]))
-	case ekPOP:
-		sp := uint32(r[isa.RegSP])
-		if !m.inBounds(sp, 8) {
-			return false
-		}
-		if checked && m.wouldTrap(c, t, sp, 8, hw.Read) {
-			return false
-		}
-		r[in.Rd] = int64(m.loadRaw(sp, 8))
-		r[isa.RegSP] = int64(sp + 8)
-	case ekPUSHM:
-		if !m.inBounds(in.Addr, in.Sz) {
-			return false
-		}
-		sp := uint32(r[isa.RegSP]) - 8
-		if !m.inBounds(sp, 8) {
-			return false
-		}
-		if checked && (m.wouldTrap(c, t, in.Addr, in.Sz, hw.Read) ||
-			m.wouldTrap(c, t, sp, 8, hw.Write)) {
-			return false
-		}
-		v := signExtend(m.loadRaw(in.Addr, in.Sz), in.Sz)
-		r[isa.RegSP] = int64(sp)
-		m.storeRaw(sp, 8, uint64(v))
-	case ekJMP:
-		nextPC = in.Addr
-	case ekJZ:
-		if r[in.Ra] == 0 {
-			nextPC = in.Addr
-		}
-	case ekJNZ:
-		if r[in.Ra] != 0 {
-			nextPC = in.Addr
-		}
-	case ekCALL:
-		sp := uint32(r[isa.RegSP]) - 8
-		if !m.inBounds(sp, 8) {
-			return false
-		}
-		if checked && m.wouldTrap(c, t, sp, 8, hw.Write) {
-			return false
-		}
-		r[isa.RegSP] = int64(sp)
-		m.storeRaw(sp, 8, uint64(nextPC))
-		nextPC = in.Addr
-		t.Depth++
-	case ekCALLM:
-		if !m.inBounds(in.Addr, 8) {
-			return false
-		}
-		sp := uint32(r[isa.RegSP]) - 8
-		if !m.inBounds(sp, 8) {
-			return false
-		}
-		if checked && (m.wouldTrap(c, t, in.Addr, 8, hw.Read) ||
-			m.wouldTrap(c, t, sp, 8, hw.Write)) {
-			return false
-		}
-		target := uint32(m.loadRaw(in.Addr, 8))
-		r[isa.RegSP] = int64(sp)
-		m.storeRaw(sp, 8, uint64(nextPC))
-		nextPC = target
-		t.Depth++
-	case ekRET:
-		sp := uint32(r[isa.RegSP])
-		if !m.inBounds(sp, 8) {
-			return false
-		}
-		if checked && m.wouldTrap(c, t, sp, 8, hw.Read) {
-			return false
-		}
-		nextPC = uint32(m.loadRaw(sp, 8))
-		r[isa.RegSP] = int64(sp + 8)
-		if t.Depth > 0 {
-			t.Depth--
+		switch o.kind {
+		case okNOP:
+		case okMOVI:
+			r[o.rd] = o.imm
+		case okMOVR:
+			r[o.rd] = r[o.ra]
+		case okADD:
+			r[o.rd] = r[o.ra] + r[o.rb]
+		case okSUB:
+			r[o.rd] = r[o.ra] - r[o.rb]
+		case okMUL:
+			r[o.rd] = r[o.ra] * r[o.rb]
+		case okAND:
+			r[o.rd] = r[o.ra] & r[o.rb]
+		case okOR:
+			r[o.rd] = r[o.ra] | r[o.rb]
+		case okXOR:
+			r[o.rd] = r[o.ra] ^ r[o.rb]
+		case okSHL:
+			r[o.rd] = r[o.ra] << (uint64(r[o.rb]) & 63)
+		case okSHR:
+			r[o.rd] = int64(uint64(r[o.ra]) >> (uint64(r[o.rb]) & 63))
+		case okCEQ:
+			r[o.rd] = b2i(r[o.ra] == r[o.rb])
+		case okCNE:
+			r[o.rd] = b2i(r[o.ra] != r[o.rb])
+		case okCLT:
+			r[o.rd] = b2i(r[o.ra] < r[o.rb])
+		case okCLE:
+			r[o.rd] = b2i(r[o.ra] <= r[o.rb])
+		case okCGT:
+			r[o.rd] = b2i(r[o.ra] > r[o.rb])
+		case okCGE:
+			r[o.rd] = b2i(r[o.ra] >= r[o.rb])
+		case okDIV:
+			if r[o.rb] == 0 {
+				return stopRun(t, ops, j) // division by zero: fault on the legacy path
+			}
+			r[o.rd] = r[o.ra] / r[o.rb]
+		case okMOD:
+			if r[o.rb] == 0 {
+				return stopRun(t, ops, j)
+			}
+			r[o.rd] = r[o.ra] % r[o.rb]
+		case okADDI:
+			r[o.rd] = r[o.ra] + o.imm
+		case okLD8:
+			a := o.addr
+			if int(a)+8 > len(mem) {
+				return stopRun(t, ops, j)
+			}
+			r[o.rd] = int64(binary.LittleEndian.Uint64(mem[a:]))
+		case okLD:
+			if !m.inBounds(o.addr, o.sz) {
+				return stopRun(t, ops, j)
+			}
+			r[o.rd] = signExtend(m.loadRaw(o.addr, o.sz), o.sz)
+		case okST8:
+			a := o.addr
+			if int(a)+8 > len(mem) {
+				return stopRun(t, ops, j)
+			}
+			m.store8(a, uint64(r[o.ra]))
+		case okST:
+			if !m.inBounds(o.addr, o.sz) {
+				return stopRun(t, ops, j)
+			}
+			m.storeRaw(o.addr, o.sz, uint64(r[o.ra]))
+		case okLDR8:
+			a := uint32(r[o.ra] + o.imm)
+			if int(a)+8 > len(mem) {
+				return stopRun(t, ops, j)
+			}
+			r[o.rd] = int64(binary.LittleEndian.Uint64(mem[a:]))
+		case okLDR:
+			a := uint32(r[o.ra] + o.imm)
+			if !m.inBounds(a, o.sz) {
+				return stopRun(t, ops, j)
+			}
+			r[o.rd] = signExtend(m.loadRaw(a, o.sz), o.sz)
+		case okSTR8:
+			a := uint32(r[o.ra] + o.imm)
+			if int(a)+8 > len(mem) {
+				return stopRun(t, ops, j)
+			}
+			m.store8(a, uint64(r[o.rb]))
+		case okSTR:
+			a := uint32(r[o.ra] + o.imm)
+			if !m.inBounds(a, o.sz) {
+				return stopRun(t, ops, j)
+			}
+			m.storeRaw(a, o.sz, uint64(r[o.rb]))
+		case okPUSH:
+			sp := uint32(r[isa.RegSP]) - 8
+			if int(sp)+8 > len(mem) {
+				return stopRun(t, ops, j)
+			}
+			r[isa.RegSP] = int64(sp)
+			m.store8(sp, uint64(r[o.ra]))
+		case okPOP:
+			sp := uint32(r[isa.RegSP])
+			if int(sp)+8 > len(mem) {
+				return stopRun(t, ops, j)
+			}
+			r[o.rd] = int64(binary.LittleEndian.Uint64(mem[sp:]))
+			r[isa.RegSP] = int64(sp + 8)
+		case okPUSHM:
+			sp := uint32(r[isa.RegSP]) - 8
+			if !m.inBounds(o.addr, o.sz) || int(sp)+8 > len(mem) {
+				return stopRun(t, ops, j)
+			}
+			v := signExtend(m.loadRaw(o.addr, o.sz), o.sz)
+			r[isa.RegSP] = int64(sp)
+			m.store8(sp, uint64(v))
+		case okJMP:
+			next, nidx = o.addr, o.tidx
+		case okJZ:
+			if r[o.ra] == 0 {
+				next, nidx = o.addr, o.tidx
+			}
+		case okJNZ:
+			if r[o.ra] != 0 {
+				next, nidx = o.addr, o.tidx
+			}
+		case okCALL:
+			sp := uint32(r[isa.RegSP]) - 8
+			if int(sp)+8 > len(mem) {
+				return stopRun(t, ops, j)
+			}
+			r[isa.RegSP] = int64(sp)
+			m.store8(sp, uint64(o.next))
+			next, nidx = o.addr, o.tidx
+			t.Depth++
+		case okCALLM:
+			sp := uint32(r[isa.RegSP]) - 8
+			if int(o.addr)+8 > len(mem) || int(sp)+8 > len(mem) {
+				return stopRun(t, ops, j)
+			}
+			next = uint32(binary.LittleEndian.Uint64(mem[o.addr:]))
+			r[isa.RegSP] = int64(sp)
+			m.store8(sp, uint64(o.next))
+			t.Depth++
+		case okRET:
+			sp := uint32(r[isa.RegSP])
+			if int(sp)+8 > len(mem) {
+				return stopRun(t, ops, j)
+			}
+			next = uint32(binary.LittleEndian.Uint64(mem[sp:]))
+			r[isa.RegSP] = int64(sp + 8)
+			if t.Depth > 0 {
+				t.Depth--
+			}
+		default: // okNone: a kernel boundary
+			return stopRun(t, ops, j)
 		}
 	}
+	t.LastInstr = ops[len(ops)-1].pc
+	t.PC = next
+	c.fastIdx = nidx
+	return n
+}
 
-	t.LastInstr = pc
-	t.PC = nextPC
-	return true
+// stopRun ends execRun at op j of ops without executing it: the thread is
+// left exactly as if ops[:j] had retired one at a time.
+func stopRun(t *Thread, ops []fastOp, j int) uint64 {
+	if j > 0 {
+		t.LastInstr = ops[j-1].pc
+		t.PC = ops[j].pc
+	}
+	return uint64(j)
 }
 
 // MemHash returns the FNV-1a hash of data memory, for differential

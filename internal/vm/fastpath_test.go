@@ -40,7 +40,8 @@ func runDispatch(t *testing.T, src string, o runOpts, d DispatchMode) (*Machine,
 // assertDispatchEqual runs src under DispatchStep and DispatchFast and
 // requires bit-identical observable state: outputs, ticks, reason, faults,
 // kernel stats, violations, final memory image, and per-thread registers.
-func assertDispatchEqual(t *testing.T, name, src string, o runOpts) {
+// It returns the fast run's result.
+func assertDispatchEqual(t *testing.T, name, src string, o runOpts) *Result {
 	t.Helper()
 	ms, rs := runDispatch(t, src, o, DispatchStep)
 	mf, rf := runDispatch(t, src, o, DispatchFast)
@@ -82,6 +83,7 @@ func assertDispatchEqual(t *testing.T, name, src string, o runOpts) {
 			t.Errorf("%s: thread %d state differs: step pc=%#x fast pc=%#x", name, tid, ts.PC, tf.PC)
 		}
 	}
+	return rf
 }
 
 func TestDispatchEquivalence(t *testing.T) {
@@ -186,8 +188,72 @@ void main() {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			assertDispatchEqual(t, tc.name, tc.src, defaultRunOpts())
+			for _, cores := range []int{2, 3, 4} {
+				o := defaultRunOpts()
+				o.mcfg.Cores = cores
+				assertDispatchEqual(t, fmt.Sprintf("%s/cores=%d", tc.name, cores), tc.src, o)
+			}
 		})
+	}
+}
+
+// chunkRaceSrc is two threads of straight-line code: stretches that touch
+// only their own frames, which the multi-core lockstep may retire as
+// chunks, between read-modify-writes of one shared global, whose
+// interleaving decides the final value and must never be chunked. Worker 2
+// ends in a division by zero inside an otherwise independent block.
+const chunkRaceSrc = `
+int g;
+void worker(int k) {
+    int i;
+    int a;
+    int b;
+    int c;
+    i = 0;
+    a = k;
+    b = 3;
+    while (i < 400) {
+        a = a * 5 + i;
+        b = b + a - k;
+        c = a - b + 7;
+        a = c * 3 - b;
+        b = b * 7 + c;
+        g = g * 3 + k;
+        g = g + a - b;
+        c = c + i;
+        a = a + c;
+        b = b - a;
+        if (k == 2) {
+            if (i == 200) {
+                c = a - b;
+                a = a * 3;
+                b = a / (i - 200);
+            }
+        }
+        i = i + 1;
+    }
+    print(g);
+}
+`
+
+// TestFastPathChunkRace checks the chunked lockstep against the reference
+// interpreter on a program where reordering any two racing accesses would
+// show: memory, registers, outputs and the fault must match at every core
+// count, and chunks must actually have run.
+func TestFastPathChunkRace(t *testing.T) {
+	for _, cores := range []int{2, 3, 4} {
+		o := defaultRunOpts()
+		o.compile = compile.Options{} // unannotated: nothing is ever armed
+		o.mcfg.Cores = cores
+		o.starts = []startSpec{{"worker", 1}, {"worker", 2}}
+		name := fmt.Sprintf("cores=%d", cores)
+		fast := assertDispatchEqual(t, name, chunkRaceSrc, o)
+		if len(fast.Faults) != 1 {
+			t.Errorf("%s: faults = %v, want worker 2's division by zero", name, fast.Faults)
+		}
+		if fast.ChunkedInstructions == 0 {
+			t.Errorf("%s: no instruction retired in a lockstep chunk", name)
+		}
 	}
 }
 
@@ -420,8 +486,9 @@ type queueHeadPolicy struct{}
 
 func (queueHeadPolicy) Pick(SchedPoint) int { return 0 }
 
-// blockLen sanity on a compiled binary: zero at SYS/HLT and non-starts,
-// positive elsewhere, and 1 on control flow.
+// Op-stream sanity on a compiled binary: run length zero at SYS/HLT and
+// non-starts, positive elsewhere, and 1 on control flow; every start maps
+// to the op describing it.
 func TestBlockLenTable(t *testing.T) {
 	src := `
 void main() {
@@ -434,20 +501,23 @@ void main() {
 }`
 	o := defaultRunOpts()
 	m, _ := runDispatch(t, src, o, DispatchStep)
-	if len(m.blockLen) != len(m.decoded) {
-		t.Fatalf("blockLen len %d != decoded len %d", len(m.blockLen), len(m.decoded))
+	if len(m.opAt) != len(m.decoded) {
+		t.Fatalf("opAt len %d != decoded len %d", len(m.opAt), len(m.decoded))
 	}
 	starts := 0
 	for pc := range m.decoded {
 		in := m.decoded[pc]
+		bl := m.blockLen(uint32(pc))
 		if in.Len == 0 {
-			if m.blockLen[pc] != 0 {
-				t.Fatalf("non-start pc %#x has blockLen %d", pc, m.blockLen[pc])
+			if bl != 0 {
+				t.Fatalf("non-start pc %#x has blockLen %d", pc, bl)
 			}
 			continue
 		}
 		starts++
-		bl := m.blockLen[pc]
+		if op := m.ops[m.opAt[pc]]; op.pc != uint32(pc) || op.next != uint32(pc)+uint32(in.Len) {
+			t.Fatalf("pc %#x maps to op at %#x (next %#x)", pc, op.pc, op.next)
+		}
 		switch {
 		case in.Op.IsKernelBoundary():
 			if bl != 0 {

@@ -229,6 +229,10 @@ func (m *Machine) storeRaw(addr uint32, sz uint8, v uint64) {
 	if int(addr)+int(sz) > len(m.Mem) {
 		return
 	}
+	if sz == 8 {
+		m.store8(addr, v)
+		return
+	}
 	// Dirty tracking for snapshots. A store spans at most two pages
 	// (sz <= 8 << pageShift); only one that crosses a page boundary
 	// touches the second.
@@ -240,8 +244,6 @@ func (m *Machine) storeRaw(addr uint32, sz uint8, v uint64) {
 		m.chunkDirty[p1>>chunkShift] = true
 	}
 	switch sz {
-	case 8:
-		binary.LittleEndian.PutUint64(m.Mem[addr:], v)
 	case 4:
 		binary.LittleEndian.PutUint32(m.Mem[addr:], uint32(v))
 	case 2:
@@ -253,4 +255,18 @@ func (m *Machine) storeRaw(addr uint32, sz uint8, v uint64) {
 			m.Mem[addr+uint32(i)] = byte(v >> (8 * i))
 		}
 	}
+}
+
+// store8 is storeRaw's in-bounds 8-byte store, the fast interpreter's
+// common case: the same dirty-page and dirty-chunk marks, then one word
+// write. The caller has bounds-checked addr.
+func (m *Machine) store8(addr uint32, v uint64) {
+	p0 := addr >> pageShift
+	m.pageDirty[p0] = true
+	m.chunkDirty[p0>>chunkShift] = true
+	if p1 := (addr + 7) >> pageShift; p1 != p0 {
+		m.pageDirty[p1] = true
+		m.chunkDirty[p1>>chunkShift] = true
+	}
+	binary.LittleEndian.PutUint64(m.Mem[addr:], v)
 }

@@ -173,13 +173,12 @@ func (m *Machine) segRegRange(base int64, lo, hi int64) {
 	if hi <= lo {
 		return
 	}
-	lo64 := int64(uint32(base)) + lo
-	hi64 := int64(uint32(base)) + hi
-	if lo64 < 0 || hi64 > int64(^uint32(0)) {
+	r, ok := stackRange(base, lo, hi)
+	if !ok {
 		// Would wrap or fault; the checked/legacy path sorts it out, the
 		// segment gives up on precision.
 		m.seg.Global = true
 		return
 	}
-	m.segAdd(&m.seg.Writes, uint32(lo64), uint32(hi64))
+	m.segAdd(&m.seg.Writes, r.Lo, r.Hi)
 }

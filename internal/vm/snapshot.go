@@ -334,6 +334,7 @@ func (m *Machine) Restore(s *Snapshot) {
 		// count; counts from different timelines may collide, so a restore
 		// always invalidates it.
 		c.wpCacheTID = -1
+		c.fpInMem = false
 	}
 	m.events = append(m.events[:0], s.events...)
 

@@ -143,6 +143,15 @@ type Core struct {
 	wpCacheMuts      uint64
 	wpRelCount       int
 	wpRelLo, wpRelHi uint32
+
+	// The open block decision's footprint, evaluated against the thread's
+	// SP/FP at block entry (see evalFootprint): fpRanges[:fpN] are its
+	// intervals, and fpInMem says they were evaluated, are bounded and lie
+	// inside data memory — what the chunked lockstep needs. Derived state:
+	// never snapshotted, cleared at window admission and on Restore.
+	fpRanges [3]hw.AddrRange
+	fpN      uint8
+	fpInMem  bool
 }
 
 // coreState is the per-core state a snapshot restores verbatim.
@@ -155,14 +164,19 @@ type coreState struct {
 	// is that decision (per-access checks required), and fastMerge is the
 	// checked-block merge budget — block edges that inherit the previous
 	// checked decision without a fresh register-file scan (counted as
-	// Demotions.CheckedOverlap). The decision is stamped with the thread it
-	// was made for and the register file's mutation count at decision time
-	// (fastDecTID/fastDecMuts); window admission keeps an open decision only
-	// while both still match (see resumeOrResetFast), so a decision point
-	// that re-picks the same thread under an unchanged register file extends
-	// the open superstep instead of re-deciding. A resumed run must make the
-	// identical keep/reset choices, so the decision is state, not scratch.
+	// Demotions.CheckedOverlap). fastIdx is the op-stream index of the next
+	// instruction: while fastLeft > 0 it is the op at the thread's pc (only
+	// the fast tier moves a thread without dropping the decision); past the
+	// block it is a hint that enterBlock checks against the pc. The decision
+	// is stamped with the thread it was made for and the register file's
+	// mutation count at decision time (fastDecTID/fastDecMuts); window
+	// admission keeps an open decision only while both still match (see
+	// resumeOrResetFast), so a decision point that re-picks the same thread
+	// under an unchanged register file extends the open superstep instead of
+	// re-deciding. A resumed run must make the identical keep/reset choices,
+	// so the decision is state, not scratch.
 	fastLeft    uint16
+	fastIdx     uint32
 	fastChecked bool
 	fastMerge   uint8
 	fastDecTID  int
@@ -245,25 +259,22 @@ type Machine struct {
 
 	decoded []isa.Instr // indexed by PC; Len==0 means not an instruction start
 
-	// blockLen[pc] is the number of instructions the fast path may execute
-	// starting at pc without leaving straight-line code: 0 for pcs the fast
-	// path must not enter (SYS, HLT, non-instruction bytes), 1 for control
-	// flow, else 1 + blockLen[next pc]. Built once in New from the decoded
-	// stream.
-	blockLen []uint16
-	// execKind[pc] is the fast interpreter's precomputed dispatch kind for
-	// the instruction at pc (ekNone for everything the fast path refuses),
-	// so execFast jumps straight to the handler instead of re-classifying
-	// opcode ranges per retirement. Built alongside blockLen.
-	execKind []uint8
-	fastOK   bool // config admits the fast path at all (computed once)
+	// ops is the dense op stream the fast tier executes: the decoded
+	// instructions in address order, one fastOp each, so a straight-line
+	// run is one contiguous slice (see fastOp). ops[0] is a sentinel that
+	// refuses entry. opAt[pc] is the index of the instruction starting at
+	// pc, 0 for non-starts. Both are built once in New (buildOps).
+	ops    []fastOp
+	opAt   []uint32
+	fastOK bool // config admits the fast path at all (computed once)
 
 	// fps[pc] is the static address footprint of the straight-line run the
-	// fast path may retire starting at pc (the blockLen[pc] instructions) —
-	// the disjointness oracle blockChecked tests against the armed window.
-	// Taken from the Binary when the compiler produced it, recomputed
-	// otherwise; never shared mutation-wise with the Binary (harness pools
-	// share Binaries across machines).
+	// fast path may retire starting at pc (the run of the op at pc) —
+	// the disjointness oracle blockChecked tests against the armed window
+	// and chunkLen against the other cores' blocks. Taken from the Binary
+	// when the compiler produced it, recomputed otherwise; never shared
+	// mutation-wise with the Binary (harness pools share Binaries across
+	// machines).
 	fps []isa.Footprint
 
 	fastCores []*Core // scratch: cores active in the current window
@@ -328,11 +339,10 @@ func New(bin *compile.Binary, k *kernel.Kernel, cfg Config) (*Machine, error) {
 		cfg.Costs.Quantum = 1000
 	}
 	m := &Machine{
-		Bin:         bin,
-		K:           k,
-		Stats:       k.Stats,
-		cfg:         cfg,
-		reqArrivals: map[int]uint64{},
+		Bin:   bin,
+		K:     k,
+		Stats: k.Stats,
+		cfg:   cfg,
 	}
 	// Dirty tracking starts before the first write, on an all-zero
 	// (possibly recycled) image every chunk of which shares zeroChunk: the
@@ -352,7 +362,7 @@ func New(bin *compile.Binary, k *kernel.Kernel, cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("vm: %w", err)
 	}
 	m.decoded = decoded
-	m.buildBlockLen(starts)
+	m.buildOps(starts)
 	// Static block footprints for the watchpoint-aware fast path: use the
 	// compiler's table when present, otherwise (hand-assembled binaries)
 	// compute one here. The table is read-only from this machine's point of
@@ -391,8 +401,12 @@ func New(bin *compile.Binary, k *kernel.Kernel, cfg Config) (*Machine, error) {
 			return 0
 		}
 	}
-	if cfg.Requests != nil && cfg.Requests.Count > 0 {
-		m.scheduleArrival()
+	if cfg.Requests != nil {
+		// Only the request generator records arrivals.
+		m.reqArrivals = map[int]uint64{}
+		if cfg.Requests.Count > 0 {
+			m.scheduleArrival()
+		}
 	}
 	return m, nil
 }
@@ -472,6 +486,10 @@ type Telemetry struct {
 	// superstep windows.
 	FastInstructions uint64
 	FastWindows      uint64
+	// ChunkedInstructions counts the fast instructions the multi-core
+	// lockstep retired in chunks — each core's independent block run back
+	// to back instead of one instruction per core per round.
+	ChunkedInstructions uint64
 	// Demotions breaks down why work left (or never reached) the unchecked
 	// fast path; see the Demotions type.
 	Demotions Demotions
