@@ -41,7 +41,8 @@ func (m *Machine) adoptCanon(c *Core) int {
 // resumeOrResetFast decides, at a superstep-window boundary, whether core
 // c's open block decision is still valid: same thread, register file
 // unmutated since the decision was made, and no DPOR segment recording
-// (whose per-decision footprint attribution requires fresh block entries).
+// (enterBlock folds each block's footprint into the segment open at its
+// entry, so a segment needs fresh block entries).
 // A kept decision means the first block of the new window retires without a
 // fresh register-file scan — the same-pick continuation. The stamp and the
 // fast fields are part of snapshots, so a run resumed from a mid-decision

@@ -21,12 +21,15 @@ import (
 // activity is due and no scheduling decision can arise, the machine
 // computes the largest window [clock, bound) in which the legacy loop
 // provably does nothing but retire straight-line instructions, executes
-// the whole window, and charges cost in bulk. One active core retires the
-// window block by block; several active cores run it in lockstep rounds,
-// and whenever their open blocks are provably independent — unchecked,
-// fault-free, footprints inside memory and pairwise disjoint — each core
-// retires its share of the coming rounds back to back as one chunk, since
-// instructions of different cores that touch disjoint memory commute.
+// the whole window, and charges cost in bulk. One executor, runWindow,
+// retires every window at any count of active cores, in lockstep rounds
+// grouped into chunks: the first active core leads, its open block sets the
+// chunk length and it alone may stop inside a chunk; the other cores then
+// retire the same number of ops back to back, which is exact when their
+// blocks cannot stop and all footprints are inside memory and pairwise
+// disjoint, since instructions of different cores that touch disjoint
+// memory commute. Where they are not, the rounds run as chunks of one op
+// per core. With one active core every chunk is the lead's block.
 //
 // Armed watchpoints do not end the window. At every basic-block edge the
 // dispatcher compares the block's static address footprint (compile-time
@@ -330,57 +333,11 @@ func (m *Machine) trySuperstep() bool {
 		n = (n + instr - 1) / instr
 	}
 
-	var rounds uint64
-	stopIdx := 0
-	stopped := false
-	if len(active) == 1 {
-		rounds = m.runFastSingle(active[0], n)
-		stopped = rounds < n
-	} else {
-	loop:
-		for k := uint64(0); k < n; {
-			l, hold := m.chunkLen(active, n-k)
-			if l > 0 {
-				// Rounds k..k+l-1 as one chunk per core, core after core:
-				// the cores' blocks touch pairwise disjoint memory and none
-				// of their ops can bail, so retiring each core's l ops back
-				// to back commits exactly what l interleaved rounds would.
-				for _, c := range active {
-					if m.execRun(c, c.Cur, l, false) != l {
-						panic("vm: chunked lockstep run bailed")
-					}
-					c.fastLeft -= uint16(l)
-				}
-				m.tel.ChunkedInstructions += l * uint64(len(active))
-				k += l
-				continue
-			}
-			for end := min(k+hold, n); k < end; k++ {
-				for i, c := range active {
-					if !m.stepFastBlock(c) {
-						// Core i cannot proceed (kernel boundary, faulting
-						// instruction, or a checked access that would
-						// trap): in the legacy loop its round-k instruction
-						// commits at t0+k*instr *after* the round-k
-						// instructions of cores ordered before it, and
-						// *before* those of cores ordered after it. So
-						// cores < i keep round k; cores >= i replay it (and
-						// everything later) on the legacy path.
-						rounds, stopIdx, stopped = k, i, true
-						break loop
-					}
-				}
-			}
-		}
-		if !stopped {
-			rounds = n
-		}
-	}
-
+	rounds, stopIdx := m.runWindow(active, n)
 	var total uint64
 	for i, c := range active {
 		cnt := rounds
-		if stopped && i < stopIdx {
+		if i < stopIdx {
 			cnt++
 		}
 		if cnt == 0 {
@@ -410,13 +367,16 @@ func (m *Machine) trySuperstep() bool {
 const fastMergeRun = 4
 
 // enterBlock makes the block-edge decision for core c's thread at its
-// current pc, the one place every window executor decides: the length of the
+// current pc, the one place the window executor decides: the length of the
 // straight-line run the decision covers (fastLeft), checked or unchecked
 // execution — inherited through the merge budget after a checked decision,
 // otherwise from a fresh blockChecked scan — and the stamp (thread, register
 // file mutation count) that lets a later window keep the decision open (see
-// resumeOrResetFast). It returns false, deciding nothing, when the pc is not
-// fast-enterable: a kernel boundary or not an instruction start.
+// resumeOrResetFast). The block's footprint is evaluated here, once, for
+// every reader that needs it: blockChecked when something is armed, chunkLen
+// when several cores are active, and DPOR segment recording. It returns
+// false, deciding nothing, when the pc is not fast-enterable: a kernel
+// boundary or not an instruction start.
 func (m *Machine) enterBlock(c *Core) bool {
 	t := c.Cur
 	pc := t.PC
@@ -431,26 +391,30 @@ func (m *Machine) enterBlock(c *Core) bool {
 	c.fastIdx = idx
 	c.fastDecTID = t.ID
 	c.fastDecMuts = c.WP.Muts()
-	c.fpInMem = false
-	if c.fastMerge > 0 {
+	armed := c.WP.ArmedCount() != 0
+	rec := m.segRecording()
+	class := fpUnbounded // read only after an evaluation
+	if armed || rec || len(m.fastCores) > 1 {
+		class = m.evalFootprint(c, t, pc)
+	}
+	switch {
+	case c.fastMerge > 0:
 		c.fastMerge--
 		c.fastChecked = true
 		m.tel.Demotions.CheckedOverlap++
-	} else {
-		c.fastChecked = m.blockChecked(c, t, pc)
+	case armed:
+		c.fastChecked = m.blockChecked(c, t, class)
 		if c.fastChecked {
 			c.fastMerge = fastMergeRun
 		}
+	default:
+		c.fastChecked = false
 	}
-	if m.segRecording() {
-		m.segBlockFootprint(t, pc)
+	if rec {
+		m.segFootprint(c, class)
 	}
 	return true
 }
-
-// enterable reports whether the fast tier may start a block at pc: an
-// instruction start that is not a kernel boundary.
-func (m *Machine) enterable(pc uint32) bool { return m.blockLen(pc) != 0 }
 
 // dropBlock abandons core c's open block decision and its merge budget, so
 // the next window entry decides afresh.
@@ -459,102 +423,106 @@ func (c *Core) dropBlock() {
 	c.fastMerge = 0
 }
 
-// stepFastBlock retires one instruction of core c's thread in the
-// multi-core lockstep, deciding at each basic-block edge (fastLeft counts
-// the instructions still covered by the current decision; trySuperstep
-// drops it at window admission unless its stamp proves it still valid).
-func (m *Machine) stepFastBlock(c *Core) bool {
-	if c.fastLeft == 0 && !m.enterBlock(c) {
-		return false
+// runWindow is the window executor: it retires up to n lockstep rounds of
+// the active cores, one chunk after another, and reports where it stopped —
+// every active core retired rounds instructions, and the cores before
+// stopIdx one more. The first active core leads: its open block bounds each
+// chunk, and it alone may stop inside one. When it stops at op j, the other
+// cores retire exactly j ops, which is where round-by-round lockstep stops
+// too: in the legacy loop the lead's round-j instruction commits first in
+// its tick, so every core replays round j and later on the legacy path.
+// With one active core every chunk is the lead's block. Rounds that
+// chunkLen refuses run as chunks of one op per core; there a core i that
+// cannot proceed (kernel boundary, faulting instruction, or a checked
+// access that would trap) stops the window after the round's instructions
+// of cores before it and before those of cores after it.
+func (m *Machine) runWindow(active []*Core, n uint64) (rounds uint64, stopIdx int) {
+	lead := active[0]
+	for k := uint64(0); k < n; {
+		if lead.fastLeft == 0 && !m.enterBlock(lead) {
+			return k, 0
+		}
+		l, hold := min(n-k, uint64(lead.fastLeft)), uint64(0)
+		if len(active) > 1 {
+			l, hold = m.chunkLen(active, l)
+		}
+		if l > 0 {
+			j := m.execRun(lead, l)
+			if j == 0 {
+				return k, 0 // no follower may run a round the lead replays
+			}
+			if len(active) > 1 {
+				for _, c := range active[1:] {
+					if m.execRun(c, j) != j {
+						panic("vm: chunk follower bailed")
+					}
+				}
+				m.tel.ChunkedInstructions += j * uint64(len(active))
+			}
+			k += j
+			if j < l {
+				return k, 0
+			}
+			continue
+		}
+		for end := min(k+hold, n); k < end; k++ {
+			for i, c := range active {
+				if (c.fastLeft == 0 && !m.enterBlock(c)) || m.execRun(c, 1) == 0 {
+					return k, i
+				}
+			}
+		}
 	}
-	if m.execRun(c, c.Cur, 1, c.fastChecked) == 0 {
-		c.dropBlock()
-		return false
-	}
-	c.fastLeft--
-	return true
+	return n, 0
 }
 
-// chunkLen reports how many of the next left lockstep rounds the active
-// cores may retire as one chunk each, back to back in core order. A chunk
-// is exact when no core can bail inside it and no two cores' instructions
-// can observe each other, so every active core's open block must be
-// unchecked, its run free of ops that can fault, and its footprint —
-// evaluated at the block's entry — bounded, inside data memory and
-// disjoint from every other core's. Segment recording (DPOR) attributes
-// footprints per block entry in lockstep order, so it keeps the
-// one-instruction rounds.
+// chunkLen narrows the lead's chunk of l ops — the rest of its open block,
+// within the window — to the rounds that two or more active cores may
+// retire as one chunk each, back to back in core order. The lead may be
+// checked or carry ops that can fault, since only it may stop inside the
+// chunk. A chunk is exact when no follower can stop inside it and no two
+// cores' instructions can observe each other, so every follower's open
+// block must be unchecked and its run free of ops that can fault, and
+// every active core's footprint — evaluated at the block's entry — must be
+// bounded, inside data memory and disjoint from every other core's.
 //
-// When it refuses (l == 0), hold is how many rounds, at least 1, the
-// refusal provably stands: the blocks that caused it stay open that long,
-// so the lockstep runs them one instruction per core without re-testing.
+// It returns the narrowed chunk and a hold of 0. When it refuses, it
+// returns a chunk of 0 and a hold of at least 1: the number of rounds for
+// which the refusal provably stands, because the blocks that caused it
+// stay open that long. The window runs those rounds one op per core
+// without re-testing.
 //
-// Blocks are entered here, in core order, stopping at the first core that
-// is not eligible: each enterBlock then happens where stepFastBlock would
-// have made it in the coming round — cores before it retire their round
-// instruction without bailing, and nothing another core does can change a
-// decision (watchpoint state is frozen inside a window and a decision reads
-// only the core's own thread) — so every counter the decisions feed stays
-// identical.
-func (m *Machine) chunkLen(active []*Core, left uint64) (l, hold uint64) {
-	if m.segRecording() {
-		return 0, left
+// Followers' blocks are entered here, in core order, stopping at the first
+// core that is not eligible, and only while the lead cannot stop: each
+// enterBlock then happens where round-by-round lockstep would make it in the
+// coming round — cores before it retire their round instruction without
+// stopping, and nothing another core does can change a decision (watchpoint
+// state is frozen inside a window and a decision reads only the core's own
+// thread) — so every counter the decisions feed stays identical. A lead
+// that may stop at its first op would make such an entry premature, so a
+// follower with no open block then refuses for one round.
+func (m *Machine) chunkLen(active []*Core, l uint64) (chunk, hold uint64) {
+	lead := active[0]
+	if !lead.fpInMem {
+		return 0, uint64(lead.fastLeft)
 	}
-	l = left
-	for i, c := range active {
-		if c.fastLeft == 0 && !m.enterBlock(c) {
+	leadStops := lead.fastChecked || !m.ops[lead.fastIdx].safe
+	for i := 1; i < len(active); i++ {
+		c := active[i]
+		if c.fastLeft == 0 && (leadStops || !m.enterBlock(c)) {
 			return 0, 1
 		}
 		if c.fastChecked || !c.fpInMem || !m.ops[c.fastIdx].safe {
 			return 0, uint64(c.fastLeft)
 		}
 		for _, d := range active[:i] {
-			if c.overlaps(d) {
+			if overlaps(c.fpRanges[:c.fpN], d.fpRanges[:d.fpN]) {
 				return 0, uint64(min(c.fastLeft, d.fastLeft))
 			}
 		}
 		l = min(l, uint64(c.fastLeft))
 	}
 	return l, 0
-}
-
-// overlaps reports whether the evaluated footprints of two cores' open
-// blocks share an address.
-func (c *Core) overlaps(d *Core) bool {
-	for _, a := range c.fpRanges[:c.fpN] {
-		for _, b := range d.fpRanges[:d.fpN] {
-			if a.Lo < b.Hi && b.Lo < a.Hi {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// runFastSingle is the one-active-core window executor: it retires up to n
-// instructions in block-sized straight-line chunks, so both the "is this a
-// kernel boundary" lookup and the checked/unchecked watchpoint decision are
-// hoisted to block edges. The decision lives in the core's persistent fast
-// fields (stamped for validity; see resumeOrResetFast), so a window that
-// ends mid-block can hand its open decision to the next one. Returns the
-// number of instructions retired.
-func (m *Machine) runFastSingle(c *Core, n uint64) uint64 {
-	t := c.Cur
-	var done uint64
-	for done < n {
-		if c.fastLeft == 0 && !m.enterBlock(c) {
-			return done
-		}
-		chunk := min(uint64(c.fastLeft), n-done)
-		got := m.execRun(c, t, chunk, c.fastChecked)
-		done += got
-		if got < chunk {
-			c.dropBlock()
-			return done
-		}
-		c.fastLeft -= uint16(chunk)
-	}
-	return done
 }
 
 // Footprint evaluation outcomes (see evalFootprint).
@@ -567,10 +535,12 @@ const (
 // evalFootprint evaluates the static footprint of the run at pc against
 // thread t's live SP/FP into core c's fpRanges — the absolute interval plus
 // the SP and FP intervals — and sets fpInMem when every interval lies
-// inside data memory. blockChecked tests the ranges against the armed
-// registers; chunkLen tests them against the other cores' blocks.
+// inside data memory. enterBlock calls it once per block edge; blockChecked
+// tests the ranges against the armed registers, chunkLen against the other
+// cores' blocks, and segFootprint folds them into the DPOR segment.
 func (m *Machine) evalFootprint(c *Core, t *Thread, pc uint32) int {
 	c.fpN = 0
+	c.fpInMem = false
 	f := &m.fps[pc]
 	if f.Unbounded {
 		return fpUnbounded
@@ -614,25 +584,16 @@ func stackRange(base, lo, hi int64) (r hw.AddrRange, ok bool) {
 }
 
 // blockChecked decides, at a basic-block edge, whether the straight-line
-// run starting at pc must execute with per-access watchpoint checks on
-// core c. False — the common case — means the block's static footprint is
-// provably disjoint from every armed register that could trap thread t, so
-// execRun may commit every access unchecked (Match would return -1 for all
-// of them). The stack components of the footprint are offsets from the
-// block's entry SP/FP, evaluated against the thread's live registers; an
-// interval that escapes the 32-bit address space is answered
-// conservatively. The footprint is evaluated once per decision, and also
-// when nothing is armed inside a multi-core window, where the chunked
-// lockstep needs it.
-func (m *Machine) blockChecked(c *Core, t *Thread, pc uint32) bool {
-	armed := c.WP.ArmedCount() != 0
-	if !armed && len(m.fastCores) < 2 {
-		return false
-	}
-	class := m.evalFootprint(c, t, pc)
-	if !armed {
-		return false
-	}
+// run starting at the core's pc must execute with per-access watchpoint
+// checks on core c. False — the common case — means the block's static
+// footprint is provably disjoint from every armed register that could trap
+// thread t, so execRun may commit every access unchecked (Match would
+// return -1 for all of them). enterBlock asks only while something is
+// armed. class is the outcome of the block's footprint evaluation: the stack
+// components are offsets from the block's entry SP/FP, evaluated against
+// the thread's live registers, and an interval that escapes the 32-bit
+// address space is answered conservatively.
+func (m *Machine) blockChecked(c *Core, t *Thread, class int) bool {
 	// Thread-relevant armed summary, cached per (thread, register-file
 	// mutation count): when every armed register is exempt for this thread
 	// (LocalOf — optimization 3), nothing the block does can trap, whatever
@@ -728,24 +689,27 @@ func (m *Machine) accessTraps(c *Core, t *Thread, addr uint32, sz uint8, typ hw.
 }
 
 // execRun is the fast interpreter: it retires up to n ops of core c's open
-// block — the straight-line run at thread t's pc, from op fastIdx on — with
-// no kernel interaction and no access recording, and returns how many it
-// retired. The caller bounds n by the block (fastLeft), so only the last op
-// can be control flow. On return fastIdx names the op at the thread's new
-// pc where it is statically known (fall-through or a direct jump), which
-// the next enterBlock checks against the pc before it uses it.
-// In unchecked mode the caller (blockChecked) has proven no access can hit
-// an armed register; in checked mode opTraps pre-checks every op's accesses
-// before anything of it commits, so a bail-out never leaves a partial
-// commit.
+// block — the straight-line run at the thread's pc, from op fastIdx on, in
+// the block's decided mode — with no kernel interaction and no access
+// recording, and returns how many it retired. The caller bounds n by the
+// block (fastLeft), so only the last op can be control flow. A full run
+// takes n off fastLeft, and on return fastIdx names the op at the thread's
+// new pc where it is statically known (fall-through or a direct jump),
+// which the next enterBlock checks against the pc before it uses it.
+// In unchecked mode blockChecked has proven no access can hit an armed
+// register; in checked mode opTraps pre-checks every op's accesses before
+// anything of it commits, so a bail-out never leaves a partial commit.
 // It stops early, leaving the op it stopped at and all machine state
 // untouched, when that op must execute on the legacy path instead: a kernel
 // boundary (SYS, HLT), a faulting condition (division by zero,
 // out-of-bounds access), or a checked access that would trap. Stop-before
 // semantics make the fallback exact: the legacy step re-executes the op at
-// the identical clock with identical state. t.PC and t.LastInstr are
-// written once, at the end of the run or at the op that stopped it.
-func (m *Machine) execRun(c *Core, t *Thread, n uint64, checked bool) uint64 {
+// the identical clock with identical state, and the block decision is
+// dropped. t.PC and t.LastInstr are written once, at the end of the run or
+// at the op that stopped it.
+func (m *Machine) execRun(c *Core, n uint64) uint64 {
+	t := c.Cur
+	checked := c.fastChecked
 	i := c.fastIdx
 	ops := m.ops[i : i+uint32(n)]
 	r := &t.Regs
@@ -756,7 +720,7 @@ func (m *Machine) execRun(c *Core, t *Thread, n uint64, checked bool) uint64 {
 	for j := range ops {
 		o := &ops[j]
 		if checked && m.opTraps(c, t, o) {
-			return stopRun(t, ops, j)
+			return stopRun(c, t, ops, j)
 		}
 		switch o.kind {
 		case okNOP:
@@ -794,12 +758,12 @@ func (m *Machine) execRun(c *Core, t *Thread, n uint64, checked bool) uint64 {
 			r[o.rd] = b2i(r[o.ra] >= r[o.rb])
 		case okDIV:
 			if r[o.rb] == 0 {
-				return stopRun(t, ops, j) // division by zero: fault on the legacy path
+				return stopRun(c, t, ops, j) // division by zero: fault on the legacy path
 			}
 			r[o.rd] = r[o.ra] / r[o.rb]
 		case okMOD:
 			if r[o.rb] == 0 {
-				return stopRun(t, ops, j)
+				return stopRun(c, t, ops, j)
 			}
 			r[o.rd] = r[o.ra] % r[o.rb]
 		case okADDI:
@@ -807,67 +771,67 @@ func (m *Machine) execRun(c *Core, t *Thread, n uint64, checked bool) uint64 {
 		case okLD8:
 			a := o.addr
 			if int(a)+8 > len(mem) {
-				return stopRun(t, ops, j)
+				return stopRun(c, t, ops, j)
 			}
 			r[o.rd] = int64(binary.LittleEndian.Uint64(mem[a:]))
 		case okLD:
 			if !m.inBounds(o.addr, o.sz) {
-				return stopRun(t, ops, j)
+				return stopRun(c, t, ops, j)
 			}
 			r[o.rd] = signExtend(m.loadRaw(o.addr, o.sz), o.sz)
 		case okST8:
 			a := o.addr
 			if int(a)+8 > len(mem) {
-				return stopRun(t, ops, j)
+				return stopRun(c, t, ops, j)
 			}
 			m.store8(a, uint64(r[o.ra]))
 		case okST:
 			if !m.inBounds(o.addr, o.sz) {
-				return stopRun(t, ops, j)
+				return stopRun(c, t, ops, j)
 			}
 			m.storeRaw(o.addr, o.sz, uint64(r[o.ra]))
 		case okLDR8:
 			a := uint32(r[o.ra] + o.imm)
 			if int(a)+8 > len(mem) {
-				return stopRun(t, ops, j)
+				return stopRun(c, t, ops, j)
 			}
 			r[o.rd] = int64(binary.LittleEndian.Uint64(mem[a:]))
 		case okLDR:
 			a := uint32(r[o.ra] + o.imm)
 			if !m.inBounds(a, o.sz) {
-				return stopRun(t, ops, j)
+				return stopRun(c, t, ops, j)
 			}
 			r[o.rd] = signExtend(m.loadRaw(a, o.sz), o.sz)
 		case okSTR8:
 			a := uint32(r[o.ra] + o.imm)
 			if int(a)+8 > len(mem) {
-				return stopRun(t, ops, j)
+				return stopRun(c, t, ops, j)
 			}
 			m.store8(a, uint64(r[o.rb]))
 		case okSTR:
 			a := uint32(r[o.ra] + o.imm)
 			if !m.inBounds(a, o.sz) {
-				return stopRun(t, ops, j)
+				return stopRun(c, t, ops, j)
 			}
 			m.storeRaw(a, o.sz, uint64(r[o.rb]))
 		case okPUSH:
 			sp := uint32(r[isa.RegSP]) - 8
 			if int(sp)+8 > len(mem) {
-				return stopRun(t, ops, j)
+				return stopRun(c, t, ops, j)
 			}
 			r[isa.RegSP] = int64(sp)
 			m.store8(sp, uint64(r[o.ra]))
 		case okPOP:
 			sp := uint32(r[isa.RegSP])
 			if int(sp)+8 > len(mem) {
-				return stopRun(t, ops, j)
+				return stopRun(c, t, ops, j)
 			}
 			r[o.rd] = int64(binary.LittleEndian.Uint64(mem[sp:]))
 			r[isa.RegSP] = int64(sp + 8)
 		case okPUSHM:
 			sp := uint32(r[isa.RegSP]) - 8
 			if !m.inBounds(o.addr, o.sz) || int(sp)+8 > len(mem) {
-				return stopRun(t, ops, j)
+				return stopRun(c, t, ops, j)
 			}
 			v := signExtend(m.loadRaw(o.addr, o.sz), o.sz)
 			r[isa.RegSP] = int64(sp)
@@ -885,7 +849,7 @@ func (m *Machine) execRun(c *Core, t *Thread, n uint64, checked bool) uint64 {
 		case okCALL:
 			sp := uint32(r[isa.RegSP]) - 8
 			if int(sp)+8 > len(mem) {
-				return stopRun(t, ops, j)
+				return stopRun(c, t, ops, j)
 			}
 			r[isa.RegSP] = int64(sp)
 			m.store8(sp, uint64(o.next))
@@ -894,7 +858,7 @@ func (m *Machine) execRun(c *Core, t *Thread, n uint64, checked bool) uint64 {
 		case okCALLM:
 			sp := uint32(r[isa.RegSP]) - 8
 			if int(o.addr)+8 > len(mem) || int(sp)+8 > len(mem) {
-				return stopRun(t, ops, j)
+				return stopRun(c, t, ops, j)
 			}
 			next = uint32(binary.LittleEndian.Uint64(mem[o.addr:]))
 			r[isa.RegSP] = int64(sp)
@@ -903,7 +867,7 @@ func (m *Machine) execRun(c *Core, t *Thread, n uint64, checked bool) uint64 {
 		case okRET:
 			sp := uint32(r[isa.RegSP])
 			if int(sp)+8 > len(mem) {
-				return stopRun(t, ops, j)
+				return stopRun(c, t, ops, j)
 			}
 			next = uint32(binary.LittleEndian.Uint64(mem[sp:]))
 			r[isa.RegSP] = int64(sp + 8)
@@ -911,18 +875,21 @@ func (m *Machine) execRun(c *Core, t *Thread, n uint64, checked bool) uint64 {
 				t.Depth--
 			}
 		default: // okNone: a kernel boundary
-			return stopRun(t, ops, j)
+			return stopRun(c, t, ops, j)
 		}
 	}
 	t.LastInstr = ops[len(ops)-1].pc
 	t.PC = next
 	c.fastIdx = nidx
+	c.fastLeft -= uint16(n)
 	return n
 }
 
 // stopRun ends execRun at op j of ops without executing it: the thread is
-// left exactly as if ops[:j] had retired one at a time.
-func stopRun(t *Thread, ops []fastOp, j int) uint64 {
+// left exactly as if ops[:j] had retired one at a time, and core c's block
+// decision is dropped.
+func stopRun(c *Core, t *Thread, ops []fastOp, j int) uint64 {
+	c.dropBlock()
 	if j > 0 {
 		t.LastInstr = ops[j-1].pc
 		t.PC = ops[j].pc

@@ -3,9 +3,11 @@ package vm
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"kivati/internal/compile"
+	"kivati/internal/hw"
 	"kivati/internal/kernel"
 )
 
@@ -13,6 +15,14 @@ import (
 // faults (fault equivalence across modes is part of what these tests
 // check).
 func runDispatch(t *testing.T, src string, o runOpts, d DispatchMode) (*Machine, *Result) {
+	t.Helper()
+	m := newDispatch(t, src, o, d)
+	return m, m.Run()
+}
+
+// newDispatch compiles src and returns a machine under dispatch mode d with
+// o's threads started, ready to Run.
+func newDispatch(t *testing.T, src string, o runOpts, d DispatchMode) *Machine {
 	t.Helper()
 	bin := buildSrc(t, src, o.compile)
 	if o.kcfg.Opt == kernel.OptOptimized && o.compile.ShadowWrites {
@@ -34,7 +44,7 @@ func runDispatch(t *testing.T, src string, o runOpts, d DispatchMode) (*Machine,
 			t.Fatalf("Start(%s): %v", s.fn, err)
 		}
 	}
-	return m, m.Run()
+	return m
 }
 
 // assertDispatchEqual runs src under DispatchStep and DispatchFast and
@@ -197,11 +207,13 @@ void main() {
 	}
 }
 
-// chunkRaceSrc is two threads of straight-line code: stretches that touch
+// chunkRaceSrc holds threads of straight-line code: stretches that touch
 // only their own frames, which the multi-core lockstep may retire as
-// chunks, between read-modify-writes of one shared global, whose
-// interleaving decides the final value and must never be chunked. Worker 2
-// ends in a division by zero inside an otherwise independent block.
+// chunks, between accesses to one shared global, whose interleaving decides
+// the final value and must never be chunked. Worker 2 ends in a division by
+// zero inside an otherwise independent block. Annotated, holder keeps an
+// atomic region on g open across a loop over its own frame while reader's
+// blocks, each reading g, run checked against it.
 const chunkRaceSrc = `
 int g;
 void worker(int k) {
@@ -234,27 +246,167 @@ void worker(int k) {
     }
     print(g);
 }
+void reader(int k) {
+    int i;
+    int a;
+    int s;
+    i = 0;
+    a = k;
+    s = 0;
+    while (i < 400) {
+        a = a * 5 + i;
+        a = a - i * 3;
+        s = s + g;
+        a = a + s;
+        i = i + 1;
+    }
+    print(s + a);
+}
+void holder(int k) {
+    int i;
+    int j;
+    int a;
+    int c;
+    i = 0;
+    a = k;
+    while (i < 400) {
+        c = g;
+        j = 0;
+        while (j < 20) {
+            a = a * 3 + j;
+            j = j + 1;
+        }
+        g = c + a;
+        i = i + 1;
+    }
+}
 `
 
 // TestFastPathChunkRace checks the chunked lockstep against the reference
 // interpreter on a program where reordering any two racing accesses would
 // show: memory, registers, outputs and the fault must match at every core
-// count, and chunks must actually have run.
+// count, and chunks must actually have run. The first active core leads
+// every chunk and alone may stop inside one, so the cases put a lead that
+// can stop on core 0: the dividing worker (div-leads), blocks that run
+// checked because the workers' atomic regions on g arm watchpoints
+// (prevention), and reader's checked blocks stopping at a trapping read of
+// g while holder, inside its atomic region, follows (checked-lead).
 func TestFastPathChunkRace(t *testing.T) {
-	for _, cores := range []int{2, 3, 4} {
-		o := defaultRunOpts()
-		o.compile = compile.Options{} // unannotated: nothing is ever armed
-		o.mcfg.Cores = cores
-		o.starts = []startSpec{{"worker", 1}, {"worker", 2}}
-		name := fmt.Sprintf("cores=%d", cores)
-		fast := assertDispatchEqual(t, name, chunkRaceSrc, o)
-		if len(fast.Faults) != 1 {
-			t.Errorf("%s: faults = %v, want worker 2's division by zero", name, fast.Faults)
-		}
-		if fast.ChunkedInstructions == 0 {
-			t.Errorf("%s: no instruction retired in a lockstep chunk", name)
+	cases := []struct {
+		name     string
+		starts   []startSpec
+		annotate bool
+		faults   int
+	}{
+		{"plain", []startSpec{{"worker", 1}, {"worker", 2}}, false, 1},
+		{"div-leads", []startSpec{{"worker", 2}, {"worker", 1}}, false, 1},
+		{"prevention", []startSpec{{"worker", 1}, {"worker", 2}}, true, 1},
+		{"checked-lead", []startSpec{{"reader", 1}, {"holder", 2}}, true, 0},
+	}
+	for _, tc := range cases {
+		for _, cores := range []int{2, 3, 4} {
+			o := defaultRunOpts()
+			o.compile = compile.Options{Annotate: tc.annotate}
+			o.mcfg.Cores = cores
+			o.starts = tc.starts
+			name := fmt.Sprintf("%s/cores=%d", tc.name, cores)
+			fast := assertDispatchEqual(t, name, chunkRaceSrc, o)
+			if len(fast.Faults) != tc.faults {
+				t.Errorf("%s: faults = %v, want %d", name, fast.Faults, tc.faults)
+			}
+			if fast.ChunkedInstructions == 0 {
+				t.Errorf("%s: no instruction retired in a lockstep chunk", name)
+			}
+			if tc.annotate && fast.Stats.Traps == 0 {
+				t.Errorf("%s: no watchpoint trap, so no checked block was exercised", name)
+			}
 		}
 	}
+}
+
+// TestFastPathSegmentsCoverStep checks that the DPOR segments the fast tier
+// records are sound against the reference interpreter's: the same decision
+// points, and a summary at least as conservative — a segment that is
+// Global under Step is Global under Fast, and otherwise every address Step
+// read was read or written under Fast and every address Step wrote was
+// written under Fast (block footprints fold in as writes). Segments are
+// machine-wide, so the check runs at several core counts although DPOR
+// explores one core.
+func TestFastPathSegmentsCoverStep(t *testing.T) {
+	policies := []struct {
+		name string
+		p    SchedulePolicy
+	}{
+		{"head", queueHeadPolicy{}},
+		{"tail", PolicyFunc(func(p SchedPoint) int { return len(p.Runnable) - 1 })},
+	}
+	for _, pol := range policies {
+		for _, cores := range []int{1, 2, 3} {
+			o := defaultRunOpts()
+			o.compile = compile.Options{}
+			o.mcfg.Cores = cores
+			o.mcfg.Policy = pol.p
+			costs := DefaultCosts()
+			costs.Quantum = 37
+			o.mcfg.Costs = costs
+			o.starts = []startSpec{{"worker", 1}, {"worker", 2}, {"worker", 3}}
+			name := fmt.Sprintf("%s/cores=%d", pol.name, cores)
+			var segs [2][]Segment
+			for i, d := range []DispatchMode{DispatchStep, DispatchFast} {
+				m := newDispatch(t, chunkRaceSrc, o, d)
+				m.SetSegmentLimit(1 << 20)
+				m.Run()
+				segs[i] = m.Segments()
+			}
+			step, fast := segs[0], segs[1]
+			if len(step) != len(fast) {
+				t.Fatalf("%s: %d segments under Step, %d under Fast", name, len(step), len(fast))
+			}
+			if len(step) < 10 {
+				t.Fatalf("%s: only %d segments recorded", name, len(step))
+			}
+			for i := range step {
+				s, f := &step[i], &fast[i]
+				if s.Thread != f.Thread {
+					t.Errorf("%s: segment %d thread step=%d fast=%d", name, i, s.Thread, f.Thread)
+				}
+				if f.Global {
+					continue
+				}
+				if s.Global {
+					t.Errorf("%s: segment %d Global under Step only", name, i)
+					continue
+				}
+				both := append(append([]hw.AddrRange(nil), f.Reads...), f.Writes...)
+				for _, r := range s.Reads {
+					if !covered(r, both) {
+						t.Errorf("%s: segment %d Step read %v not covered by Fast", name, i, r)
+					}
+				}
+				for _, r := range s.Writes {
+					if !covered(r, f.Writes) {
+						t.Errorf("%s: segment %d Step write %v not covered by Fast writes", name, i, r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// covered reports whether the union of by contains every address of r.
+func covered(r hw.AddrRange, by []hw.AddrRange) bool {
+	by = append([]hw.AddrRange(nil), by...)
+	sort.Slice(by, func(i, j int) bool { return by[i].Lo < by[j].Lo })
+	pos := r.Lo
+	for _, b := range by {
+		if b.Lo <= pos && pos < b.Hi {
+			pos = b.Hi
+		}
+		if pos >= r.Hi {
+			return true
+		}
+	}
+	return pos >= r.Hi
 }
 
 // Three-thread contention on two cores under prevention with annotated

@@ -1,9 +1,6 @@
 package vm
 
-import (
-	"kivati/internal/hw"
-	"kivati/internal/isa"
-)
+import "kivati/internal/hw"
 
 // Decision-delimited access segments for dynamic partial-order reduction.
 //
@@ -22,9 +19,11 @@ import (
 // timer events, thread exits and forced (choice-free) reschedules mark the
 // whole segment as conflicting with everything, and fast-path block
 // footprints are folded in as writes.
-
-// Interval is a half-open address range [Lo, Hi).
-type Interval struct{ Lo, Hi uint32 }
+//
+// Segments are machine-wide: one open segment collects the accesses of
+// every core between two decision points. Only on one core is that a
+// transition of the chosen thread, so DPOR is single-core by contract
+// (explore rejects it at other core counts).
 
 // segMaxIntervals bounds per-segment interval lists; segments that exceed
 // it collapse to Global (conflicts with everything) instead of growing.
@@ -40,12 +39,13 @@ type Segment struct {
 	// access intervals (kernel entry, trap, timer event, thread switch
 	// without a decision); it conflicts with every other segment.
 	Global bool
-	Reads  []Interval
-	Writes []Interval
+	Reads  []hw.AddrRange
+	Writes []hw.AddrRange
 }
 
-// overlaps reports whether any interval in a intersects any in b.
-func overlaps(a, b []Interval) bool {
+// overlaps reports whether any interval in a intersects any in b: segment
+// independence and the chunked lockstep's disjointness test.
+func overlaps(a, b []hw.AddrRange) bool {
 	for _, x := range a {
 		for _, y := range b {
 			if x.Lo < y.Hi && y.Lo < x.Hi {
@@ -100,8 +100,8 @@ func (m *Machine) segRecording() bool {
 func (m *Machine) closeSegment() {
 	seg := Segment{Thread: m.seg.Thread, Global: m.seg.Global}
 	if !seg.Global {
-		seg.Reads = append([]Interval(nil), m.seg.Reads...)
-		seg.Writes = append([]Interval(nil), m.seg.Writes...)
+		seg.Reads = append([]hw.AddrRange(nil), m.seg.Reads...)
+		seg.Writes = append([]hw.AddrRange(nil), m.seg.Writes...)
 	}
 	m.segs = append(m.segs, seg)
 	m.seg.Global = false
@@ -111,7 +111,7 @@ func (m *Machine) closeSegment() {
 
 // segAdd appends an interval to one of the open segment's lists,
 // collapsing to Global when the list outgrows the bound.
-func (m *Machine) segAdd(list *[]Interval, lo, hi uint32) {
+func (m *Machine) segAdd(list *[]hw.AddrRange, r hw.AddrRange) {
 	if m.seg.Global {
 		return
 	}
@@ -119,16 +119,12 @@ func (m *Machine) segAdd(list *[]Interval, lo, hi uint32) {
 	// same addresses block after block).
 	if n := len(*list); n > 0 {
 		last := &(*list)[n-1]
-		if lo >= last.Lo && hi <= last.Hi {
+		if r.Lo >= last.Lo && r.Hi <= last.Hi {
 			return
 		}
-		if lo <= last.Hi && hi >= last.Lo { // overlapping or adjacent
-			if lo < last.Lo {
-				last.Lo = lo
-			}
-			if hi > last.Hi {
-				last.Hi = hi
-			}
+		if r.Lo <= last.Hi && r.Hi >= last.Lo { // overlapping or adjacent
+			last.Lo = min(last.Lo, r.Lo)
+			last.Hi = max(last.Hi, r.Hi)
 			return
 		}
 	}
@@ -136,49 +132,31 @@ func (m *Machine) segAdd(list *[]Interval, lo, hi uint32) {
 		m.seg.Global = true
 		return
 	}
-	*list = append(*list, Interval{Lo: lo, Hi: hi})
+	*list = append(*list, r)
 }
 
 // segAccess records one committed access (legacy-step path).
 func (m *Machine) segAccess(addr uint32, sz uint8, typ hw.AccessType) {
+	r := hw.AddrRange{Lo: addr, Hi: addr + uint32(sz)}
 	if typ == hw.Read {
-		m.segAdd(&m.seg.Reads, addr, addr+uint32(sz))
+		m.segAdd(&m.seg.Reads, r)
 	} else {
-		m.segAdd(&m.seg.Writes, addr, addr+uint32(sz))
+		m.segAdd(&m.seg.Writes, r)
 	}
 }
 
-// segBlockFootprint folds a basic block's static footprint into the open
-// segment at a fast-path block edge. Footprints do not distinguish reads
-// from writes, so the whole footprint is recorded as writes — conservative
-// for independence. Register-relative components are evaluated against the
-// thread's live SP/FP exactly like blockChecked does.
-func (m *Machine) segBlockFootprint(t *Thread, pc uint32) {
-	if m.seg.Global {
-		return
-	}
-	f := &m.fps[pc]
-	if f.Unbounded {
+// segFootprint folds the footprint enterBlock evaluated for core c's new
+// block into the open segment at a fast-path block edge. Footprints do not
+// distinguish reads from writes, so the whole footprint is recorded as
+// writes — conservative for independence. A footprint the analysis could
+// not bound, or whose stack intervals would wrap or fault, gives up on
+// precision: the segment turns Global.
+func (m *Machine) segFootprint(c *Core, class int) {
+	if class != fpBounded {
 		m.seg.Global = true
 		return
 	}
-	if f.AbsHi > f.AbsLo {
-		m.segAdd(&m.seg.Writes, f.AbsLo, f.AbsHi)
+	for _, r := range c.fpRanges[:c.fpN] {
+		m.segAdd(&m.seg.Writes, r)
 	}
-	m.segRegRange(t.Regs[isa.RegSP], f.SPLo, f.SPHi)
-	m.segRegRange(t.Regs[isa.RegFP], f.FPLo, f.FPHi)
-}
-
-func (m *Machine) segRegRange(base int64, lo, hi int64) {
-	if hi <= lo {
-		return
-	}
-	r, ok := stackRange(base, lo, hi)
-	if !ok {
-		// Would wrap or fault; the checked/legacy path sorts it out, the
-		// segment gives up on precision.
-		m.seg.Global = true
-		return
-	}
-	m.segAdd(&m.seg.Writes, r.Lo, r.Hi)
 }

@@ -147,8 +147,8 @@ type Core struct {
 	// The open block decision's footprint, evaluated against the thread's
 	// SP/FP at block entry (see evalFootprint): fpRanges[:fpN] are its
 	// intervals, and fpInMem says they were evaluated, are bounded and lie
-	// inside data memory — what the chunked lockstep needs. Derived state:
-	// never snapshotted, cleared at window admission and on Restore.
+	// inside data memory — what chunkLen needs. Derived state: never
+	// snapshotted, cleared at window admission and on Restore.
 	fpRanges [3]hw.AddrRange
 	fpN      uint8
 	fpInMem  bool
@@ -269,9 +269,10 @@ type Machine struct {
 	fastOK bool // config admits the fast path at all (computed once)
 
 	// fps[pc] is the static address footprint of the straight-line run the
-	// fast path may retire starting at pc (the run of the op at pc) —
-	// the disjointness oracle blockChecked tests against the armed window
-	// and chunkLen against the other cores' blocks. Taken from the Binary
+	// fast path may retire starting at pc (the run of the op at pc).
+	// enterBlock evaluates it once per block edge, for blockChecked to test
+	// against the armed window, chunkLen against the other cores' blocks and
+	// DPOR segment recording to fold in. Taken from the Binary
 	// when the compiler produced it, recomputed otherwise; never shared
 	// mutation-wise with the Binary (harness pools share Binaries across
 	// machines).
@@ -454,8 +455,7 @@ func (m *Machine) NumThreads() int { return len(m.threads) }
 // other fast-path telemetry it lives outside kernel.Stats (which must stay
 // byte-identical across dispatch modes).
 // Zero counters are omitted from JSON: a vanilla (watchpoint-free) run can
-// only ever demote on timer edges, and its bench rows used to carry four
-// always-zero fields as noise.
+// only ever demote on timer edges.
 type Demotions struct {
 	// ArmedOverlap: basic blocks executed in checked mode because their
 	// static footprint may overlap an armed register.
@@ -486,9 +486,12 @@ type Telemetry struct {
 	// superstep windows.
 	FastInstructions uint64
 	FastWindows      uint64
-	// ChunkedInstructions counts the fast instructions the multi-core
-	// lockstep retired in chunks — each core's independent block run back
-	// to back instead of one instruction per core per round.
+	// ChunkedInstructions counts the fast instructions retired in chunks
+	// while at least two cores were active — each core's independent block
+	// run back to back instead of one instruction per core per round.
+	// Refused rounds, which run one op per core, are not counted, and
+	// neither are windows with one active core, on any machine: there
+	// every chunk is trivially the lone core's block.
 	ChunkedInstructions uint64
 	// Demotions breaks down why work left (or never reached) the unchecked
 	// fast path; see the Demotions type.
@@ -576,7 +579,7 @@ func (m *Machine) Run() *Result {
 			// rest of it would only advance the clock.
 			c := m.cores[0]
 			m.clock = c.BusyUntil
-			if m.enterable(c.Cur.PC) || m.clock >= c.NextTimer ||
+			if m.blockLen(c.Cur.PC) != 0 || m.clock >= c.NextTimer ||
 				(len(m.events) > 0 && m.events[0].tick <= m.clock) ||
 				(m.cfg.MaxTicks > 0 && m.clock >= m.cfg.MaxTicks) {
 				if len(m.events) > 0 && m.events[0].tick < m.clock {
