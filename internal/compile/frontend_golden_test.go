@@ -66,16 +66,19 @@ func frontEndCorpus(t testing.TB) []frontEndSource {
 	return srcs
 }
 
-// frontEndConfigs are the two annotator configurations: the prototype
-// annotator, and the lockset analysis with every optimizer pass.
+// allPasses enables every annotation optimizer pass.
+var allPasses = annotate.OptimizeOptions{DropBenign: true, Dedupe: true, Coalesce: true}
+
+// frontEndConfigs are the four annotator configurations: the prototype
+// annotator; the lockset analysis with every optimizer pass; the precise
+// inter-procedural analysis (points-to and call effects); and all of them
+// together. The first two are the ones the build benchmark runs.
 func frontEndConfigs(roots []string) []annotate.Options {
 	return []annotate.Options{
 		{Roots: roots},
-		{
-			Roots:    roots,
-			Lockset:  true,
-			Optimize: annotate.OptimizeOptions{DropBenign: true, Dedupe: true, Coalesce: true},
-		},
+		{Roots: roots, Lockset: true, Optimize: allPasses},
+		{Roots: roots, Precise: true, InterProcedural: true},
+		{Roots: roots, Precise: true, InterProcedural: true, Lockset: true, Optimize: allPasses},
 	}
 }
 
@@ -201,16 +204,17 @@ func TestFrontEndOutputsUnchanged(t *testing.T) {
 }
 
 // BenchmarkFrontEnd builds the bench-suite applications and the bug
-// fixtures end to end, under both annotator configurations and into all
-// three binaries per build. Run it with -benchmem: allocation is the
-// front end's main cost besides the analyses themselves.
+// fixtures end to end, under the build benchmark's two annotator
+// configurations (prototype; lockset and optimizer) and into all three
+// binaries per build. Run it with -benchmem: allocation is the front end's
+// main cost besides the analyses themselves.
 func BenchmarkFrontEnd(b *testing.B) {
 	srcs := frontEndApps()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range srcs {
-			for _, opts := range frontEndConfigs(s.roots) {
+			for _, opts := range frontEndConfigs(s.roots)[:2] {
 				if _, _, err := buildFrontEnd(s.text, opts); err != nil {
 					b.Fatalf("%s [%s]: %v", s.name, opts.Key(), err)
 				}
