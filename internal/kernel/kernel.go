@@ -212,10 +212,19 @@ type WPMeta struct {
 	TimeoutArmed   bool
 }
 
-// reset frees the watchpoint's metadata, keeping the AR list's storage for
-// the next AR (or restore) that arms it.
+// reset frees the watchpoint's metadata, keeping the storage of the AR and
+// suspension lists for the next AR, suspension or restore on the register.
+// FreeWP and releaseGuards still range over the old lists after the reset:
+// nothing appends to them meanwhile, because only suspendOn appends, and
+// it runs when a thread executes, while Resume only makes a thread
+// runnable.
 func (w *WPMeta) reset() {
-	*w = WPMeta{Gen: w.Gen + 1, ARs: w.ARs[:0]}
+	*w = WPMeta{
+		Gen:            w.Gen + 1,
+		ARs:            w.ARs[:0],
+		TrapSuspended:  w.TrapSuspended[:0],
+		BeginSuspended: w.BeginSuspended[:0],
+	}
 }
 
 // threadState is the kernel's per-thread AR table.

@@ -294,6 +294,29 @@ func TestTimeoutWPDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestFreeWPKeepsSuspensionStorage: freeing a watchpoint resumes its
+// suspended threads and leaves both suspension lists' storage to the next
+// suspension on that register, so a warmed-up suspend/free cycle allocates
+// nothing.
+func TestFreeWPKeepsSuspensionStorage(t *testing.T) {
+	k, m := newKernelWithMock(Config{NumWatchpoints: 4})
+	cycle := func() {
+		k.suspendOn(2, 0, BlockTrap)
+		k.suspendOn(3, 0, BlockBegin)
+		k.FreeWP(0)
+	}
+	cycle()
+	if len(m.blocked) != 0 {
+		t.Fatalf("FreeWP left threads blocked: %v", m.blocked)
+	}
+	if meta := k.Meta[0]; len(meta.TrapSuspended) != 0 || len(meta.BeginSuspended) != 0 {
+		t.Fatalf("FreeWP left suspensions: trap %v begin %v", meta.TrapSuspended, meta.BeginSuspended)
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("suspend/free cycle allocates %.1f times, want 0", n)
+	}
+}
+
 func TestClearARDepth(t *testing.T) {
 	k, m := newKernelWithMock(Config{NumWatchpoints: 4})
 	m.depths[1] = 1
