@@ -263,42 +263,24 @@ func (rf *RegisterFile) MayMatch(addr uint32, sz uint8) bool {
 	return rf.armed != 0 && addr < rf.hi && rf.lo < addr+uint32(sz)
 }
 
-// MayMatchRange reports whether any access by thread tid inside the address
-// interval [lo, hi) could hit an armed register. It is the footprint-vs-window
-// disjointness predicate behind the VM's watchpoint-aware fast path: false
-// means a straight-line run confined to [lo, hi) provably cannot trap on this
-// core, whatever the access types, so the run may retire without per-access
-// checks. Registers whose LocalOf equals tid are exempt, mirroring Match.
-// Access types are ignored (conservative: a read-only watchpoint still forces
-// the checked path for a range that only writes).
-func (rf *RegisterFile) MayMatchRange(tid int, lo, hi uint32) bool {
-	if rf.armed == 0 || lo >= rf.hi || hi <= rf.lo {
-		return false
-	}
-	for i := range rf.WPs {
-		wp := &rf.WPs[i]
-		if !wp.Armed || wp.LocalOf == tid {
-			continue
-		}
-		if lo < wp.Addr+uint32(wp.Size) && wp.Addr < hi {
-			return true
-		}
-	}
-	return false
-}
-
 // AddrRange is a half-open address interval [Lo, Hi), the unit of the
-// multi-interval disjointness predicate below.
+// disjointness predicate MayMatchRanges.
 type AddrRange struct {
 	Lo, Hi uint32
 }
 
-// MayMatchRanges is MayMatchRange over several intervals in one pass: it
-// reports whether any access by thread tid inside any of the given
-// intervals could hit an armed register. A block footprint has up to three
-// components (absolute, SP-relative, FP-relative evaluated against live
-// registers); scanning the register file once for all of them keeps the
-// block-edge decision O(registers), not O(registers × components).
+// MayMatchRanges reports whether any access by thread tid inside any of
+// the given intervals could hit an armed register. It is the
+// footprint-vs-window disjointness predicate behind the VM's
+// watchpoint-aware fast path: false means a straight-line run confined to
+// the intervals provably cannot trap on this core, whatever the access
+// types, so the run may retire without per-access checks. Registers whose
+// LocalOf equals tid are exempt, mirroring Match. Access types are ignored
+// (conservative: a read-only watchpoint still forces the checked path for
+// a range that only writes). A block footprint has up to three components
+// (absolute, SP-relative, FP-relative evaluated against live registers);
+// scanning the register file once for all of them keeps the block-edge
+// decision O(registers), not O(registers × components).
 func (rf *RegisterFile) MayMatchRanges(tid int, ranges []AddrRange) bool {
 	if rf.armed == 0 {
 		return false

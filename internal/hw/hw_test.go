@@ -396,47 +396,51 @@ func TestSummaryCoherenceProperty(t *testing.T) {
 	}
 }
 
+// TestMayMatchRange checks MayMatchRanges over a single interval.
 func TestMayMatchRange(t *testing.T) {
 	rf := NewRegisterFile(4)
-	if rf.MayMatchRange(0, 0, ^uint32(0)) {
-		t.Error("empty file: MayMatchRange = true")
+	mayMatch := func(tid int, lo, hi uint32) bool {
+		return rf.MayMatchRanges(tid, []AddrRange{{lo, hi}})
+	}
+	if mayMatch(0, 0, ^uint32(0)) {
+		t.Error("empty file: MayMatchRanges = true")
 	}
 	rf.Set(0, Watchpoint{Addr: 0x1000, Size: 8, Types: Write, Armed: true, Owner: 1, LocalOf: -1})
 	rf.Set(1, Watchpoint{Addr: 0x3000, Size: 4, Types: Read, Armed: true, Owner: 2, LocalOf: 2})
 
-	if rf.MayMatchRange(5, 0x2000, 0x3000) {
+	if mayMatch(5, 0x2000, 0x3000) {
 		t.Error("range between registers reported as possible match")
 	}
-	if !rf.MayMatchRange(5, 0x1004, 0x1008) {
+	if !mayMatch(5, 0x1004, 0x1008) {
 		t.Error("range inside register 0 reported disjoint")
 	}
-	if !rf.MayMatchRange(5, 0, ^uint32(0)) {
+	if !mayMatch(5, 0, ^uint32(0)) {
 		t.Error("whole address space reported disjoint")
 	}
 	// Types are ignored: a write-only register still forces the checked
 	// path for a range (the predicate is type-blind by design).
-	if !rf.MayMatchRange(5, 0x0ff8, 0x1001) {
+	if !mayMatch(5, 0x0ff8, 0x1001) {
 		t.Error("one-byte overlap with write-only register missed")
 	}
 	// Register 1 is LocalOf thread 2: exempt for it, live for others.
-	if rf.MayMatchRange(2, 0x3000, 0x3004) {
+	if mayMatch(2, 0x3000, 0x3004) {
 		t.Error("LocalOf thread not exempted")
 	}
-	if !rf.MayMatchRange(5, 0x3000, 0x3004) {
+	if !mayMatch(5, 0x3000, 0x3004) {
 		t.Error("remote thread not matched on register 1")
 	}
 	// Edges are half-open on both sides.
-	if rf.MayMatchRange(5, 0x1008, 0x2000) {
+	if mayMatch(5, 0x1008, 0x2000) {
 		t.Error("range starting at register end matched")
 	}
-	if rf.MayMatchRange(5, 0x0f00, 0x1000) {
+	if mayMatch(5, 0x0f00, 0x1000) {
 		t.Error("range ending at register start matched")
 	}
 }
 
-// Property: MayMatchRange is a sound filter for Match — if any access inside
-// [lo, hi) by thread tid hits a register, MayMatchRange(tid, lo, hi) must be
-// true. This is the fast path's no-trap guarantee for footprint-disjoint
+// Property: MayMatchRanges is a sound filter for Match — if any access
+// inside [lo, hi) by thread tid hits a register, MayMatchRanges over
+// [lo, hi) must be true. This is the fast path's no-trap guarantee for footprint-disjoint
 // blocks.
 func TestMayMatchRangeSoundness(t *testing.T) {
 	sizes := []uint8{1, 2, 4, 8}
@@ -457,7 +461,7 @@ func TestMayMatchRangeSoundness(t *testing.T) {
 		lo := uint32(accAddr)
 		hi := lo + uint32(asz) + uint32(span)
 		hit := rf.Match(int(tid), uint32(accAddr), asz, Write) >= 0
-		return !hit || rf.MayMatchRange(int(tid), lo, hi)
+		return !hit || rf.MayMatchRanges(int(tid), []AddrRange{{lo, hi}})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
@@ -499,7 +503,7 @@ func TestMayMatchRanges(t *testing.T) {
 	if !rf.MayMatchRanges(5, []AddrRange{{0x3000, 0x3004}}) {
 		t.Error("remote thread not matched on register 1")
 	}
-	// Half-open on both sides, as MayMatchRange.
+	// Half-open on both sides.
 	if rf.MayMatchRanges(5, []AddrRange{{0x1008, 0x2000}, {0x0f00, 0x1000}}) {
 		t.Error("touching-but-disjoint ranges matched")
 	}
@@ -508,9 +512,9 @@ func TestMayMatchRanges(t *testing.T) {
 	}
 }
 
-// Property: MayMatchRanges agrees with the disjunction of MayMatchRange
-// over its elements — the multi-interval scan is exactly "any interval may
-// match".
+// Property: MayMatchRanges is exactly "some armed register not local to
+// tid overlaps some interval", checked against a plain scan over every
+// (register, interval) pair.
 func TestMayMatchRangesEquivalence(t *testing.T) {
 	sizes := []uint8{1, 2, 4, 8}
 	f := func(addrs [3]uint16, szSel [3]uint8, armedMask uint8, local int8,
@@ -531,9 +535,12 @@ func TestMayMatchRangesEquivalence(t *testing.T) {
 			{uint32(r2lo), uint32(r2lo) + uint32(r2span)},
 		}
 		want := false
-		for _, r := range ranges {
-			if rf.MayMatchRange(int(tid), r.Lo, r.Hi) {
-				want = true
+		for _, wp := range rf.WPs {
+			for _, r := range ranges {
+				if wp.Armed && wp.LocalOf != int(tid) &&
+					r.Lo < wp.Addr+uint32(wp.Size) && wp.Addr < r.Hi {
+					want = true
+				}
 			}
 		}
 		return rf.MayMatchRanges(int(tid), ranges) == want
