@@ -157,30 +157,18 @@ func readNames(x minic.Expr) map[string]bool {
 	return names
 }
 
-// callsReturningPointer returns the names of functions called by x whose
-// return type is a pointer.
+// callsReturningPointer reports whether x calls a function whose return
+// type is a pointer.
 func callsReturningPointer(prog *minic.Program, x minic.Expr) bool {
 	found := false
-	var walk func(minic.Expr)
-	walk = func(e minic.Expr) {
-		switch v := e.(type) {
-		case *minic.Unary:
-			walk(v.X)
-		case *minic.Binary:
-			walk(v.X)
-			walk(v.Y)
-		case *minic.Index:
-			walk(v.Idx)
-		case *minic.Call:
-			if fn := prog.Func(v.Name); fn != nil && fn.RetPtr {
+	minic.Inspect(x, func(e minic.Expr) bool {
+		if c, ok := e.(*minic.Call); ok {
+			if fn := prog.Func(c.Name); fn != nil && fn.RetPtr {
 				found = true
 			}
-			for _, a := range v.Args {
-				walk(a)
-			}
 		}
-	}
-	walk(x)
+		return true
+	})
 	return found
 }
 
@@ -189,35 +177,18 @@ func callsReturningPointer(prog *minic.Program, x minic.Expr) bool {
 // variable's address).
 func takesAddressOf(x minic.Expr, set map[string]bool) bool {
 	found := false
-	var walk func(minic.Expr)
-	walk = func(e minic.Expr) {
-		switch v := e.(type) {
-		case *minic.Unary:
-			if v.Op == "&" {
-				switch t := v.X.(type) {
-				case *minic.Ident:
-					if set[t.Name] {
-						found = true
-					}
-				case *minic.Index:
-					if set[t.Name] {
-						found = true
-					}
-				}
-				return
-			}
-			walk(v.X)
-		case *minic.Binary:
-			walk(v.X)
-			walk(v.Y)
-		case *minic.Index:
-			walk(v.Idx)
-		case *minic.Call:
-			for _, a := range v.Args {
-				walk(a)
-			}
+	minic.Inspect(x, func(e minic.Expr) bool {
+		u, ok := e.(*minic.Unary)
+		if !ok || u.Op != "&" {
+			return true
 		}
-	}
-	walk(x)
+		switch t := u.X.(type) {
+		case *minic.Ident:
+			found = found || set[t.Name]
+		case *minic.Index:
+			found = found || set[t.Name]
+		}
+		return false
+	})
 	return found
 }

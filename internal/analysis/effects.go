@@ -46,11 +46,13 @@ func FuncEffects(prog *minic.Program) map[string]Effect {
 			}
 		}
 		eff[fn.Name] = e
-		walkStmts(fn.Body, func(s minic.Stmt) {
-			walkCalls(s, func(c *minic.Call) {
-				if prog.Func(c.Name) != nil {
-					calls[fn.Name] = append(calls[fn.Name], c.Name)
-				}
+		minic.WalkStmts(fn.Body, func(s minic.Stmt) {
+			minic.StmtExprs(s, func(x minic.Expr) {
+				minic.WalkCalls(x, func(c *minic.Call) {
+					if prog.Func(c.Name) != nil {
+						calls[fn.Name] = append(calls[fn.Name], c.Name)
+					}
+				})
 			})
 		})
 	}
@@ -82,7 +84,8 @@ func SortedEffect(e Effect) []string {
 }
 
 // CallAccesses expands the calls a CFG node makes into pseudo-accesses to
-// the globals the callees (transitively) touch, per the effects table. The
+// the globals the callees (transitively) touch, per the effects table, in
+// the calls' evaluation order: a call's arguments before the call. The
 // pseudo-access's lvalue names the global directly — the begin_atomic emitted
 // for a pair anchored at the call computes the global's address as usual.
 // A read-and-written global yields a read access followed by a write access
@@ -107,40 +110,13 @@ func CallAccesses(prog *minic.Program, effects map[string]Effect, n *cfg.Node) [
 			}
 		}
 	}
-	collect := func(s minic.Stmt) {
-		walkCalls(s, func(c *minic.Call) {
+	// Calls in conditions count too (e.g. while (next() < n)).
+	n.Exprs(func(x minic.Expr) {
+		minic.WalkCalls(x, func(c *minic.Call) {
 			if prog.Func(c.Name) != nil {
 				emit(c)
 			}
 		})
-	}
-	switch n.Kind {
-	case cfg.KindStmt:
-		collect(n.Stmt)
-	case cfg.KindCond:
-		// Conditions contain calls too (e.g. while (next() < n)).
-		walkExprCalls(n.Cond, func(c *minic.Call) {
-			if prog.Func(c.Name) != nil {
-				emit(c)
-			}
-		})
-	}
+	})
 	return out
-}
-
-func walkExprCalls(x minic.Expr, f func(*minic.Call)) {
-	switch e := x.(type) {
-	case *minic.Call:
-		f(e)
-		for _, a := range e.Args {
-			walkExprCalls(a, f)
-		}
-	case *minic.Unary:
-		walkExprCalls(e.X, f)
-	case *minic.Binary:
-		walkExprCalls(e.X, f)
-		walkExprCalls(e.Y, f)
-	case *minic.Index:
-		walkExprCalls(e.Idx, f)
-	}
 }

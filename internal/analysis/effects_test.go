@@ -150,3 +150,35 @@ void f() {
 		t.Errorf("call accesses = %q", first)
 	}
 }
+
+// TestCallAccessesEvaluationOrder: a call's arguments run before the call,
+// so in h = wr(rd()) rd's read of g comes before wr's write, and the
+// node's pair on g is R→W.
+func TestCallAccessesEvaluationOrder(t *testing.T) {
+	prog := mustParse(t, `
+int g;
+int h;
+int rd() {
+    return g;
+}
+int wr(int v) {
+    g = v;
+    return v;
+}
+void f() {
+    h = wr(rd());
+}`)
+	effects := FuncEffects(prog)
+	g := cfg.Build(prog.Func("f"))
+	assign := g.Entry.Succs[0]
+	if got := accessString(CallAccesses(prog, effects, assign)); got != "R(g) W(g)" {
+		t.Errorf("call accesses = %q, want rd's read before wr's write", got)
+	}
+	admit := func(a Access) (Key, bool) { return a.Key, a.Key.Name == "g" }
+	pairs := PairsExtra(g, admit, func(n *cfg.Node) []Access {
+		return CallAccesses(prog, effects, n)
+	})
+	if len(pairs) != 1 || pairs[0].FirstType != minic.AccRead || pairs[0].SecondType != minic.AccWrite {
+		t.Errorf("pairs on g = %+v, want one R→W pair", pairs)
+	}
+}

@@ -35,8 +35,7 @@ func LSV(prog *minic.Program, fn *minic.FuncDecl) map[string]bool {
 		rhs minic.Expr
 	}
 	var assigns []assign
-	var walkBlock func(b *minic.Block)
-	walkStmt := func(s minic.Stmt) {
+	minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 		switch st := s.(type) {
 		case *minic.DeclStmt:
 			if st.Decl.Init != nil {
@@ -47,22 +46,7 @@ func LSV(prog *minic.Program, fn *minic.FuncDecl) map[string]bool {
 				assigns = append(assigns, assign{lhs: id.Name, rhs: st.RHS})
 			}
 		}
-	}
-	walkBlock = func(b *minic.Block) {
-		for _, s := range b.Stmts {
-			walkStmt(s)
-			switch st := s.(type) {
-			case *minic.IfStmt:
-				walkBlock(st.Then)
-				if st.Else != nil {
-					walkBlock(st.Else)
-				}
-			case *minic.WhileStmt:
-				walkBlock(st.Body)
-			}
-		}
-	}
-	walkBlock(fn.Body)
+	})
 
 	for changed := true; changed; {
 		changed = false

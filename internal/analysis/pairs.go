@@ -31,7 +31,7 @@ type Pair struct {
 // gen-only — the paper's analysis pairs a shared access with *all*
 // preceding accesses, not just the closest (Figure 4 pairs lines 2–8
 // despite the intervening access on line 4). Sets are never mutated once
-// built, so Join and Transfer may return an operand unchanged.
+// built, so Join and Flow may return an operand unchanged.
 type accessSet []uint64
 
 func (s accessSet) word(i int) uint64 {
@@ -75,21 +75,32 @@ func (s accessSet) union(o accessSet) accessSet {
 // node's access list.
 type accessRef struct{ node, idx int }
 
+// pairAnalysis is the reaching-access problem as a dataflow.SolveEdges
+// instance: every edge out of a node carries the node's input set plus its
+// own accesses. The lattice is finite, so Widen keeps the new fact.
 type pairAnalysis struct {
 	accesses [][]Access  // node ID -> ordered shared accesses
 	refs     []accessRef // bit number -> access
 	gen      []accessSet // node ID -> the node's own accesses
+	succs    [][]int
+	scratch  []dataflow.Facts
 }
 
-func (pairAnalysis) Bottom() dataflow.Facts { return accessSet(nil) }
-func (pairAnalysis) Entry() dataflow.Facts  { return accessSet(nil) }
+func (*pairAnalysis) Bottom() dataflow.Facts                     { return accessSet(nil) }
+func (*pairAnalysis) Entry(int) dataflow.Facts                   { return accessSet(nil) }
+func (*pairAnalysis) Widen(_, new dataflow.Facts) dataflow.Facts { return new }
 
-func (pairAnalysis) Join(a, b dataflow.Facts) dataflow.Facts {
+func (*pairAnalysis) Join(a, b dataflow.Facts) dataflow.Facts {
 	return a.(accessSet).union(b.(accessSet))
 }
 
-func (p pairAnalysis) Transfer(n *cfg.Node, in dataflow.Facts) dataflow.Facts {
-	return in.(accessSet).union(p.gen[n.ID])
+func (p *pairAnalysis) Flow(n int, in dataflow.Facts) []dataflow.Facts {
+	var out dataflow.Facts = in.(accessSet).union(p.gen[n])
+	p.scratch = p.scratch[:0]
+	for range p.succs[n] {
+		p.scratch = append(p.scratch, out)
+	}
+	return p.scratch
 }
 
 // keyLess orders keys as their String forms do, without building them.
@@ -140,7 +151,7 @@ func PairsAdmit(g *cfg.Graph, admit func(Access) (Key, bool)) []Pair {
 // to the globals the callee transitively touches. Extra accesses follow the
 // node's own accesses in evaluation order.
 func PairsExtra(g *cfg.Graph, admit func(Access) (Key, bool), extra func(*cfg.Node) []Access) []Pair {
-	pa := pairAnalysis{accesses: make([][]Access, len(g.Nodes)), gen: make([]accessSet, len(g.Nodes))}
+	pa := &pairAnalysis{accesses: make([][]Access, len(g.Nodes)), gen: make([]accessSet, len(g.Nodes))}
 	for _, n := range g.Nodes {
 		var shared []Access
 		accs := NodeAccesses(n)
@@ -170,7 +181,13 @@ func PairsExtra(g *cfg.Graph, admit func(Access) (Key, bool), extra func(*cfg.No
 		}
 		pa.gen[r.node][b/64] |= 1 << (b % 64)
 	}
-	sol := dataflow.Solve(g, pa)
+	// Every node is an entry, so accesses in unreachable code pair up too.
+	pa.succs = g.SuccIDs()
+	all := make([]int, len(g.Nodes))
+	for i := range all {
+		all[i] = i
+	}
+	sol := dataflow.SolveEdges(pa.succs, all, nil, pa)
 
 	var pairs []Pair
 	add := func(key Key, first Access, fNode, fIdx int, second Access, sNode, sIdx int) {
@@ -194,7 +211,7 @@ func PairsExtra(g *cfg.Graph, admit func(Access) (Key, bool), extra func(*cfg.No
 		if len(accs) == 0 {
 			continue
 		}
-		in := sol.In[n.ID].(accessSet)
+		in := sol[n.ID].(accessSet)
 		for i, a := range accs {
 			// Pair with accesses reaching from predecessors. Pairs must be
 			// lexically forward: a pair whose "first" access lies after its

@@ -43,6 +43,9 @@ type PointsTo struct {
 	sets map[Ref]map[Ref]bool
 	// escaped marks variables whose address is taken anywhere.
 	escaped map[Ref]bool
+	// locals maps a function to the names its parameters and
+	// declarations bind.
+	locals map[string]map[string]bool
 }
 
 // constraint is one inclusion edge: pts(src) ⊆ pts(dst); for addr edges the
@@ -59,6 +62,7 @@ func ComputePointsTo(prog *minic.Program) *PointsTo {
 		prog:    prog,
 		sets:    map[Ref]map[Ref]bool{},
 		escaped: map[Ref]bool{},
+		locals:  map[string]map[string]bool{},
 	}
 	var cons []constraint
 
@@ -66,30 +70,20 @@ func ComputePointsTo(prog *minic.Program) *PointsTo {
 	for _, g := range prog.Globals {
 		globals[g.Name] = true
 	}
-	// ref resolves a name in a function scope to its Ref.
+	for _, fn := range prog.Funcs {
+		names := map[string]bool{}
+		for _, d := range fn.Locals() {
+			names[d.Name] = true
+		}
+		pt.locals[fn.Name] = names
+	}
+	// refOf resolves a name in a function scope to its Ref: a parameter or
+	// local declaration shadows a global of the same name.
 	refOf := func(fn *minic.FuncDecl, name string) Ref {
-		if !globals[name] {
-			return Ref{Func: fn.Name, Name: name}
+		if globals[name] && !pt.locals[fn.Name][name] {
+			return Ref{Name: name}
 		}
-		// A local declaration shadows a global only if declared; MiniC
-		// checkProgram rejects duplicate names within a function, but a
-		// local may share a global's name only by shadowing — scan params
-		// and decls.
-		for _, p := range fn.Params {
-			if p.Name == name {
-				return Ref{Func: fn.Name, Name: name}
-			}
-		}
-		shadowed := false
-		walkDecls(fn.Body, func(d *minic.VarDecl) {
-			if d.Name == name {
-				shadowed = true
-			}
-		})
-		if shadowed {
-			return Ref{Func: fn.Name, Name: name}
-		}
-		return Ref{Name: name}
+		return Ref{Func: fn.Name, Name: name}
 	}
 
 	// rhsSources lists the pointer sources of an expression: address-of
@@ -128,8 +122,7 @@ func ComputePointsTo(prog *minic.Program) *PointsTo {
 	}
 
 	for _, fn := range prog.Funcs {
-		fn := fn
-		walkStmts(fn.Body, func(s minic.Stmt) {
+		minic.WalkStmts(fn.Body, func(s minic.Stmt) {
 			switch st := s.(type) {
 			case *minic.DeclStmt:
 				if st.Decl.Init != nil {
@@ -143,21 +136,21 @@ func ComputePointsTo(prog *minic.Program) *PointsTo {
 				if st.X != nil && fn.RetPtr {
 					rhsSources(fn, st.X, &cons, Ref{Func: fn.Name, Name: "$ret"})
 				}
-			case *minic.ExprStmt:
-				// handled below via calls
 			}
 			// Parameter binding for every call in the statement.
-			walkCalls(s, func(c *minic.Call) {
-				callee := prog.Func(c.Name)
-				if callee == nil {
-					return
-				}
-				for i, p := range callee.Params {
-					if i >= len(c.Args) {
-						break
+			minic.StmtExprs(s, func(x minic.Expr) {
+				minic.WalkCalls(x, func(c *minic.Call) {
+					callee := prog.Func(c.Name)
+					if callee == nil {
+						return
 					}
-					rhsSources(fn, c.Args[i], &cons, Ref{Func: callee.Name, Name: p.Name})
-				}
+					for i, p := range callee.Params {
+						if i >= len(c.Args) {
+							break
+						}
+						rhsSources(fn, c.Args[i], &cons, Ref{Func: callee.Name, Name: p.Name})
+					}
+				})
 			})
 		})
 	}
@@ -209,24 +202,7 @@ func (pt *PointsTo) Pointees(fn, name string) []Ref {
 	return out
 }
 
-func (pt *PointsTo) isLocal(fn, name string) bool {
-	f := pt.prog.Func(fn)
-	if f == nil {
-		return false
-	}
-	for _, p := range f.Params {
-		if p.Name == name {
-			return true
-		}
-	}
-	found := false
-	walkDecls(f.Body, func(d *minic.VarDecl) {
-		if d.Name == name {
-			found = true
-		}
-	})
-	return found
-}
+func (pt *PointsTo) isLocal(fn, name string) bool { return pt.locals[fn][name] }
 
 // Escapes reports whether the variable's address is taken anywhere.
 func (pt *PointsTo) Escapes(fn, name string) bool {
@@ -259,79 +235,10 @@ func PreciseLSV(prog *minic.Program, fn *minic.FuncDecl, pt *PointsTo) map[strin
 	for _, g := range prog.Globals {
 		lsv[g.Name] = true
 	}
-	for _, p := range fn.Params {
-		if pt.Escapes(fn.Name, p.Name) {
-			lsv[p.Name] = true
-		}
-	}
-	walkDecls(fn.Body, func(d *minic.VarDecl) {
+	for _, d := range fn.Locals() {
 		if pt.Escapes(fn.Name, d.Name) {
 			lsv[d.Name] = true
 		}
-	})
+	}
 	return lsv
-}
-
-// AST walking helpers.
-
-func walkStmts(b *minic.Block, f func(minic.Stmt)) {
-	for _, s := range b.Stmts {
-		f(s)
-		switch st := s.(type) {
-		case *minic.IfStmt:
-			walkStmts(st.Then, f)
-			if st.Else != nil {
-				walkStmts(st.Else, f)
-			}
-		case *minic.WhileStmt:
-			walkStmts(st.Body, f)
-		}
-	}
-}
-
-func walkDecls(b *minic.Block, f func(*minic.VarDecl)) {
-	walkStmts(b, func(s minic.Stmt) {
-		if d, ok := s.(*minic.DeclStmt); ok {
-			f(d.Decl)
-		}
-	})
-}
-
-func walkCalls(s minic.Stmt, f func(*minic.Call)) {
-	var walkExpr func(minic.Expr)
-	walkExpr = func(x minic.Expr) {
-		switch e := x.(type) {
-		case *minic.Call:
-			f(e)
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *minic.Unary:
-			walkExpr(e.X)
-		case *minic.Binary:
-			walkExpr(e.X)
-			walkExpr(e.Y)
-		case *minic.Index:
-			walkExpr(e.Idx)
-		}
-	}
-	switch st := s.(type) {
-	case *minic.DeclStmt:
-		if st.Decl.Init != nil {
-			walkExpr(st.Decl.Init)
-		}
-	case *minic.AssignStmt:
-		walkExpr(st.LHS)
-		walkExpr(st.RHS)
-	case *minic.ExprStmt:
-		walkExpr(st.X)
-	case *minic.ReturnStmt:
-		if st.X != nil {
-			walkExpr(st.X)
-		}
-	case *minic.IfStmt:
-		walkExpr(st.Cond)
-	case *minic.WhileStmt:
-		walkExpr(st.Cond)
-	}
 }

@@ -126,47 +126,6 @@ func optimize(p *Program, o OptimizeOptions) ([]*AR, OptStats) {
 	return out, stats
 }
 
-// regionSize counts the nodes on any first→second path of the region — the
-// span measure used to drop the longest regions first, so short regions
-// remain as covers.
-func regionSize(g *cfg.Graph, ar *AR) int {
-	n := 0
-	fwd := reachFrom(g, ar.FirstNode, false, -1)
-	bwd := reachFrom(g, ar.SecondNode, true, -1)
-	for id := range fwd {
-		if fwd[id] && bwd[id] {
-			n++
-		}
-	}
-	return n
-}
-
-// reachFrom returns the nodes reachable from `from` (backward over Preds
-// when back is set), never traversing through node ID `skip`.
-func reachFrom(g *cfg.Graph, from *cfg.Node, back bool, skip int) []bool {
-	seen := make([]bool, len(g.Nodes))
-	if from.ID == skip {
-		return seen
-	}
-	seen[from.ID] = true
-	work := []*cfg.Node{from}
-	for len(work) > 0 {
-		n := work[len(work)-1]
-		work = work[:len(work)-1]
-		next := n.Succs
-		if back {
-			next = n.Preds
-		}
-		for _, s := range next {
-			if s.ID != skip && !seen[s.ID] {
-				seen[s.ID] = true
-				work = append(work, s)
-			}
-		}
-	}
-	return seen
-}
-
 // onEveryPath reports whether access b lies on every execution path from
 // access a to access c. Within one node the ordered access list is
 // straight-line; across nodes, b's node must disconnect a from c when
@@ -181,10 +140,8 @@ func onEveryPath(g *cfg.Graph, a, b, c acc) bool {
 	if b.node == c.node {
 		return b.idx < c.idx
 	}
-	return !reachFrom(g, nodeByID(g, a.node), false, b.node)[c.node]
+	return !g.Reach(g.Nodes[a.node], false, g.Nodes[b.node])[c.node]
 }
-
-func nodeByID(g *cfg.Graph, id int) *cfg.Node { return g.Nodes[id] }
 
 // dedupe drops every region that a pair of sub-regions covers: a shared
 // middle access on every path between the endpoints, with the sub-regions
@@ -226,8 +183,9 @@ func dedupe(g *cfg.Graph, kept, benign []*AR, stats *OptStats) []*AR {
 	size := make([]int, len(kept))
 	for i, ar := range kept {
 		idx[i] = i
-		size[i] = regionSize(g, ar)
+		size[i] = len(g.Region(ar.FirstNode, ar.SecondNode))
 	}
+	// Widest span (nodes on some first→second path) first.
 	sort.SliceStable(idx, func(i, j int) bool { return size[idx[i]] > size[idx[j]] })
 
 	dropped := make([]bool, len(kept))

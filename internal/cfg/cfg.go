@@ -63,6 +63,76 @@ func (g *Graph) StmtNode(s minic.Stmt) *Node {
 	return nil
 }
 
+// Exprs calls f on the expressions the node evaluates, in evaluation
+// order: a condition, or a simple statement's expressions (minic.StmtExprs).
+func (n *Node) Exprs(f func(minic.Expr)) {
+	switch n.Kind {
+	case KindCond:
+		f(n.Cond)
+	case KindStmt:
+		minic.StmtExprs(n.Stmt, f)
+	}
+}
+
+// SuccIDs returns every node's successor IDs, indexed by node ID: the
+// integer form of the graph that dataflow.SolveEdges runs over.
+func (g *Graph) SuccIDs() [][]int {
+	n := 0
+	for _, nd := range g.Nodes {
+		n += len(nd.Succs)
+	}
+	ids := make([]int, 0, n)
+	out := make([][]int, len(g.Nodes))
+	for i, nd := range g.Nodes {
+		for _, s := range nd.Succs {
+			ids = append(ids, s.ID)
+		}
+		out[i] = ids[len(ids)-len(nd.Succs):]
+	}
+	return out
+}
+
+// Reach returns, indexed by node ID, the nodes reachable from `from` over
+// Succs, or over Preds when back is set, without ever entering skip (nil
+// for none). from itself is included unless it is skip.
+func (g *Graph) Reach(from *Node, back bool, skip *Node) []bool {
+	seen := make([]bool, len(g.Nodes))
+	if from == skip {
+		return seen
+	}
+	seen[from.ID] = true
+	work := []*Node{from}
+	for len(work) > 0 {
+		n := work[len(work)-1]
+		work = work[:len(work)-1]
+		next := n.Succs
+		if back {
+			next = n.Preds
+		}
+		for _, s := range next {
+			if s != skip && !seen[s.ID] {
+				seen[s.ID] = true
+				work = append(work, s)
+			}
+		}
+	}
+	return seen
+}
+
+// Region returns the nodes on some first→second path, endpoints included,
+// in ID order.
+func (g *Graph) Region(first, second *Node) []*Node {
+	fwd := g.Reach(first, false, nil)
+	bwd := g.Reach(second, true, nil)
+	var out []*Node
+	for _, n := range g.Nodes {
+		if fwd[n.ID] && bwd[n.ID] {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
 type builder struct {
 	g *Graph
 }

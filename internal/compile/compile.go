@@ -181,65 +181,18 @@ func compileProgram(ap *annotate.Program, opts Options) (*Binary, error) {
 
 func collectSyncVars(prog *minic.Program) map[string]bool {
 	out := map[string]bool{}
-	var walkExpr func(x minic.Expr)
-	walkExpr = func(x minic.Expr) {
-		switch e := x.(type) {
-		case *minic.Call:
-			if e.Name == "lock" || e.Name == "unlock" {
-				if id, ok := e.Args[0].(*minic.Ident); ok {
-					out[id.Name] = true
-				}
-			}
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *minic.Unary:
-			walkExpr(e.X)
-		case *minic.Binary:
-			walkExpr(e.X)
-			walkExpr(e.Y)
-		case *minic.Index:
-			walkExpr(e.Idx)
-		}
-	}
-	var walkBlock func(b *minic.Block)
-	walkStmt := func(s minic.Stmt) {
-		switch st := s.(type) {
-		case *minic.AssignStmt:
-			walkExpr(st.LHS)
-			walkExpr(st.RHS)
-		case *minic.DeclStmt:
-			if st.Decl.Init != nil {
-				walkExpr(st.Decl.Init)
-			}
-		case *minic.ExprStmt:
-			walkExpr(st.X)
-		case *minic.ReturnStmt:
-			if st.X != nil {
-				walkExpr(st.X)
-			}
-		case *minic.IfStmt:
-			walkExpr(st.Cond)
-		case *minic.WhileStmt:
-			walkExpr(st.Cond)
-		}
-	}
-	walkBlock = func(b *minic.Block) {
-		for _, s := range b.Stmts {
-			walkStmt(s)
-			switch st := s.(type) {
-			case *minic.IfStmt:
-				walkBlock(st.Then)
-				if st.Else != nil {
-					walkBlock(st.Else)
-				}
-			case *minic.WhileStmt:
-				walkBlock(st.Body)
+	visit := func(x minic.Expr) bool {
+		if e, ok := x.(*minic.Call); ok && (e.Name == "lock" || e.Name == "unlock") {
+			if id, ok := e.Args[0].(*minic.Ident); ok {
+				out[id.Name] = true
 			}
 		}
+		return true
 	}
 	for _, f := range prog.Funcs {
-		walkBlock(f.Body)
+		minic.WalkStmts(f.Body, func(s minic.Stmt) {
+			minic.StmtExprs(s, func(x minic.Expr) { minic.Inspect(x, visit) })
+		})
 	}
 	return out
 }
@@ -308,46 +261,12 @@ func (c *cg) function() error {
 	// (arrays get ArrayLen slots).
 	c.locals = map[string]int32{}
 	c.frame = 0
-	addLocal := func(d *minic.VarDecl) error {
+	for _, d := range c.fn.Locals() {
 		if _, dup := c.locals[d.Name]; dup {
 			return fmt.Errorf("compile: duplicate local %q in %s", d.Name, c.fn.Name)
 		}
 		c.frame += int32(d.Type.Size())
 		c.locals[d.Name] = c.frame
-		return nil
-	}
-	for _, p := range c.fn.Params {
-		if err := addLocal(p); err != nil {
-			return err
-		}
-	}
-	var collect func(b *minic.Block) error
-	collect = func(b *minic.Block) error {
-		for _, s := range b.Stmts {
-			switch st := s.(type) {
-			case *minic.DeclStmt:
-				if err := addLocal(st.Decl); err != nil {
-					return err
-				}
-			case *minic.IfStmt:
-				if err := collect(st.Then); err != nil {
-					return err
-				}
-				if st.Else != nil {
-					if err := collect(st.Else); err != nil {
-						return err
-					}
-				}
-			case *minic.WhileStmt:
-				if err := collect(st.Body); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := collect(c.fn.Body); err != nil {
-		return err
 	}
 	if len(c.fn.Params) > maxArgs {
 		return fmt.Errorf("compile: %s: more than %d parameters", c.fn.Name, maxArgs)

@@ -55,6 +55,8 @@ type FuncInfo struct {
 	held     []Set           // heldThroughout cache, by node ID
 	ops      map[int][]op    // lock-relevant ops per node, in evaluation order
 	shadowed map[string]bool // global names hidden by a param or local
+	succs    [][]int         // Graph.SuccIDs, for the solver
+	nodes    []int           // every node ID: the solver's entries
 }
 
 // Options configure Compute.
@@ -101,19 +103,16 @@ func Compute(prog *minic.Program, graphs map[string]*cfg.Graph, opts Options) *I
 		if g == nil {
 			g = cfg.Build(fn)
 		}
-		fi := &FuncInfo{Fn: fn, Graph: g, shadowed: map[string]bool{}}
-		for _, p := range fn.Params {
-			fi.shadowed[p.Name] = true
+		fi := &FuncInfo{Fn: fn, Graph: g, shadowed: map[string]bool{}, succs: g.SuccIDs()}
+		for _, d := range fn.Locals() {
+			fi.shadowed[d.Name] = true
 		}
-		walkStmts(fn.Body, func(s minic.Stmt) {
-			if d, ok := s.(*minic.DeclStmt); ok {
-				fi.shadowed[d.Decl.Name] = true
-			}
-		})
 		fi.ops = map[int][]op{}
-		for _, n := range g.Nodes {
+		fi.nodes = make([]int, len(g.Nodes))
+		for id, n := range g.Nodes {
+			fi.nodes[id] = id
 			if ops := info.nodeOps(fi, n); len(ops) > 0 {
-				fi.ops[n.ID] = ops
+				fi.ops[id] = ops
 			}
 		}
 		info.Funcs[fn.Name] = fi
@@ -155,12 +154,7 @@ func (i *Info) nodeOps(fi *FuncInfo, n *cfg.Node) []op {
 			}
 		}
 	}
-	switch n.Kind {
-	case cfg.KindCond:
-		walkExprCalls(n.Cond, emit)
-	case cfg.KindStmt:
-		walkStmtCalls(n.Stmt, emit)
-	}
+	n.Exprs(func(x minic.Expr) { minic.WalkCalls(x, emit) })
 	return out
 }
 
@@ -182,38 +176,62 @@ func (i *Info) apply(s Set, o op) Set {
 	}
 }
 
-// lockAnalysis adapts the must-lockset problem to the dataflow framework:
-// top as the initial fact, intersection join, op-folding transfer.
-type lockAnalysis struct {
-	info  *Info
-	fi    *FuncInfo
-	entry Set
-}
-
-func (lockAnalysis) Bottom() dataflow.Facts { return Top() }
-func (a lockAnalysis) Entry() dataflow.Facts {
-	return a.entry
-}
-func (lockAnalysis) Join(x, y dataflow.Facts) dataflow.Facts {
-	return x.(Set).Intersect(y.(Set))
-}
-func (a lockAnalysis) Transfer(n *cfg.Node, in dataflow.Facts) dataflow.Facts {
-	s := in.(Set)
-	for _, o := range a.fi.ops[n.ID] {
-		s = a.info.apply(s, o)
+// transfer folds node n's ops into s.
+func (i *Info) transfer(fi *FuncInfo, n int, s Set) Set {
+	for _, o := range fi.ops[n] {
+		s = i.apply(s, o)
 	}
 	return s
 }
 
+// topFacts is Top boxed once: Set values are immutable, so every solve
+// shares it.
+var topFacts dataflow.Facts = Top()
+
+// lockAnalysis is the must-lockset problem as a dataflow.SolveEdges
+// instance: top as the initial fact, intersection join, op-folding flow,
+// the same fact on every out-edge. The lattice is finite (the locks named
+// in the program), so Widen keeps the new fact.
+type lockAnalysis struct {
+	info    *Info
+	fi      *FuncInfo
+	entry   dataflow.Facts
+	scratch []dataflow.Facts
+}
+
+func (*lockAnalysis) Bottom() dataflow.Facts                     { return topFacts }
+func (*lockAnalysis) Widen(_, new dataflow.Facts) dataflow.Facts { return new }
+
+func (a *lockAnalysis) Entry(n int) dataflow.Facts {
+	if n == a.fi.Graph.Entry.ID {
+		return a.entry
+	}
+	return topFacts
+}
+
+func (*lockAnalysis) Join(x, y dataflow.Facts) dataflow.Facts {
+	return x.(Set).Intersect(y.(Set))
+}
+
+func (a *lockAnalysis) Flow(n int, in dataflow.Facts) []dataflow.Facts {
+	var out dataflow.Facts = a.info.transfer(a.fi, n, in.(Set))
+	a.scratch = a.scratch[:0]
+	for range a.fi.succs[n] {
+		a.scratch = append(a.scratch, out)
+	}
+	return a.scratch
+}
+
 // solve runs the intra-procedural fixpoint for one function with the given
-// entry lockset, storing the solution in fi.In/fi.Out.
+// entry lockset, storing the solution in fi.In/fi.Out. Every node is an
+// entry, so dead code gets the locksets its own predecessors give it.
 func (i *Info) solve(fi *FuncInfo, entry Set) {
-	res := dataflow.Solve(fi.Graph, lockAnalysis{info: i, fi: fi, entry: entry})
-	fi.In = make([]Set, len(res.In))
-	fi.Out = make([]Set, len(res.Out))
-	for id := range res.In {
-		fi.In[id] = res.In[id].(Set)
-		fi.Out[id] = res.Out[id].(Set)
+	in := dataflow.SolveEdges(fi.succs, fi.nodes, nil, &lockAnalysis{info: i, fi: fi, entry: entry})
+	fi.In = make([]Set, len(in))
+	fi.Out = make([]Set, len(in))
+	for id := range in {
+		fi.In[id] = in[id].(Set)
+		fi.Out[id] = i.transfer(fi, id, fi.In[id])
 	}
 }
 
@@ -223,33 +241,34 @@ func (i *Info) solve(fi *FuncInfo, entry Set) {
 func (i *Info) scanAddressesAndSyncVars() {
 	for _, name := range i.order {
 		fi := i.Funcs[name]
-		walkStmts(fi.Fn.Body, func(s minic.Stmt) {
-			walkStmtExprs(s, func(x minic.Expr) {
-				switch e := x.(type) {
-				case *minic.Unary:
-					if e.Op != "&" {
-						return
-					}
-					var base string
-					switch t := e.X.(type) {
-					case *minic.Ident:
-						base = t.Name
-					case *minic.Index:
-						base = t.Name
-					}
-					if i.globals[base] && !fi.shadowed[base] {
-						i.addrTaken[base] = true
-					}
-				case *minic.Call:
-					if e.Name == "lock" || e.Name == "unlock" {
-						if id, ok := e.Args[0].(*minic.Ident); ok {
-							if i.globals[id.Name] && !fi.shadowed[id.Name] {
-								i.syncVars[id.Name] = true
-							}
-						}
+		global := func(name string) bool { return i.globals[name] && !fi.shadowed[name] }
+		visit := func(x minic.Expr) bool {
+			switch e := x.(type) {
+			case *minic.Unary:
+				if e.Op != "&" {
+					break
+				}
+				var base string
+				switch t := e.X.(type) {
+				case *minic.Ident:
+					base = t.Name
+				case *minic.Index:
+					base = t.Name
+				}
+				if global(base) {
+					i.addrTaken[base] = true
+				}
+			case *minic.Call:
+				if e.Name == "lock" || e.Name == "unlock" {
+					if id, ok := e.Args[0].(*minic.Ident); ok && global(id.Name) {
+						i.syncVars[id.Name] = true
 					}
 				}
-			})
+			}
+			return true
+		}
+		minic.WalkStmts(fi.Fn.Body, func(s minic.Stmt) {
+			minic.StmtExprs(s, func(x minic.Expr) { minic.Inspect(x, visit) })
 		})
 	}
 }
@@ -303,19 +322,19 @@ func (i *Info) solveSummaries() {
 func (i *Info) roots(opts Options) map[string]bool {
 	roots := map[string]bool{"main": true}
 	called := map[string]bool{}
+	visit := func(c *minic.Call) {
+		if i.Prog.Func(c.Name) != nil {
+			called[c.Name] = true
+		}
+		if c.Name == "spawn" && len(c.Args) > 0 {
+			if id, ok := c.Args[0].(*minic.Ident); ok {
+				roots[id.Name] = true
+			}
+		}
+	}
 	for _, name := range i.order {
-		fi := i.Funcs[name]
-		walkStmts(fi.Fn.Body, func(s minic.Stmt) {
-			walkStmtCalls(s, func(c *minic.Call) {
-				if i.Prog.Func(c.Name) != nil {
-					called[c.Name] = true
-				}
-				if c.Name == "spawn" && len(c.Args) > 0 {
-					if id, ok := c.Args[0].(*minic.Ident); ok {
-						roots[id.Name] = true
-					}
-				}
-			})
+		minic.WalkStmts(i.Funcs[name].Fn.Body, func(s minic.Stmt) {
+			minic.StmtExprs(s, func(x minic.Expr) { minic.WalkCalls(x, visit) })
 		})
 	}
 	for _, name := range i.order {
@@ -432,37 +451,6 @@ func (i *Info) SyncVar(global string) bool { return i.syncVars[global] }
 // AddressTaken reports whether the global's address is taken anywhere.
 func (i *Info) AddressTaken(global string) bool { return i.addrTaken[global] }
 
-// regionNodes returns every node on some first→second path, endpoints
-// included.
-func regionNodes(g *cfg.Graph, first, second *cfg.Node) []*cfg.Node {
-	fwd := reach(g, first, func(n *cfg.Node) []*cfg.Node { return n.Succs })
-	bwd := reach(g, second, func(n *cfg.Node) []*cfg.Node { return n.Preds })
-	var out []*cfg.Node
-	for _, n := range g.Nodes {
-		if fwd[n.ID] && bwd[n.ID] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func reach(g *cfg.Graph, from *cfg.Node, next func(*cfg.Node) []*cfg.Node) []bool {
-	seen := make([]bool, len(g.Nodes))
-	work := []*cfg.Node{from}
-	seen[from.ID] = true
-	for len(work) > 0 {
-		n := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, s := range next(n) {
-			if !seen[s.ID] {
-				seen[s.ID] = true
-				work = append(work, s)
-			}
-		}
-	}
-	return seen
-}
-
 // ProveRegion attempts the static serializability proof for an atomic
 // region on varName whose accesses anchor at nodes first and second of
 // function fn. It returns a lock that (a) every access to varName anywhere
@@ -483,7 +471,7 @@ func (i *Info) ProveRegion(fn, varName string, first, second *cfg.Node) (string,
 		return "", false
 	}
 	held := Top()
-	for _, n := range regionNodes(fi.Graph, first, second) {
+	for _, n := range fi.Graph.Region(first, second) {
 		held = held.Intersect(fi.held[n.ID])
 	}
 	pick := cand.Intersect(held)
@@ -491,106 +479,4 @@ func (i *Info) ProveRegion(fn, varName string, first, second *cfg.Node) (string,
 		return "", false
 	}
 	return pick.Names()[0], true
-}
-
-// --- AST walkers (evaluation order) ---
-
-func walkStmts(b *minic.Block, f func(minic.Stmt)) {
-	for _, s := range b.Stmts {
-		f(s)
-		switch st := s.(type) {
-		case *minic.IfStmt:
-			walkStmts(st.Then, f)
-			if st.Else != nil {
-				walkStmts(st.Else, f)
-			}
-		case *minic.WhileStmt:
-			walkStmts(st.Body, f)
-		}
-	}
-}
-
-// walkStmtExprs visits the statement's own expressions (not nested blocks).
-func walkStmtExprs(s minic.Stmt, f func(minic.Expr)) {
-	var walk func(minic.Expr)
-	walk = func(x minic.Expr) {
-		if x == nil {
-			return
-		}
-		f(x)
-		switch e := x.(type) {
-		case *minic.Unary:
-			walk(e.X)
-		case *minic.Binary:
-			walk(e.X)
-			walk(e.Y)
-		case *minic.Index:
-			walk(e.Idx)
-		case *minic.Call:
-			for _, a := range e.Args {
-				walk(a)
-			}
-		}
-	}
-	switch st := s.(type) {
-	case *minic.DeclStmt:
-		walk(st.Decl.Init)
-	case *minic.AssignStmt:
-		walk(st.LHS)
-		walk(st.RHS)
-	case *minic.ExprStmt:
-		walk(st.X)
-	case *minic.ReturnStmt:
-		walk(st.X)
-	case *minic.IfStmt:
-		walk(st.Cond)
-	case *minic.WhileStmt:
-		walk(st.Cond)
-	}
-}
-
-// walkExprCalls visits calls in x in evaluation order (arguments first).
-func walkExprCalls(x minic.Expr, f func(*minic.Call)) {
-	switch e := x.(type) {
-	case *minic.Call:
-		if e.Name == "spawn" && len(e.Args) == 2 {
-			// The function-name argument is not an expression evaluation.
-			walkExprCalls(e.Args[1], f)
-		} else {
-			for _, a := range e.Args {
-				walkExprCalls(a, f)
-			}
-		}
-		f(e)
-	case *minic.Unary:
-		walkExprCalls(e.X, f)
-	case *minic.Binary:
-		walkExprCalls(e.X, f)
-		walkExprCalls(e.Y, f)
-	case *minic.Index:
-		walkExprCalls(e.Idx, f)
-	}
-}
-
-// walkStmtCalls visits the statement's calls in evaluation order.
-func walkStmtCalls(s minic.Stmt, f func(*minic.Call)) {
-	switch st := s.(type) {
-	case *minic.DeclStmt:
-		if st.Decl.Init != nil {
-			walkExprCalls(st.Decl.Init, f)
-		}
-	case *minic.AssignStmt:
-		walkExprCalls(st.RHS, f)
-		walkExprCalls(st.LHS, f)
-	case *minic.ExprStmt:
-		walkExprCalls(st.X, f)
-	case *minic.ReturnStmt:
-		if st.X != nil {
-			walkExprCalls(st.X, f)
-		}
-	case *minic.IfStmt:
-		walkExprCalls(st.Cond, f)
-	case *minic.WhileStmt:
-		walkExprCalls(st.Cond, f)
-	}
 }

@@ -123,7 +123,7 @@ func analyze(decoded []isa.Instr, entries []uint32, opt Options, every bool) *An
 	// visit regions whose facts are read.
 	type fnRun struct {
 		g  *cfg.BinGraph
-		r  *dataflow.EdgeResult
+		in []dataflow.Facts
 		fa *fnAnalysis
 	}
 	runs := make([]fnRun, len(regions))
@@ -132,12 +132,12 @@ func analyze(decoded []isa.Instr, entries []uint32, opt Options, every bool) *An
 		g := cfg.BuildBinary(decoded, rg.lo, rg.hi)
 		wt := g.BackEdgeTargets()
 		fa := &fnAnalysis{dec: decoded, g: g, opt: opt, slotsOK: slots, poison: poison}
-		r := dataflow.SolveEdges(len(g.Blocks),
-			func(n int) []int { return g.Blocks[n].Succs },
-			[]int{0},
-			func(n int) bool { return wt[n] },
-			fa)
-		runs[i] = fnRun{g: g, r: r, fa: fa}
+		succs := make([][]int, len(g.Blocks))
+		for n, b := range g.Blocks {
+			succs[n] = b.Succs
+		}
+		in := dataflow.SolveEdges(succs, []int{0}, func(n int) bool { return wt[n] }, fa)
+		runs[i] = fnRun{g: g, in: in, fa: fa}
 	}
 	escAll := false
 	for i, rg := range regions {
@@ -164,7 +164,7 @@ func analyze(decoded []isa.Instr, entries []uint32, opt Options, every bool) *An
 			continue
 		}
 		for n, b := range run.g.Blocks {
-			st, ok := run.r.In[n].(*state)
+			st, ok := run.in[n].(*state)
 			if !ok || st.bot {
 				continue
 			}
