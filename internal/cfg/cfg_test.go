@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"fmt"
 	"testing"
 
 	"kivati/internal/minic"
@@ -176,6 +177,48 @@ void f() {
 			}
 			if !found {
 				t.Errorf("%v -> %v missing back pointer", n, s)
+			}
+		}
+	}
+}
+
+// TestReachRegion: in a loop with a branch, Reach honours direction and
+// skip, and Region is the nodes on some first→second path.
+func TestReachRegion(t *testing.T) {
+	prog := mustParse(t, "int a;\nvoid f() { a = 0; while (a) { if (a) { a = 1; } a = 2; } a = 3; }")
+	g := Build(prog.Funcs[0])
+	init := g.Entry.Succs[0]
+	cond := init.Succs[0]
+	ifCond := cond.Succs[0]
+	one := ifCond.Succs[0]
+	two := g.StmtNode(prog.Funcs[0].Body.Stmts[1].(*minic.WhileStmt).Body.Stmts[1])
+	three := g.Exit.Preds[0]
+
+	if r := g.Reach(one, false, nil); !r[cond.ID] || !r[three.ID] || r[init.ID] {
+		t.Errorf("forward reach from a = 1: %v", r)
+	}
+	if r := g.Reach(two, true, nil); !r[init.ID] || !r[one.ID] || r[three.ID] {
+		t.Errorf("backward reach from a = 2: %v", r)
+	}
+	// The loop condition dominates a = 3, so skipping it cuts a = 0 off.
+	if g.Reach(init, false, cond)[three.ID] {
+		t.Error("reach through a skipped node")
+	}
+	if r := g.Reach(cond, false, cond); r[cond.ID] {
+		t.Error("reach from the skipped node itself")
+	}
+	var ids []int
+	for _, n := range g.Region(one, three) {
+		ids = append(ids, n.ID)
+	}
+	want := []int{cond.ID, ifCond.ID, one.ID, two.ID, three.ID}
+	if fmt.Sprint(ids) != fmt.Sprint(want) {
+		t.Errorf("region a = 1 → a = 3 = %v, want %v", ids, want)
+	}
+	for id, ss := range g.SuccIDs() {
+		for i, s := range ss {
+			if g.Nodes[id].Succs[i].ID != s {
+				t.Errorf("SuccIDs[%d][%d] = %d, want %d", id, i, s, g.Nodes[id].Succs[i].ID)
 			}
 		}
 	}
