@@ -5,7 +5,7 @@
 // kernel boundaries (the fast path never enters them), the instruction's
 // own accesses for control flow (the block's last fast instruction), and
 // the instruction's accesses unioned with the re-based suffix footprint
-// otherwise. The reverse walk mirrors vm.buildBlockLen so the two tables
+// otherwise. The reverse walk mirrors vm.buildOps so the two tables
 // describe the same windows.
 //
 // Two entry points share the walk. Footprints is the raw-image path: only

@@ -11,7 +11,12 @@ import (
 // superstep dispatch over a dense op stream, the decoded instructions laid
 // out in address order with their dispatch kinds and run facts resolved
 // once in New, so a straight-line run is one contiguous slice and one
-// interpreter, execRun, retires it.
+// interpreter, execRun, retires it. A block decision covers a superblock:
+// a straight-line run that ends in an unconditional JMP continues through
+// the target's straight-line run, so a loop iteration (top: cond; JZ exit;
+// body; JMP top) takes one decision rather than two. The superblock is one
+// hop, at most two slices, with a footprint built once in New from the
+// Binary's per-pc table.
 //
 // The paper's performance argument (§5) is that the non-AR common case —
 // no watchpoint armed anywhere — must be nearly free. The legacy Run loop
@@ -31,7 +36,7 @@ import (
 // memory commute. Where they are not, the rounds run as chunks of one op
 // per core. With one active core every chunk is the lead's block.
 //
-// Armed watchpoints do not end the window. At every basic-block edge the
+// Armed watchpoints do not end the window. At every block edge the
 // dispatcher compares the block's static address footprint (compile-time
 // table, evaluated against the thread's live SP/FP) with the core's armed
 // registers: a provably disjoint block retires unchecked exactly as in the
@@ -48,22 +53,23 @@ import (
 // fastOp is one instruction of the dense op stream the fast tier executes:
 // the decoded instruction laid out in address order with its dispatch kind
 // resolved, its own and fall-through pcs, and the static facts of the
-// straight-line run that starts at it. A straight-line run of ops is thus
-// one contiguous slice of Machine.ops.
+// straight-line run (line) that starts at it. A line is thus one contiguous
+// slice of Machine.ops; the superblock a block decision covers (see
+// superblock) is at most two.
 type fastOp struct {
 	kind       uint8 // okXXX dispatch kind
 	rd, ra, rb uint8
 	sz         uint8
-	// safe reports that no op of the run can fault in the fast tier by
+	// safe reports that no op of the line can fault in the fast tier by
 	// itself: no DIV/MOD (division by zero) and no op the fast tier refuses.
 	// Memory accesses can still leave data memory; the chunked lockstep
 	// rules that out with the evaluated footprint.
 	safe bool
-	// run is how many ops the fast tier may retire starting here without
+	// line is how many ops the fast tier may retire starting here without
 	// leaving straight-line code: 0 for kernel boundaries (SYS, HLT need the
 	// kernel), 1 for control flow (the block ends but the op itself is
-	// fast-executable), and 1 + the next op's run otherwise.
-	run  uint16
+	// fast-executable), and 1 + the next op's line otherwise.
+	line uint16
 	imm  int64
 	addr uint32 // absolute address or jump target
 	pc   uint32
@@ -71,6 +77,18 @@ type fastOp struct {
 	// tidx is the op index of the jump target addr (JMP, JZ, JNZ, CALL), so
 	// execRun can hand the next block its op without a pc lookup.
 	tidx uint32
+}
+
+// superblock is what a block decision at an op covers (Machine.sbs, indexed
+// by op): the op's line, plus the target's line when the line ends in a JMP
+// whose target is fast-enterable. One hop, never chained, so a superblock
+// has no cycles and is at most two slices of the op stream. fp is its
+// static footprint relative to the registers at the op, safe holds when
+// every line it covers is safe, and run is its length in ops.
+type superblock struct {
+	fp   isa.Footprint
+	run  uint16
+	safe bool
 }
 
 // Fast-interpreter dispatch kinds, resolved at decode time so execRun jumps
@@ -169,6 +187,9 @@ func opKind(op isa.Op) uint8 {
 	return okNone
 }
 
+// regMask masks a register index to the register file.
+const regMask = isa.NumRegs - 1
+
 func pick(c bool, a, b uint8) uint8 {
 	if c {
 		return a
@@ -177,17 +198,21 @@ func pick(c bool, a, b uint8) uint8 {
 }
 
 // buildOps lays the decoded instructions out as the dense op stream and
-// fills the pc->index table. starts is the list of instruction-start pcs in ascending order; op i+1 is
-// the instruction at starts[i], and op 0 is the sentinel every non-start pc
-// maps to (kind okNone, run 0). The walk is in reverse so each op's run and
-// safe flag are O(1) from its successor's. compile.Footprints runs the same
-// reverse walk, so the footprint of the op at pc covers (a superset of) the
-// run instructions dispatched from pc.
+// fills the pc->index table. starts is the list of instruction-start pcs in
+// ascending order; op i+1 is the instruction at starts[i], and op 0 is the
+// sentinel every non-start pc maps to (kind okNone, line 0). The first walk
+// is in reverse so each op's line and safe flag are O(1) from its
+// successor's; compile.Footprints runs the same reverse walk, so m.fps[pc]
+// covers (a superset of) the line dispatched from pc. The second walk, also
+// in reverse, builds the superblock table: it extends every line that ends
+// in a JMP to a fast-enterable target by the target's line, and carries the
+// target's footprint back through the line's ops with isa.Footprint.Rebase,
+// as compile.suffixFootprints does, so its stack offsets are relative to
+// the superblock's entry SP/FP. m.fps must be set.
 func (m *Machine) buildOps(starts []uint32) {
 	m.opAt = make([]uint32, len(m.decoded))
 	m.ops = make([]fastOp, len(starts)+1)
 	m.ops[0].pc = ^uint32(0) // matches no thread pc
-	const maxLen = ^uint16(0)
 	for i := len(starts) - 1; i >= 0; i-- {
 		pc := starts[i]
 		in := m.decoded[pc]
@@ -198,19 +223,15 @@ func (m *Machine) buildOps(starts []uint32) {
 		}
 		m.opAt[pc] = uint32(i + 1)
 		if in.Op.IsKernelBoundary() {
-			continue // okNone, run 0: the legacy path must execute it
+			continue // okNone, line 0: the legacy path must execute it
 		}
 		o.safe = o.kind != okNone && o.kind != okDIV && o.kind != okMOD
-		o.run = 1
+		o.line = 1
 		if in.Op.IsControlFlow() || i+1 == len(starts) {
 			continue
 		}
-		if nx := &m.ops[i+2]; nx.run > 0 {
-			if nx.run < maxLen {
-				o.run += nx.run
-			} else {
-				o.run = maxLen
-			}
+		if nx := &m.ops[i+2]; nx.line > 0 {
+			o.line = saturate(int(nx.line) + 1)
 			o.safe = o.safe && nx.safe
 		}
 	}
@@ -220,7 +241,37 @@ func (m *Machine) buildOps(starts []uint32) {
 			o.tidx = m.opIndex(o.addr)
 		}
 	}
+	m.sbs = make([]superblock, len(m.ops))
+	var tail isa.Footprint // the target's footprint at op i's entry registers
+	tgt := uint32(0)       // the superblock target of op i's line, 0 for none
+	for i := len(m.ops) - 1; i > 0; i-- {
+		o := &m.ops[i]
+		switch {
+		case o.kind == okJMP && m.ops[o.tidx].line > 0:
+			// A JMP moves neither SP nor FP: the target's footprint holds
+			// as it is.
+			tgt, tail = o.tidx, m.fps[m.ops[o.tidx].pc]
+		case tgt != 0 && o.line > 1 && o.line < maxLine:
+			tail = tail.Rebase(m.decoded[o.pc])
+		default:
+			tgt = 0 // no JMP ends the line, or a saturated line stops short
+		}
+		sb := &m.sbs[i]
+		*sb = superblock{fp: m.fps[o.pc], run: o.line, safe: o.safe}
+		if tgt != 0 {
+			t := &m.ops[tgt]
+			sb.fp = sb.fp.UnionWith(tail)
+			sb.run = saturate(int(o.line) + int(t.line))
+			sb.safe = o.safe && t.safe
+		}
+	}
 }
+
+// maxLine is the longest run an op records; longer straight-line code is
+// entered again where a saturated run stops.
+const maxLine = ^uint16(0)
+
+func saturate(n int) uint16 { return uint16(min(n, int(maxLine))) }
 
 // opIndex returns the op-stream index of the instruction at pc (0, the
 // sentinel, for pcs that are not instruction starts).
@@ -231,9 +282,10 @@ func (m *Machine) opIndex(pc uint32) uint32 {
 	return m.opAt[pc]
 }
 
-// blockLen returns the run length of the op at pc: the number of
-// instructions the fast tier may retire from pc (0 where it must not enter).
-func (m *Machine) blockLen(pc uint32) uint16 { return m.ops[m.opIndex(pc)].run }
+// blockLen returns the straight-line run length of the op at pc: the
+// number of instructions the fast tier may retire from pc without leaving
+// straight-line code (0 where it must not enter).
+func (m *Machine) blockLen(pc uint32) uint16 { return m.ops[m.opIndex(pc)].line }
 
 // trySuperstep retires one superstep window if the machine state admits
 // one and reports whether it did; otherwise it returns false leaving all
@@ -368,12 +420,16 @@ const fastMergeRun = 4
 
 // enterBlock makes the block-edge decision for core c's thread at its
 // current pc, the one place the window executor decides: the length of the
-// straight-line run the decision covers (fastLeft), checked or unchecked
-// execution — inherited through the merge budget after a checked decision,
-// otherwise from a fresh blockChecked scan — and the stamp (thread, register
-// file mutation count) that lets a later window keep the decision open (see
-// resumeOrResetFast). The block's footprint is evaluated here, once, for
-// every reader that needs it: blockChecked when something is armed, chunkLen
+// run the decision covers (fastLeft), checked or unchecked execution —
+// inherited through the merge budget after a checked decision, otherwise
+// from a fresh blockChecked scan — and the stamp (thread, register file
+// mutation count) that lets a later window keep the decision open (see
+// resumeOrResetFast). The run is the op's superblock run, through a closing
+// JMP into the target's line, except while DPOR segments are recorded: a
+// decision there covers the straight-line run and the Binary's footprint,
+// so segments, pruning and every exploration count do not depend on the
+// superblocks. The run's footprint is evaluated here, once, for every
+// reader that needs it: blockChecked when something is armed, chunkLen
 // when several cores are active, and DPOR segment recording. It returns
 // false, deciding nothing, when the pc is not fast-enterable: a kernel
 // boundary or not an instruction start.
@@ -384,18 +440,23 @@ func (m *Machine) enterBlock(c *Core) bool {
 	if int(idx) >= len(m.ops) || m.ops[idx].pc != pc {
 		idx = m.opIndex(pc)
 	}
-	if m.ops[idx].run == 0 {
+	o := &m.ops[idx]
+	if o.line == 0 {
 		return false
 	}
-	c.fastLeft = m.ops[idx].run
+	rec := m.segRecording()
+	run, fp := m.sbs[idx].run, &m.sbs[idx].fp
+	if rec {
+		run, fp = o.line, &m.fps[pc]
+	}
+	c.fastLeft = run
 	c.fastIdx = idx
 	c.fastDecTID = t.ID
 	c.fastDecMuts = c.WP.Muts()
 	armed := c.WP.ArmedCount() != 0
-	rec := m.segRecording()
 	class := fpUnbounded // read only after an evaluation
 	if armed || rec || len(m.fastCores) > 1 {
-		class = m.evalFootprint(c, t, pc)
+		class = m.evalFootprint(c, t, fp)
 	}
 	switch {
 	case c.fastMerge > 0:
@@ -506,13 +567,13 @@ func (m *Machine) chunkLen(active []*Core, l uint64) (chunk, hold uint64) {
 	if !lead.fpInMem {
 		return 0, uint64(lead.fastLeft)
 	}
-	leadStops := lead.fastChecked || !m.ops[lead.fastIdx].safe
+	leadStops := lead.fastChecked || !m.sbs[lead.fastIdx].safe
 	for i := 1; i < len(active); i++ {
 		c := active[i]
 		if c.fastLeft == 0 && (leadStops || !m.enterBlock(c)) {
 			return 0, 1
 		}
-		if c.fastChecked || !c.fpInMem || !m.ops[c.fastIdx].safe {
+		if c.fastChecked || !c.fpInMem || !m.sbs[c.fastIdx].safe {
 			return 0, uint64(c.fastLeft)
 		}
 		for _, d := range active[:i] {
@@ -532,16 +593,15 @@ const (
 	fpEscapes          // a stack interval leaves [0, 2^32) after evaluation
 )
 
-// evalFootprint evaluates the static footprint of the run at pc against
-// thread t's live SP/FP into core c's fpRanges — the absolute interval plus
-// the SP and FP intervals — and sets fpInMem when every interval lies
-// inside data memory. enterBlock calls it once per block edge; blockChecked
-// tests the ranges against the armed registers, chunkLen against the other
-// cores' blocks, and segFootprint folds them into the DPOR segment.
-func (m *Machine) evalFootprint(c *Core, t *Thread, pc uint32) int {
+// evalFootprint evaluates the static footprint f of a run against thread
+// t's live SP/FP into core c's fpRanges — the absolute interval plus the SP
+// and FP intervals — and sets fpInMem when every interval lies inside data
+// memory. enterBlock calls it once per block edge; blockChecked tests the
+// ranges against the armed registers, chunkLen against the other cores'
+// blocks, and segFootprint folds them into the DPOR segment.
+func (m *Machine) evalFootprint(c *Core, t *Thread, f *isa.Footprint) int {
 	c.fpN = 0
 	c.fpInMem = false
-	f := &m.fps[pc]
 	if f.Unbounded {
 		return fpUnbounded
 	}
@@ -583,9 +643,9 @@ func stackRange(base, lo, hi int64) (r hw.AddrRange, ok bool) {
 	return hw.AddrRange{Lo: uint32(lo64), Hi: uint32(hi64)}, true
 }
 
-// blockChecked decides, at a basic-block edge, whether the straight-line
-// run starting at the core's pc must execute with per-access watchpoint
-// checks on core c. False — the common case — means the block's static
+// blockChecked decides, at a block edge, whether the run enterBlock
+// decided at the core's pc must execute with per-access watchpoint checks
+// on core c. False — the common case — means the block's static
 // footprint is provably disjoint from every armed register that could trap
 // thread t, so execRun may commit every access unchecked (Match would
 // return -1 for all of them). enterBlock asks only while something is
@@ -662,9 +722,9 @@ func (m *Machine) opTraps(c *Core, t *Thread, o *fastOp) bool {
 	case okST, okST8:
 		return m.accessTraps(c, t, o.addr, o.sz, hw.Write)
 	case okLDR, okLDR8:
-		return m.accessTraps(c, t, uint32(r[o.ra]+o.imm), o.sz, hw.Read)
+		return m.accessTraps(c, t, uint32(r[o.ra&regMask]+o.imm), o.sz, hw.Read)
 	case okSTR, okSTR8:
-		return m.accessTraps(c, t, uint32(r[o.ra]+o.imm), o.sz, hw.Write)
+		return m.accessTraps(c, t, uint32(r[o.ra&regMask]+o.imm), o.sz, hw.Write)
 	case okPUSH, okCALL:
 		return m.accessTraps(c, t, uint32(r[isa.RegSP])-8, 8, hw.Write)
 	case okPOP, okRET:
@@ -689,212 +749,222 @@ func (m *Machine) accessTraps(c *Core, t *Thread, addr uint32, sz uint8, typ hw.
 }
 
 // execRun is the fast interpreter: it retires up to n ops of core c's open
-// block — the straight-line run at the thread's pc, from op fastIdx on, in
-// the block's decided mode — with no kernel interaction and no access
-// recording, and returns how many it retired. The caller bounds n by the
-// block (fastLeft), so only the last op can be control flow. A full run
-// takes n off fastLeft, and on return fastIdx names the op at the thread's
-// new pc where it is statically known (fall-through or a direct jump),
-// which the next enterBlock checks against the pc before it uses it.
+// block — its run from op fastIdx on, in the block's decided mode — with no
+// kernel interaction and no access recording, and returns how many it
+// retired. The caller bounds n by the block (fastLeft), so the run is at
+// most two contiguous slices of the op stream: the rest of the current
+// line, and, when a superblock's closing JMP is among the n ops, the first
+// ops of the target's line from tidx on. Only the last op of a slice can be
+// control flow. A full run takes n off fastLeft, and on return fastIdx names
+// the op at the thread's new pc where it is statically known (fall-through
+// or a direct jump), which the next enterBlock checks against the pc before
+// it uses it.
 // In unchecked mode blockChecked has proven no access can hit an armed
 // register; in checked mode opTraps pre-checks every op's accesses before
 // anything of it commits, so a bail-out never leaves a partial commit.
 // It stops early, leaving the op it stopped at and all machine state
 // untouched, when that op must execute on the legacy path instead: a kernel
 // boundary (SYS, HLT), a faulting condition (division by zero,
-// out-of-bounds access), or a checked access that would trap. Stop-before
-// semantics make the fallback exact: the legacy step re-executes the op at
-// the identical clock with identical state, and the block decision is
-// dropped. t.PC and t.LastInstr are written once, at the end of the run or
-// at the op that stopped it.
+// out-of-bounds access), or a checked access that would trap — the target's
+// first op included. Stop-before semantics make the fallback exact: the
+// legacy step re-executes the op at the identical clock with identical
+// state, and the block decision is dropped. t.PC and t.LastInstr are written
+// at the end of each slice or at the op that stopped the run. Register
+// indices are masked to the register file, which decoding already enforces,
+// so the compiler drops their bounds checks.
 func (m *Machine) execRun(c *Core, n uint64) uint64 {
 	t := c.Cur
 	checked := c.fastChecked
-	i := c.fastIdx
-	ops := m.ops[i : i+uint32(n)]
 	r := &t.Regs
 	mem := m.Mem
-	// Only the last op can be control flow; the cases that transfer control
-	// overwrite the fall-through successor.
-	next, nidx := ops[len(ops)-1].next, i+uint32(n)
-	for j := range ops {
-		o := &ops[j]
-		if checked && m.opTraps(c, t, o) {
-			return stopRun(c, t, ops, j)
-		}
-		switch o.kind {
-		case okNOP:
-		case okMOVI:
-			r[o.rd] = o.imm
-		case okMOVR:
-			r[o.rd] = r[o.ra]
-		case okADD:
-			r[o.rd] = r[o.ra] + r[o.rb]
-		case okSUB:
-			r[o.rd] = r[o.ra] - r[o.rb]
-		case okMUL:
-			r[o.rd] = r[o.ra] * r[o.rb]
-		case okAND:
-			r[o.rd] = r[o.ra] & r[o.rb]
-		case okOR:
-			r[o.rd] = r[o.ra] | r[o.rb]
-		case okXOR:
-			r[o.rd] = r[o.ra] ^ r[o.rb]
-		case okSHL:
-			r[o.rd] = r[o.ra] << (uint64(r[o.rb]) & 63)
-		case okSHR:
-			r[o.rd] = int64(uint64(r[o.ra]) >> (uint64(r[o.rb]) & 63))
-		case okCEQ:
-			r[o.rd] = b2i(r[o.ra] == r[o.rb])
-		case okCNE:
-			r[o.rd] = b2i(r[o.ra] != r[o.rb])
-		case okCLT:
-			r[o.rd] = b2i(r[o.ra] < r[o.rb])
-		case okCLE:
-			r[o.rd] = b2i(r[o.ra] <= r[o.rb])
-		case okCGT:
-			r[o.rd] = b2i(r[o.ra] > r[o.rb])
-		case okCGE:
-			r[o.rd] = b2i(r[o.ra] >= r[o.rb])
-		case okDIV:
-			if r[o.rb] == 0 {
-				return stopRun(c, t, ops, j) // division by zero: fault on the legacy path
+	for i, done := c.fastIdx, uint64(0); ; {
+		k := min(n-done, uint64(m.ops[i].line))
+		ops := m.ops[i : i+uint32(k)]
+		// Only the last op can be control flow; the cases that transfer control
+		// overwrite the fall-through successor.
+		next, nidx := ops[len(ops)-1].next, i+uint32(k)
+		for j := range ops {
+			o := &ops[j]
+			if checked && m.opTraps(c, t, o) {
+				return stopRun(c, t, ops, j, done)
 			}
-			r[o.rd] = r[o.ra] / r[o.rb]
-		case okMOD:
-			if r[o.rb] == 0 {
-				return stopRun(c, t, ops, j)
-			}
-			r[o.rd] = r[o.ra] % r[o.rb]
-		case okADDI:
-			r[o.rd] = r[o.ra] + o.imm
-		case okLD8:
-			a := o.addr
-			if int(a)+8 > len(mem) {
-				return stopRun(c, t, ops, j)
-			}
-			r[o.rd] = int64(binary.LittleEndian.Uint64(mem[a:]))
-		case okLD:
-			if !m.inBounds(o.addr, o.sz) {
-				return stopRun(c, t, ops, j)
-			}
-			r[o.rd] = signExtend(m.loadRaw(o.addr, o.sz), o.sz)
-		case okST8:
-			a := o.addr
-			if int(a)+8 > len(mem) {
-				return stopRun(c, t, ops, j)
-			}
-			m.store8(a, uint64(r[o.ra]))
-		case okST:
-			if !m.inBounds(o.addr, o.sz) {
-				return stopRun(c, t, ops, j)
-			}
-			m.storeRaw(o.addr, o.sz, uint64(r[o.ra]))
-		case okLDR8:
-			a := uint32(r[o.ra] + o.imm)
-			if int(a)+8 > len(mem) {
-				return stopRun(c, t, ops, j)
-			}
-			r[o.rd] = int64(binary.LittleEndian.Uint64(mem[a:]))
-		case okLDR:
-			a := uint32(r[o.ra] + o.imm)
-			if !m.inBounds(a, o.sz) {
-				return stopRun(c, t, ops, j)
-			}
-			r[o.rd] = signExtend(m.loadRaw(a, o.sz), o.sz)
-		case okSTR8:
-			a := uint32(r[o.ra] + o.imm)
-			if int(a)+8 > len(mem) {
-				return stopRun(c, t, ops, j)
-			}
-			m.store8(a, uint64(r[o.rb]))
-		case okSTR:
-			a := uint32(r[o.ra] + o.imm)
-			if !m.inBounds(a, o.sz) {
-				return stopRun(c, t, ops, j)
-			}
-			m.storeRaw(a, o.sz, uint64(r[o.rb]))
-		case okPUSH:
-			sp := uint32(r[isa.RegSP]) - 8
-			if int(sp)+8 > len(mem) {
-				return stopRun(c, t, ops, j)
-			}
-			r[isa.RegSP] = int64(sp)
-			m.store8(sp, uint64(r[o.ra]))
-		case okPOP:
-			sp := uint32(r[isa.RegSP])
-			if int(sp)+8 > len(mem) {
-				return stopRun(c, t, ops, j)
-			}
-			r[o.rd] = int64(binary.LittleEndian.Uint64(mem[sp:]))
-			r[isa.RegSP] = int64(sp + 8)
-		case okPUSHM:
-			sp := uint32(r[isa.RegSP]) - 8
-			if !m.inBounds(o.addr, o.sz) || int(sp)+8 > len(mem) {
-				return stopRun(c, t, ops, j)
-			}
-			v := signExtend(m.loadRaw(o.addr, o.sz), o.sz)
-			r[isa.RegSP] = int64(sp)
-			m.store8(sp, uint64(v))
-		case okJMP:
-			next, nidx = o.addr, o.tidx
-		case okJZ:
-			if r[o.ra] == 0 {
+			switch o.kind {
+			case okNOP:
+			case okMOVI:
+				r[o.rd&regMask] = o.imm
+			case okMOVR:
+				r[o.rd&regMask] = r[o.ra&regMask]
+			case okADD:
+				r[o.rd&regMask] = r[o.ra&regMask] + r[o.rb&regMask]
+			case okSUB:
+				r[o.rd&regMask] = r[o.ra&regMask] - r[o.rb&regMask]
+			case okMUL:
+				r[o.rd&regMask] = r[o.ra&regMask] * r[o.rb&regMask]
+			case okAND:
+				r[o.rd&regMask] = r[o.ra&regMask] & r[o.rb&regMask]
+			case okOR:
+				r[o.rd&regMask] = r[o.ra&regMask] | r[o.rb&regMask]
+			case okXOR:
+				r[o.rd&regMask] = r[o.ra&regMask] ^ r[o.rb&regMask]
+			case okSHL:
+				r[o.rd&regMask] = r[o.ra&regMask] << (uint64(r[o.rb&regMask]) & 63)
+			case okSHR:
+				r[o.rd&regMask] = int64(uint64(r[o.ra&regMask]) >> (uint64(r[o.rb&regMask]) & 63))
+			case okCEQ:
+				r[o.rd&regMask] = b2i(r[o.ra&regMask] == r[o.rb&regMask])
+			case okCNE:
+				r[o.rd&regMask] = b2i(r[o.ra&regMask] != r[o.rb&regMask])
+			case okCLT:
+				r[o.rd&regMask] = b2i(r[o.ra&regMask] < r[o.rb&regMask])
+			case okCLE:
+				r[o.rd&regMask] = b2i(r[o.ra&regMask] <= r[o.rb&regMask])
+			case okCGT:
+				r[o.rd&regMask] = b2i(r[o.ra&regMask] > r[o.rb&regMask])
+			case okCGE:
+				r[o.rd&regMask] = b2i(r[o.ra&regMask] >= r[o.rb&regMask])
+			case okDIV:
+				if r[o.rb&regMask] == 0 {
+					return stopRun(c, t, ops, j, done) // division by zero: fault on the legacy path
+				}
+				r[o.rd&regMask] = r[o.ra&regMask] / r[o.rb&regMask]
+			case okMOD:
+				if r[o.rb&regMask] == 0 {
+					return stopRun(c, t, ops, j, done)
+				}
+				r[o.rd&regMask] = r[o.ra&regMask] % r[o.rb&regMask]
+			case okADDI:
+				r[o.rd&regMask] = r[o.ra&regMask] + o.imm
+			case okLD8:
+				a := o.addr
+				if int(a)+8 > len(mem) {
+					return stopRun(c, t, ops, j, done)
+				}
+				r[o.rd&regMask] = int64(binary.LittleEndian.Uint64(mem[a:]))
+			case okLD:
+				if !m.inBounds(o.addr, o.sz) {
+					return stopRun(c, t, ops, j, done)
+				}
+				r[o.rd&regMask] = signExtend(m.loadRaw(o.addr, o.sz), o.sz)
+			case okST8:
+				a := o.addr
+				if int(a)+8 > len(mem) {
+					return stopRun(c, t, ops, j, done)
+				}
+				m.store8(a, uint64(r[o.ra&regMask]))
+			case okST:
+				if !m.inBounds(o.addr, o.sz) {
+					return stopRun(c, t, ops, j, done)
+				}
+				m.storeRaw(o.addr, o.sz, uint64(r[o.ra&regMask]))
+			case okLDR8:
+				a := uint32(r[o.ra&regMask] + o.imm)
+				if int(a)+8 > len(mem) {
+					return stopRun(c, t, ops, j, done)
+				}
+				r[o.rd&regMask] = int64(binary.LittleEndian.Uint64(mem[a:]))
+			case okLDR:
+				a := uint32(r[o.ra&regMask] + o.imm)
+				if !m.inBounds(a, o.sz) {
+					return stopRun(c, t, ops, j, done)
+				}
+				r[o.rd&regMask] = signExtend(m.loadRaw(a, o.sz), o.sz)
+			case okSTR8:
+				a := uint32(r[o.ra&regMask] + o.imm)
+				if int(a)+8 > len(mem) {
+					return stopRun(c, t, ops, j, done)
+				}
+				m.store8(a, uint64(r[o.rb&regMask]))
+			case okSTR:
+				a := uint32(r[o.ra&regMask] + o.imm)
+				if !m.inBounds(a, o.sz) {
+					return stopRun(c, t, ops, j, done)
+				}
+				m.storeRaw(a, o.sz, uint64(r[o.rb&regMask]))
+			case okPUSH:
+				sp := uint32(r[isa.RegSP]) - 8
+				if int(sp)+8 > len(mem) {
+					return stopRun(c, t, ops, j, done)
+				}
+				r[isa.RegSP] = int64(sp)
+				m.store8(sp, uint64(r[o.ra&regMask]))
+			case okPOP:
+				sp := uint32(r[isa.RegSP])
+				if int(sp)+8 > len(mem) {
+					return stopRun(c, t, ops, j, done)
+				}
+				r[o.rd&regMask] = int64(binary.LittleEndian.Uint64(mem[sp:]))
+				r[isa.RegSP] = int64(sp + 8)
+			case okPUSHM:
+				sp := uint32(r[isa.RegSP]) - 8
+				if !m.inBounds(o.addr, o.sz) || int(sp)+8 > len(mem) {
+					return stopRun(c, t, ops, j, done)
+				}
+				v := signExtend(m.loadRaw(o.addr, o.sz), o.sz)
+				r[isa.RegSP] = int64(sp)
+				m.store8(sp, uint64(v))
+			case okJMP:
 				next, nidx = o.addr, o.tidx
-			}
-		case okJNZ:
-			if r[o.ra] != 0 {
+			case okJZ:
+				if r[o.ra&regMask] == 0 {
+					next, nidx = o.addr, o.tidx
+				}
+			case okJNZ:
+				if r[o.ra&regMask] != 0 {
+					next, nidx = o.addr, o.tidx
+				}
+			case okCALL:
+				sp := uint32(r[isa.RegSP]) - 8
+				if int(sp)+8 > len(mem) {
+					return stopRun(c, t, ops, j, done)
+				}
+				r[isa.RegSP] = int64(sp)
+				m.store8(sp, uint64(o.next))
 				next, nidx = o.addr, o.tidx
+				t.Depth++
+			case okCALLM:
+				sp := uint32(r[isa.RegSP]) - 8
+				if int(o.addr)+8 > len(mem) || int(sp)+8 > len(mem) {
+					return stopRun(c, t, ops, j, done)
+				}
+				next = uint32(binary.LittleEndian.Uint64(mem[o.addr:]))
+				r[isa.RegSP] = int64(sp)
+				m.store8(sp, uint64(o.next))
+				t.Depth++
+			case okRET:
+				sp := uint32(r[isa.RegSP])
+				if int(sp)+8 > len(mem) {
+					return stopRun(c, t, ops, j, done)
+				}
+				next = uint32(binary.LittleEndian.Uint64(mem[sp:]))
+				r[isa.RegSP] = int64(sp + 8)
+				if t.Depth > 0 {
+					t.Depth--
+				}
+			default: // okNone: a kernel boundary
+				return stopRun(c, t, ops, j, done)
 			}
-		case okCALL:
-			sp := uint32(r[isa.RegSP]) - 8
-			if int(sp)+8 > len(mem) {
-				return stopRun(c, t, ops, j)
-			}
-			r[isa.RegSP] = int64(sp)
-			m.store8(sp, uint64(o.next))
-			next, nidx = o.addr, o.tidx
-			t.Depth++
-		case okCALLM:
-			sp := uint32(r[isa.RegSP]) - 8
-			if int(o.addr)+8 > len(mem) || int(sp)+8 > len(mem) {
-				return stopRun(c, t, ops, j)
-			}
-			next = uint32(binary.LittleEndian.Uint64(mem[o.addr:]))
-			r[isa.RegSP] = int64(sp)
-			m.store8(sp, uint64(o.next))
-			t.Depth++
-		case okRET:
-			sp := uint32(r[isa.RegSP])
-			if int(sp)+8 > len(mem) {
-				return stopRun(c, t, ops, j)
-			}
-			next = uint32(binary.LittleEndian.Uint64(mem[sp:]))
-			r[isa.RegSP] = int64(sp + 8)
-			if t.Depth > 0 {
-				t.Depth--
-			}
-		default: // okNone: a kernel boundary
-			return stopRun(c, t, ops, j)
 		}
+		t.LastInstr, t.PC = ops[len(ops)-1].pc, next
+		if done += k; done == n {
+			c.fastIdx = nidx
+			c.fastLeft -= uint16(n)
+			return n
+		}
+		i = nidx // the slice ended in the superblock's JMP
 	}
-	t.LastInstr = ops[len(ops)-1].pc
-	t.PC = next
-	c.fastIdx = nidx
-	c.fastLeft -= uint16(n)
-	return n
 }
 
-// stopRun ends execRun at op j of ops without executing it: the thread is
-// left exactly as if ops[:j] had retired one at a time, and core c's block
-// decision is dropped.
-func stopRun(c *Core, t *Thread, ops []fastOp, j int) uint64 {
+// stopRun ends execRun at op j of the slice ops without executing it: the
+// thread is left exactly as if the done ops of earlier slices and ops[:j]
+// had retired one at a time, and core c's block decision is dropped. It
+// returns the number of ops retired.
+func stopRun(c *Core, t *Thread, ops []fastOp, j int, done uint64) uint64 {
 	c.dropBlock()
 	if j > 0 {
 		t.LastInstr = ops[j-1].pc
 		t.PC = ops[j].pc
 	}
-	return uint64(j)
+	return done + uint64(j)
 }
 
 // MemHash returns the FNV-1a hash of data memory, for differential

@@ -638,9 +638,10 @@ type queueHeadPolicy struct{}
 
 func (queueHeadPolicy) Pick(SchedPoint) int { return 0 }
 
-// Op-stream sanity on a compiled binary: run length zero at SYS/HLT and
+// Op-stream sanity on a compiled binary: line length zero at SYS/HLT and
 // non-starts, positive elsewhere, and 1 on control flow; every start maps
-// to the op describing it.
+// to the op describing it. The superblock run is the line, plus the
+// target's line where the line ends in a JMP to a fast-enterable target.
 func TestBlockLenTable(t *testing.T) {
 	src := `
 void main() {
@@ -656,7 +657,10 @@ void main() {
 	if len(m.opAt) != len(m.decoded) {
 		t.Fatalf("opAt len %d != decoded len %d", len(m.opAt), len(m.decoded))
 	}
-	starts := 0
+	if len(m.sbs) != len(m.ops) {
+		t.Fatalf("superblock table len %d != op count %d", len(m.sbs), len(m.ops))
+	}
+	starts, superblocks := 0, 0
 	for pc := range m.decoded {
 		in := m.decoded[pc]
 		bl := m.blockLen(uint32(pc))
@@ -667,7 +671,9 @@ void main() {
 			continue
 		}
 		starts++
-		if op := m.ops[m.opAt[pc]]; op.pc != uint32(pc) || op.next != uint32(pc)+uint32(in.Len) {
+		idx := m.opAt[pc]
+		op := m.ops[idx]
+		if op.pc != uint32(pc) || op.next != uint32(pc)+uint32(in.Len) {
 			t.Fatalf("pc %#x maps to op at %#x (next %#x)", pc, op.pc, op.next)
 		}
 		switch {
@@ -684,9 +690,22 @@ void main() {
 				t.Errorf("straight-line op %v at %#x has blockLen 0", in.Op, pc)
 			}
 		}
+		want := op.line
+		if op.line > 0 {
+			if end := m.ops[idx+uint32(op.line)-1]; end.kind == okJMP && m.ops[end.tidx].line > 0 {
+				want += m.ops[end.tidx].line
+				superblocks++
+			}
+		}
+		if run := m.sbs[idx].run; run != want {
+			t.Errorf("op at %#x: run %d, want %d (line %d)", pc, run, want, op.line)
+		}
 	}
 	if starts == 0 {
 		t.Fatal("no instruction starts found")
+	}
+	if superblocks == 0 {
+		t.Fatal("no superblock found: the loop body's line ends in a JMP to its header")
 	}
 }
 

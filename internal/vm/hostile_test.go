@@ -41,3 +41,22 @@ func TestOutOfRangeRegisterRejected(t *testing.T) {
 	_, err = New(bin, k, Config{Cores: 1, Seed: 1, MaxTicks: 1000})
 	checkErr("vm.New", err)
 }
+
+// TestShortFootprintTableRejected: a binary whose footprint table does not
+// cover its code is refused by New with an error, instead of indexing the
+// table out of range while building the superblock table.
+func TestShortFootprintTableRejected(t *testing.T) {
+	code := []byte{byte(isa.OpNOP), byte(isa.OpNOP), byte(isa.OpHLT)}
+	bin := &compile.Binary{
+		Code:       code,
+		Footprints: make([]isa.Footprint, 1),
+		Funcs:      map[string]uint32{"main": 0},
+		Globals:    map[string]uint32{},
+		InitMem:    map[uint32]int64{},
+		SyncVars:   map[string]bool{},
+	}
+	k := kernel.New(kernel.Config{Mode: kernel.Prevention, NumWatchpoints: 4}, nil, nil, nil)
+	if _, err := New(bin, k, Config{Cores: 1, Seed: 1, MaxTicks: 1000}); err == nil || !strings.Contains(err.Error(), "footprint table") {
+		t.Errorf("New with a 1-entry footprint table for 3 code bytes: err = %v, want a footprint table error", err)
+	}
+}

@@ -269,14 +269,17 @@ type Machine struct {
 	fastOK bool // config admits the fast path at all (computed once)
 
 	// fps[pc] is the static address footprint of the straight-line run the
-	// fast path may retire starting at pc (the run of the op at pc).
-	// enterBlock evaluates it once per block edge, for blockChecked to test
-	// against the armed window, chunkLen against the other cores' blocks and
-	// DPOR segment recording to fold in. Taken from the Binary
-	// when the compiler produced it, recomputed otherwise; never shared
-	// mutation-wise with the Binary (harness pools share Binaries across
-	// machines).
+	// fast path may retire starting at pc (the line of the op at pc). Taken
+	// from the Binary when the compiler produced it, recomputed otherwise;
+	// never shared mutation-wise with the Binary (harness pools share
+	// Binaries across machines). sbs[i] is the superblock a block decision
+	// at op i covers, with its footprint, built once in New (buildOps); it
+	// is indexed by op, not pc, to stay the size of the op stream. enterBlock
+	// evaluates one of the two footprints once per block edge, for
+	// blockChecked to test against the armed window, chunkLen against the
+	// other cores' blocks and DPOR segment recording to fold in.
 	fps []isa.Footprint
+	sbs []superblock
 
 	fastCores []*Core // scratch: cores active in the current window
 
@@ -363,7 +366,6 @@ func New(bin *compile.Binary, k *kernel.Kernel, cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("vm: %w", err)
 	}
 	m.decoded = decoded
-	m.buildOps(starts)
 	// Static block footprints for the watchpoint-aware fast path: use the
 	// compiler's table when present, otherwise (hand-assembled binaries)
 	// compute one here. The table is read-only from this machine's point of
@@ -376,6 +378,10 @@ func New(bin *compile.Binary, k *kernel.Kernel, cfg Config) (*Machine, error) {
 		}
 		m.fps = fps
 	}
+	if len(m.fps) != len(bin.Code) {
+		return nil, fmt.Errorf("vm: footprint table covers %d of %d code bytes", len(m.fps), len(bin.Code))
+	}
+	m.buildOps(starts)
 	// The fast path is admissible at all only when the configuration
 	// cannot observe per-instruction machine activity: no per-access cost
 	// charging. Within an admissible run, trySuperstep still demotes
@@ -456,16 +462,20 @@ func (m *Machine) NumThreads() int { return len(m.threads) }
 // byte-identical across dispatch modes).
 // Zero counters are omitted from JSON: a vanilla (watchpoint-free) run can
 // only ever demote on timer edges.
+//
+// ArmedOverlap, Unbounded and CheckedOverlap count block decisions, not
+// basic blocks: a decision covers a superblock, which may span an
+// unconditional JMP into the target's straight-line code (see enterBlock).
 type Demotions struct {
-	// ArmedOverlap: basic blocks executed in checked mode because their
+	// ArmedOverlap: block decisions run in checked mode because the block's
 	// static footprint may overlap an armed register.
 	ArmedOverlap uint64 `json:"armed_overlap,omitempty"`
-	// Unbounded: basic blocks executed in checked mode because their
+	// Unbounded: block decisions run in checked mode because the block's
 	// footprint is unbounded (indirect/pointer access the value-range
 	// analysis could not bound, untracked SP/FP).
 	Unbounded uint64 `json:"unbounded,omitempty"`
-	// CheckedOverlap: basic blocks that inherited the previous block's
-	// checked decision through the merge budget instead of re-scanning the
+	// CheckedOverlap: block decisions that inherited the previous decision's
+	// checked mode through the merge budget instead of re-scanning the
 	// register file — overlapping-footprint runs amortizing the per-block
 	// decision.
 	CheckedOverlap uint64 `json:"checked_overlap,omitempty"`
