@@ -27,8 +27,9 @@ type Effect map[string]uint8 // global name -> AccRead|AccWrite bits
 
 // FuncEffects computes, to a fixpoint over the call graph, the transitive
 // global-variable effects of every function. Builtins have no global
-// effects.
-func FuncEffects(prog *minic.Program) map[string]Effect {
+// effects. graphs, if non-nil, supplies prebuilt CFGs by function name (the
+// annotator passes its own); missing entries are built here.
+func FuncEffects(prog *minic.Program, graphs map[string]*cfg.Graph) map[string]Effect {
 	globals := map[string]bool{}
 	for _, g := range prog.Globals {
 		globals[g.Name] = true
@@ -37,7 +38,10 @@ func FuncEffects(prog *minic.Program) map[string]Effect {
 	calls := map[string][]string{} // caller -> callees
 	for _, fn := range prog.Funcs {
 		e := Effect{}
-		g := cfg.Build(fn)
+		g := graphs[fn.Name]
+		if g == nil {
+			g = cfg.Build(fn)
+		}
 		for _, n := range g.Nodes {
 			for _, a := range NodeAccesses(n) {
 				if !a.Key.Deref && globals[a.Key.Name] {

@@ -21,7 +21,7 @@ void writer() {
 void both() {
     g = g + h;
 }`)
-	eff := FuncEffects(prog)
+	eff := FuncEffects(prog, nil)
 	if eff["reader"]["g"] != minic.AccRead {
 		t.Errorf("reader effect on g = %d", eff["reader"]["g"])
 	}
@@ -45,7 +45,7 @@ void mid() {
 void top() {
     mid();
 }`)
-	eff := FuncEffects(prog)
+	eff := FuncEffects(prog, nil)
 	want := uint8(minic.AccRead | minic.AccWrite)
 	for _, fn := range []string{"leaf", "mid", "top"} {
 		if eff[fn]["g"] != want {
@@ -68,7 +68,7 @@ void b(int n) {
         a(n - 1);
     }
 }`)
-	eff := FuncEffects(prog)
+	eff := FuncEffects(prog, nil)
 	if eff["b"]["g"]&minic.AccWrite == 0 {
 		t.Error("mutual recursion: b must inherit a's write to g")
 	}
@@ -103,7 +103,7 @@ void update() {
 
 	// Inter-procedural: the call carries init's write effect; the
 	// check-then-act pair appears.
-	effects := FuncEffects(prog)
+	effects := FuncEffects(prog, nil)
 	inter := PairsExtra(g, admit, func(n *cfg.Node) []Access {
 		return CallAccesses(prog, effects, n)
 	})
@@ -129,7 +129,7 @@ void touch() {
 void f() {
     touch();
 }`)
-	effects := FuncEffects(prog)
+	effects := FuncEffects(prog, nil)
 	g := cfg.Build(prog.Func("f"))
 	var callNode *cfg.Node
 	for _, n := range g.Nodes {
@@ -168,7 +168,7 @@ int wr(int v) {
 void f() {
     h = wr(rd());
 }`)
-	effects := FuncEffects(prog)
+	effects := FuncEffects(prog, nil)
 	g := cfg.Build(prog.Func("f"))
 	assign := g.Entry.Succs[0]
 	if got := accessString(CallAccesses(prog, effects, assign)); got != "R(g) W(g)" {

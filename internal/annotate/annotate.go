@@ -153,6 +153,11 @@ func Annotate(prog *minic.Program) (*Program, error) {
 // AnnotateWithOptions runs the static annotator with the selected precision.
 func AnnotateWithOptions(prog *minic.Program, opts Options) (*Program, error) {
 	out := &Program{Prog: prog}
+	// One CFG per function, shared by every analysis below.
+	graphs := make(map[string]*cfg.Graph, len(prog.Funcs))
+	for _, fn := range prog.Funcs {
+		graphs[fn.Name] = cfg.Build(fn)
+	}
 	var pt *analysis.PointsTo
 	if opts.Precise {
 		pt = analysis.ComputePointsTo(prog)
@@ -160,7 +165,7 @@ func AnnotateWithOptions(prog *minic.Program, opts Options) (*Program, error) {
 	var effects map[string]analysis.Effect
 	var extra func(*cfg.Node) []analysis.Access
 	if opts.InterProcedural {
-		effects = analysis.FuncEffects(prog)
+		effects = analysis.FuncEffects(prog, graphs)
 		extra = func(n *cfg.Node) []analysis.Access {
 			return analysis.CallAccesses(prog, effects, n)
 		}
@@ -170,7 +175,7 @@ func AnnotateWithOptions(prog *minic.Program, opts Options) (*Program, error) {
 	}
 	out.Opts = opts
 	for _, fn := range prog.Funcs {
-		g := cfg.Build(fn)
+		g := graphs[fn.Name]
 		var lsv map[string]bool
 		var admit func(analysis.Access) (analysis.Key, bool)
 		if opts.Precise {
@@ -227,10 +232,6 @@ func AnnotateWithOptions(prog *minic.Program, opts Options) (*Program, error) {
 	}
 
 	if opts.Lockset {
-		graphs := make(map[string]*cfg.Graph, len(out.Funcs))
-		for _, fa := range out.Funcs {
-			graphs[fa.Fn.Name] = fa.Graph
-		}
 		out.Locks = lockset.Compute(prog, graphs, lockset.Options{Roots: opts.Roots})
 		for _, ar := range out.ARs {
 			if ar.Key.Deref {

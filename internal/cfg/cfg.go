@@ -51,6 +51,8 @@ type Graph struct {
 	Entry *Node
 	Exit  *Node
 	Nodes []*Node
+
+	succIDs [][]int // SuccIDs, computed once by Build
 }
 
 // StmtNode returns the node for a given simple statement, or nil.
@@ -75,21 +77,24 @@ func (n *Node) Exprs(f func(minic.Expr)) {
 }
 
 // SuccIDs returns every node's successor IDs, indexed by node ID: the
-// integer form of the graph that dataflow.SolveEdges runs over.
-func (g *Graph) SuccIDs() [][]int {
+// integer form of the graph that dataflow.SolveEdges runs over. Build
+// computes it once, so every analysis of the graph shares one copy; callers
+// must not modify it.
+func (g *Graph) SuccIDs() [][]int { return g.succIDs }
+
+func (g *Graph) buildSuccIDs() {
 	n := 0
 	for _, nd := range g.Nodes {
 		n += len(nd.Succs)
 	}
 	ids := make([]int, 0, n)
-	out := make([][]int, len(g.Nodes))
+	g.succIDs = make([][]int, len(g.Nodes))
 	for i, nd := range g.Nodes {
 		for _, s := range nd.Succs {
 			ids = append(ids, s.ID)
 		}
-		out[i] = ids[len(ids)-len(nd.Succs):]
+		g.succIDs[i] = ids[len(ids)-len(nd.Succs):]
 	}
-	return out
 }
 
 // Reach returns, indexed by node ID, the nodes reachable from `from` over
@@ -158,6 +163,7 @@ func Build(fn *minic.FuncDecl) *Graph {
 	g.Exit = b.newNode(KindExit)
 	out := b.block(fn.Body, []*Node{g.Entry})
 	connect(out, g.Exit)
+	g.buildSuccIDs()
 	return g
 }
 

@@ -55,7 +55,6 @@ type FuncInfo struct {
 	held     []Set           // heldThroughout cache, by node ID
 	ops      map[int][]op    // lock-relevant ops per node, in evaluation order
 	shadowed map[string]bool // global names hidden by a param or local
-	succs    [][]int         // Graph.SuccIDs, for the solver
 	nodes    []int           // every node ID: the solver's entries
 }
 
@@ -103,7 +102,7 @@ func Compute(prog *minic.Program, graphs map[string]*cfg.Graph, opts Options) *I
 		if g == nil {
 			g = cfg.Build(fn)
 		}
-		fi := &FuncInfo{Fn: fn, Graph: g, shadowed: map[string]bool{}, succs: g.SuccIDs()}
+		fi := &FuncInfo{Fn: fn, Graph: g, shadowed: map[string]bool{}}
 		for _, d := range fn.Locals() {
 			fi.shadowed[d.Name] = true
 		}
@@ -216,7 +215,7 @@ func (*lockAnalysis) Join(x, y dataflow.Facts) dataflow.Facts {
 func (a *lockAnalysis) Flow(n int, in dataflow.Facts) []dataflow.Facts {
 	var out dataflow.Facts = a.info.transfer(a.fi, n, in.(Set))
 	a.scratch = a.scratch[:0]
-	for range a.fi.succs[n] {
+	for range a.fi.Graph.SuccIDs()[n] {
 		a.scratch = append(a.scratch, out)
 	}
 	return a.scratch
@@ -226,7 +225,7 @@ func (a *lockAnalysis) Flow(n int, in dataflow.Facts) []dataflow.Facts {
 // entry lockset, storing the solution in fi.In/fi.Out. Every node is an
 // entry, so dead code gets the locksets its own predecessors give it.
 func (i *Info) solve(fi *FuncInfo, entry Set) {
-	in := dataflow.SolveEdges(fi.succs, fi.nodes, nil, &lockAnalysis{info: i, fi: fi, entry: entry})
+	in := dataflow.SolveEdges(fi.Graph.SuccIDs(), fi.nodes, nil, &lockAnalysis{info: i, fi: fi, entry: entry})
 	fi.In = make([]Set, len(in))
 	fi.Out = make([]Set, len(in))
 	for id := range in {
