@@ -194,6 +194,16 @@ func writesReg(in Instr, reg uint8) bool {
 	return false
 }
 
+// KeepsFrame reports whether in leaves both SP and FP as they were: it
+// neither moves SP implicitly (PUSH, POP, PUSHM, CALL, CALLM, RET) nor
+// writes either register with a new value. A footprint evaluated before
+// such an instruction holds after it unchanged.
+func (in Instr) KeepsFrame() bool {
+	sp, dsp, okSP := regEffect(in, RegSP)
+	fp, dfp, okFP := regEffect(in, RegFP)
+	return okSP && okFP && sp == RegSP && dsp == 0 && fp == RegFP && dfp == 0
+}
+
 // Rebase re-expresses a footprint valid after instruction in (a suffix run's
 // footprint) relative to the register state before in, so a reverse walk can
 // union it with in's own accesses. Stack intervals shift by the

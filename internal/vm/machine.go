@@ -202,8 +202,8 @@ func (m *Machine) EpochChanged() {
 
 // raw little-endian memory access; out-of-bounds reads return 0 and writes
 // are dropped (the executing path bounds-checks and faults the thread
-// first). The power-of-two sizes go through single word loads/stores; the
-// byte loop survives only for irregular sizes.
+// first). Loads of a power-of-two size and 8-byte stores are single word
+// accesses; the byte loops serve the rest.
 func (m *Machine) loadRaw(addr uint32, sz uint8) uint64 {
 	if int(addr)+int(sz) > len(m.Mem) {
 		return 0
@@ -230,43 +230,47 @@ func (m *Machine) storeRaw(addr uint32, sz uint8, v uint64) {
 		return
 	}
 	if sz == 8 {
-		m.store8(addr, v)
+		m.store8((*memImage)(m.Mem), addr, v)
 		return
 	}
-	// Dirty tracking for snapshots. A store spans at most two pages
-	// (sz <= 8 << pageShift); only one that crosses a page boundary
-	// touches the second.
-	p0 := addr >> pageShift
-	m.pageDirty[p0] = true
-	m.chunkDirty[p0>>chunkShift] = true
-	if p1 := (addr + uint32(sz) - 1) >> pageShift; p1 != p0 {
-		m.pageDirty[p1] = true
-		m.chunkDirty[p1>>chunkShift] = true
-	}
-	switch sz {
-	case 4:
-		binary.LittleEndian.PutUint32(m.Mem[addr:], uint32(v))
-	case 2:
-		binary.LittleEndian.PutUint16(m.Mem[addr:], uint16(v))
-	case 1:
-		m.Mem[addr] = byte(v)
-	default:
-		for i := uint8(0); i < sz; i++ {
-			m.Mem[addr+uint32(i)] = byte(v >> (8 * i))
-		}
+	m.markDirty(addr, sz)
+	for i := range sz {
+		m.Mem[addr+uint32(i)] = byte(v >> (8 * i))
 	}
 }
 
-// store8 is storeRaw's in-bounds 8-byte store, the fast interpreter's
-// common case: the same dirty-page and dirty-chunk marks, then one word
-// write. The caller has bounds-checked addr.
-func (m *Machine) store8(addr uint32, v uint64) {
-	p0 := addr >> pageShift
-	m.pageDirty[p0] = true
-	m.chunkDirty[p0>>chunkShift] = true
-	if p1 := (addr + 7) >> pageShift; p1 != p0 {
-		m.pageDirty[p1] = true
-		m.chunkDirty[p1>>chunkShift] = true
+// markDirty records a store to [addr, addr+sz), sz <= pageSize, in the
+// dirty-page and dirty-chunk maps snapshots read. Such a store spans at most
+// two pages; only one that crosses a page boundary touches the second. The
+// caller has bounds-checked the store, so masking the page numbers changes
+// none of them; it only lets the compiler drop the index checks.
+func (m *Machine) markDirty(addr uint32, sz uint8) {
+	const pageMask, chunkMask = uint32(numPages - 1), uint32(numChunks - 1)
+	p := addr >> pageShift & pageMask
+	m.pageDirty[p] = true
+	m.chunkDirty[p>>chunkShift&chunkMask] = true
+	if addr&(pageSize-1) > pageSize-uint32(sz) {
+		p = (addr + uint32(sz) - 1) >> pageShift & pageMask
+		m.pageDirty[p] = true
+		m.chunkDirty[p>>chunkShift&chunkMask] = true
 	}
-	binary.LittleEndian.PutUint64(m.Mem[addr:], v)
+}
+
+// store8 is storeRaw's 8-byte store, the fast interpreter's common case:
+// the dirty marks, then one word write. The caller has checked addr <=
+// MemSize-8; given that, the compiler drops every bounds check here.
+func (m *Machine) store8(mem *memImage, addr uint32, v uint64) {
+	m.markDirty(addr, 8)
+	binary.LittleEndian.PutUint64(mem[addr:], v)
+}
+
+// loadN is the fast interpreter's load of any width, sign-extended, from
+// the bounds-checked addr; its own 8-byte loads are inline.
+func loadN(mem *memImage, addr uint32, sz uint8) int64 {
+	var v uint64
+	for i := range sz {
+		v |= uint64(mem[addr+uint32(i)]) << (8 * i)
+	}
+	s := 64 - 8*uint(sz)
+	return int64(v<<s) >> s
 }

@@ -46,6 +46,10 @@ const (
 	numChunks  = numPages >> chunkShift
 )
 
+// numPages is a power of two, so markDirty may mask page numbers with
+// numPages-1.
+var _ = [1]struct{}{}[numPages&(numPages-1)]
+
 // pageChunk is one immutable second-level table of the page directory.
 type pageChunk [chunkPages][]byte
 

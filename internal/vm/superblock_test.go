@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"kivati/internal/compile"
@@ -248,5 +249,427 @@ void main() {
 	if run := m.sbs[body].run; !c.fastChecked || c.fastLeft != run {
 		t.Errorf("superblock decided checked=%v over %d ops, want checked over %d (line %d)",
 			c.fastChecked, c.fastLeft, run, o.line)
+	}
+}
+
+// frameMover reports, by dispatch kind alone, whether op o moves SP or FP:
+// an implicit SP update, or an explicit write of either register. It is the
+// test's own statement of the loop superblock's frame condition.
+func frameMover(o *fastOp) bool {
+	switch o.kind {
+	case okPUSH, okPOP, okPUSHM, okCALL, okCALLM, okRET:
+		return true
+	case okMOVI, okMOVR, okADD, okSUB, okMUL, okAND, okOR, okXOR, okSHL, okSHR,
+		okCEQ, okCNE, okCLT, okCLE, okCGT, okCGE, okDIV, okMOD, okADDI,
+		okLD, okLD8, okLDR, okLDR8:
+		return o.rd == isa.RegSP || o.rd == isa.RegFP
+	}
+	return false
+}
+
+// wantLoop derives op i's loop flag from the definition: the superblock is
+// not saturated, its closing op is a JZ or JNZ that falls through or jumps
+// back to op i, and none of its ops moves SP or FP.
+func wantLoop(m *Machine, i uint32) bool {
+	o, sb := &m.ops[i], &m.sbs[i]
+	if o.line == 0 || sb.run == maxLine {
+		return false
+	}
+	parts := [][2]uint32{{i, i + uint32(o.line)}}
+	if sb.run > o.line {
+		tgt := m.ops[i+uint32(o.line)-1].tidx
+		parts = append(parts, [2]uint32{tgt, tgt + uint32(m.ops[tgt].line)})
+	}
+	for _, p := range parts {
+		for j := p[0]; j < p[1]; j++ {
+			if frameMover(&m.ops[j]) {
+				return false
+			}
+		}
+	}
+	e := &m.ops[parts[len(parts)-1][1]-1]
+	return (e.kind == okJZ || e.kind == okJNZ) && (e.next == o.pc || e.addr == o.pc)
+}
+
+// The loop flag, both ways. On a compiled computeFn-style loop (see
+// internal/workloads) the body's superblock — body, JMP, header, JZ — is a
+// loop, and the flag of every op matches the definition. On hand-assembled
+// loops it is set for a plain body and for a one-line JNZ loop, and clear
+// when the body pushes, pops, calls, or writes SP or FP, when the closing
+// branch leads elsewhere, and when the superblock saturates.
+func TestFastPathLoopSuperblockTable(t *testing.T) {
+	src := `
+int out;
+int digest(int v) {
+    int x;
+    int j;
+    x = v + 10007;
+    j = 0;
+    while (j < 300) {
+        x = x * 31 + j;
+        x = x ^ (x >> 7);
+        j = j + 1;
+    }
+    return x;
+}
+void main() {
+    out = digest(5);
+}`
+	m := newDispatch(t, src, defaultRunOpts(), DispatchFast)
+	loops := 0
+	for i := uint32(1); i < uint32(len(m.ops)); i++ {
+		if got, want := m.sbs[i].loop, wantLoop(m, i); got != want {
+			t.Errorf("op %d at %#x: loop=%v, want %v", i, m.ops[i].pc, got, want)
+		}
+		if m.sbs[i].loop {
+			loops++
+			if m.sbs[i].run == m.ops[i].line {
+				t.Errorf("op %d: the compiled loop is flagged without its JMP-closed superblock", i)
+			}
+		}
+	}
+	if loops != 1 {
+		t.Fatalf("%d loop superblocks in digest, want 1 (the while body)", loops)
+	}
+
+	const r1, r2, r3 = 1, 2, 3
+	plain := func(e *isa.Encoder) {
+		e.ALU(isa.OpADD, r2, r2, r1)
+		e.Store(0x2000, r2, 8)
+		e.LoadReg(r3, isa.RegFP, -8, 8)
+	}
+	cases := []struct {
+		name string
+		body func(e *isa.Encoder)
+		// layout emits the loop around body from label top on; nil is
+		// the MiniC shape top: cond; JZ exit; body: ...; JMP top.
+		layout func(e *isa.Encoder, body func(e *isa.Encoder))
+		want   bool
+	}{
+		{name: "plain", body: plain, want: true},
+		{name: "push", body: func(e *isa.Encoder) { plain(e); e.Push(r2) }},
+		{name: "pop", body: func(e *isa.Encoder) { e.Pop(r3); plain(e) }},
+		{name: "pushm", body: func(e *isa.Encoder) { e.PushMem(0x2000, 8); plain(e) }},
+		{name: "call", body: func(e *isa.Encoder) { plain(e); e.Call("f") }},
+		{name: "writes FP", body: func(e *isa.Encoder) { plain(e); e.MovReg(isa.RegFP, r2) }},
+		{name: "writes SP", body: func(e *isa.Encoder) { e.AddImm(isa.RegSP, isa.RegSP, -16); plain(e) }},
+		{name: "loads SP", body: func(e *isa.Encoder) { plain(e); e.Load(isa.RegSP, 0x2000, 8) }},
+		{name: "branch elsewhere", body: plain, layout: func(e *isa.Encoder, body func(e *isa.Encoder)) {
+			e.Label("top")
+			e.AddImm(r1, r1, -1)
+			e.Jz(r1, "exit")
+			e.Nop() // the JZ falls through here, not to the body
+			e.Label("body")
+			body(e)
+			e.Jmp("top")
+		}},
+		{name: "one-line JNZ", body: plain, want: true, layout: func(e *isa.Encoder, body func(e *isa.Encoder)) {
+			e.Label("top")
+			e.Label("body")
+			body(e)
+			e.AddImm(r1, r1, -1)
+			e.Jnz(r1, "body")
+		}},
+		{name: "saturated", layout: func(e *isa.Encoder, _ func(e *isa.Encoder)) {
+			e.Label("top")
+			for range 30000 {
+				e.Nop()
+			}
+			e.AddImm(r1, r1, -1)
+			e.Jz(r1, "exit")
+			e.Label("body")
+			for range 40000 {
+				e.Nop()
+			}
+			e.Jmp("top")
+		}},
+	}
+	for _, tc := range cases {
+		e := isa.NewEncoder()
+		e.Label("main")
+		e.MovImm(r1, 10)
+		e.Jmp("top")
+		if tc.layout != nil {
+			tc.layout(e, tc.body)
+		} else {
+			e.Label("top")
+			e.AddImm(r1, r1, -1)
+			e.Jz(r1, "exit")
+			e.Label("body")
+			tc.body(e)
+			e.Jmp("top")
+		}
+		e.Label("exit")
+		e.Hlt()
+		e.Label("f")
+		e.Ret()
+		code, err := e.Finish()
+		if err != nil {
+			t.Fatalf("%s: Finish: %v", tc.name, err)
+		}
+		pcMain, _ := e.LabelPC("main")
+		pcBody, _ := e.LabelPC("body")
+		bin := &compile.Binary{
+			Code:     code,
+			Funcs:    map[string]uint32{"main": pcMain},
+			Globals:  map[string]uint32{},
+			InitMem:  map[uint32]int64{},
+			SyncVars: map[string]bool{},
+		}
+		k := kernel.New(kernel.Config{Mode: kernel.Prevention, NumWatchpoints: 4}, nil, nil, nil)
+		m, err := New(bin, k, Config{Cores: 1, Seed: 1, MaxTicks: 100_000})
+		if err != nil {
+			t.Fatalf("%s: New: %v", tc.name, err)
+		}
+		i := m.opAt[pcBody]
+		if got := m.sbs[i].loop; got != tc.want || got != wantLoop(m, i) {
+			t.Errorf("%s: loop=%v, want %v (run %d, line %d)", tc.name, got, tc.want, m.sbs[i].run, m.ops[i].line)
+		}
+		if tc.name == "saturated" && m.sbs[i].run != maxLine {
+			t.Errorf("saturated: run %d, want %d", m.sbs[i].run, maxLine)
+		}
+	}
+}
+
+// loopSrc's main spins in a loop whose header reads g, which the writer's
+// atomic regions watch, and which no region of main's brackets: the body's
+// superblock (body, JMP, header, JZ) is a loop, decided checked while g is
+// armed and carried while it is not.
+const loopSrc = `
+int g;
+void writer(int n) {
+    int i;
+    i = 0;
+    while (i < n) {
+        g = 1;
+        i = i + 1;
+        g = 0;
+    }
+}
+void main() {
+    int j;
+    spawn(writer, 300);
+    j = 0;
+    while (g + j < 2000) {
+        j = j + 1;
+    }
+    print(j);
+}`
+
+// loopQuantum leaves a window of five instructions after the timer
+// interrupt's cost, shorter than one iteration of loopSrc's loop, so a
+// carried decision is kept across window boundaries.
+const loopQuantum = 20
+
+// Carried loop decisions. Step and Fast must agree bit for bit at 1, 2 and
+// 3 cores under trap-after and TrapBefore, with windows shorter than an
+// iteration; one execRun call must retire several iterations of an
+// unchecked loop and leave the decision renewed, while a checked loop
+// decision is not carried; and a run restored from a snapshot taken in the
+// middle of a carried decision must equal a fresh run.
+func TestFastPathLoopDecision(t *testing.T) {
+	for _, cores := range []int{1, 2, 3} {
+		for _, before := range []bool{false, true} {
+			name := fmt.Sprintf("cores=%d trapBefore=%v", cores, before)
+			o := defaultRunOpts()
+			o.mcfg.Cores = cores
+			o.mcfg.Costs = DefaultCosts()
+			o.mcfg.Costs.Quantum = loopQuantum
+			o.kcfg.TrapBefore = before
+			res := assertDispatchEqual(t, name, loopSrc, o)
+			if res.Stats.Traps == 0 || res.SamePickContinues == 0 {
+				t.Errorf("%s: %d traps, %d same-pick continuations; want both > 0",
+					name, res.Stats.Traps, res.SamePickContinues)
+			}
+		}
+	}
+
+	// Two cores. Main spins in a loop over its own stack; the worker runs
+	// short loops between prints, and each print's kernel entry ends the
+	// window while main's decision stays open. The window after the
+	// print's cost keeps that decision, and its footprint, re-evaluated at
+	// the next back edge, lets the two cores chunk again.
+	spin := `
+void worker(int n) {
+    int i;
+    int j;
+    j = 0;
+    while (j < n) {
+        i = 0;
+        while (i < 40) {
+            i = i + 1;
+        }
+        print(j);
+        j = j + 1;
+    }
+}
+void main() {
+    int k;
+    spawn(worker, 40);
+    k = 0;
+    while (k < 1500) {
+        k = k + 1;
+    }
+    print(k);
+}`
+	so := defaultRunOpts()
+	so.mcfg.Costs = DefaultCosts()
+	so.mcfg.Costs.Quantum = 100_000 // no timer preemption re-decides main's loop
+	res := assertDispatchEqual(t, "spin", spin, so)
+	if res.SamePickContinues == 0 || 2*res.ChunkedInstructions < res.FastInstructions {
+		t.Errorf("spin: %d same-pick continuations, %d of %d fast instructions chunked; want carried decisions that chunk",
+			res.SamePickContinues, res.ChunkedInstructions, res.FastInstructions)
+	}
+
+	// One call, many iterations: main's loop entered at its body with
+	// nothing armed, against the stepper over as many instructions.
+	o := defaultRunOpts()
+	o.mcfg.Cores = 1
+	fast := newDispatch(t, loopSrc, o, DispatchFast)
+	step := newDispatch(t, loopSrc, o, DispatchStep)
+	body := uint32(0)
+	for i := uint32(1); i < uint32(len(fast.ops)); i++ {
+		if fast.sbs[i].loop {
+			body = i // the last loop in address order: main's
+		}
+	}
+	if body == 0 {
+		t.Fatal("no loop superblock")
+	}
+	run := uint64(fast.sbs[body].run)
+	c := fast.cores[0]
+	for _, m := range []*Machine{fast, step} {
+		th := m.Thread(0)
+		th.PC = m.ops[body].pc
+		m.cores[0].Cur = th
+	}
+	th := fast.Thread(0)
+	if !fast.enterBlock(c) || c.fastLoop != body || c.fastChecked {
+		t.Fatalf("enterBlock: loop %d checked %v, want %d unchecked", c.fastLoop, c.fastChecked, body)
+	}
+	if got, ok := fast.execRun(c, 3*run); got != 3*run || !ok {
+		t.Fatalf("execRun retired %d (ok %v), want three iterations, %d", got, ok, 3*run)
+	}
+	if c.fastLeft != uint16(run) || c.fastIdx != body || th.PC != fast.ops[body].pc {
+		t.Errorf("after three iterations: left %d idx %d pc %#x, want a renewed decision at the body",
+			c.fastLeft, c.fastIdx, th.PC)
+	}
+	ths := step.Thread(0)
+	for range 3 * run {
+		step.step(step.cores[0])
+	}
+	if ths.Regs != th.Regs || ths.PC != th.PC || ths.LastInstr != th.LastInstr || step.MemHash() != fast.MemHash() {
+		t.Errorf("three carried iterations differ from the stepper: pc %#x vs %#x", th.PC, ths.PC)
+	}
+	g := fast.Bin.Globals["g"]
+	c.dropBlock()
+	c.WP.Set(0, hw.Watchpoint{Addr: g, Size: 8, Types: hw.Read | hw.Write, Armed: true, Owner: 1, LocalOf: -1})
+	if !fast.enterBlock(c) || !c.fastChecked || c.fastLoop != 0 {
+		t.Errorf("with g armed: checked %v loop %d, want a checked decision that is not carried", c.fastChecked, c.fastLoop)
+	}
+
+	// A loop that moves SP is decided afresh at every back edge, against
+	// the SP of that iteration: the third push into a watched stack slot
+	// must stop before it commits, although the first two iterations'
+	// footprints miss the slot.
+	e := isa.NewEncoder()
+	e.Label("main")
+	e.MovImm(1, 10)
+	e.Label("top")
+	e.AddImm(1, 1, -1)
+	e.Jz(1, "exit")
+	e.Push(2)
+	e.Jmp("top")
+	e.Label("exit")
+	e.Hlt()
+	code, err := e.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcMain, _ := e.LabelPC("main")
+	pushes := &compile.Binary{Code: code, Funcs: map[string]uint32{"main": pcMain},
+		Globals: map[string]uint32{}, InitMem: map[uint32]int64{}, SyncVars: map[string]bool{}}
+	pm, err := New(pushes, kernel.New(kernel.Config{Mode: kernel.Prevention, NumWatchpoints: 4}, nil, nil, nil),
+		Config{Cores: 1, Seed: 1, MaxTicks: 100_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tid, err := pm.Start("main", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, pc0 := pm.Thread(tid), pm.cores[0]
+	pc0.Cur = pt
+	sp0 := uint32(pt.Regs[isa.RegSP])
+	pc0.WP.Set(0, hw.Watchpoint{Addr: sp0 - 24, Size: 8, Types: hw.Write, Armed: true, Owner: 1, LocalOf: -1})
+	pm.fastCores = append(pm.fastCores[:0], pc0)
+	pm.runWindow(pm.fastCores, 1000)
+	if sp := uint32(pt.Regs[isa.RegSP]); sp != sp0-16 || pm.tel.Demotions.WouldTrap != 1 {
+		t.Errorf("pushing loop: SP %#x after the window (entry %#x), %d would-trap stops; want a stop before the third push",
+			sp, sp0, pm.tel.Demotions.WouldTrap)
+	}
+
+	// A snapshot in the middle of a carried decision. The policy re-picks
+	// the thread of the core's open decision at two decisions in three, so
+	// decisions are carried across them.
+	bin := buildSrc(t, loopSrc, compileOptsAnnotated())
+	newMachine := func() *Machine {
+		k := kernel.New(defaultRunOpts().kcfg, nil, nil, nil)
+		costs := DefaultCosts()
+		costs.Quantum = loopQuantum
+		m, err := New(bin, k, Config{Cores: 1, Seed: 1, MaxTicks: 5_000_000, Costs: costs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Start("main", 0); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	var snap *Snapshot
+	policy := func(m *Machine, capture bool) PolicyFunc {
+		return func(p SchedPoint) int {
+			c := m.cores[p.Core]
+			if capture && snap == nil && c.fastLoop != 0 && c.fastLeft > 0 {
+				s, err := m.Snapshot()
+				if err != nil {
+					t.Fatalf("snapshot: %v", err)
+				}
+				snap = s
+			}
+			if p.Seq%3 != 0 {
+				for i, tid := range p.Runnable {
+					if tid == c.fastDecTID {
+						return i
+					}
+				}
+			}
+			return 0
+		}
+	}
+	fresh := newMachine()
+	fresh.SetPolicy(policy(fresh, false))
+	want := fresh.Run()
+	m := newMachine()
+	m.SetPolicy(policy(m, true))
+	m.Run()
+	if snap == nil {
+		t.Fatal("no decision point found a carried loop decision open")
+	}
+	m.Restore(snap)
+	if c := m.cores[0]; c.fastLoop == 0 || c.fastLeft == 0 {
+		t.Fatalf("restored core: loop %d left %d, want the carried decision", c.fastLoop, c.fastLeft)
+	}
+	got := m.Run()
+	// The capture happens inside Pick, after schedule counted its decision;
+	// the restored run counts that decision again.
+	got.Decisions--
+	if got.Reason != want.Reason || got.Ticks != want.Ticks || !reflect.DeepEqual(got.Output, want.Output) ||
+		!reflect.DeepEqual(got.Stats, want.Stats) || got.Telemetry != want.Telemetry || m.MemHash() != fresh.MemHash() {
+		t.Errorf("restored run differs from a fresh run:\n got  %s %d %v %+v\n want %s %d %v %+v",
+			got.Reason, got.Ticks, got.Output, got.Telemetry, want.Reason, want.Ticks, want.Output, want.Telemetry)
+	}
+	if want.SamePickContinues == 0 {
+		t.Error("no decision was carried across a decision point")
 	}
 }

@@ -148,7 +148,8 @@ type Core struct {
 	// SP/FP at block entry (see evalFootprint): fpRanges[:fpN] are its
 	// intervals, and fpInMem says they were evaluated, are bounded and lie
 	// inside data memory — what chunkLen needs. Derived state: never
-	// snapshotted, cleared at window admission and on Restore.
+	// snapshotted, cleared at window admission and on Restore; a carried
+	// loop decision re-evaluates it at its back edge (see renewLoop).
 	fpRanges [3]hw.AddrRange
 	fpN      uint8
 	fpInMem  bool
@@ -173,10 +174,13 @@ type coreState struct {
 	// admission keeps an open decision only while both still match (see
 	// resumeOrResetFast), so a decision point that re-picks the same thread
 	// under an unchanged register file extends the open superstep instead of
-	// re-deciding. A resumed run must make the identical keep/reset choices,
-	// so the decision is state, not scratch.
+	// re-deciding. fastLoop is the first op of a loop superblock whose
+	// fresh, unchecked decision execRun renews at the back edge (0 for
+	// none; see enterBlock). A resumed run must make the identical
+	// keep/reset and renew choices, so the decision is state, not scratch.
 	fastLeft    uint16
 	fastIdx     uint32
+	fastLoop    uint32
 	fastChecked bool
 	fastMerge   uint8
 	fastDecTID  int
@@ -509,7 +513,9 @@ type Telemetry struct {
 	// Decision-point cost accounting: Decisions counts scheduler decision
 	// points (a free core with two or more runnable threads);
 	// SamePickContinues counts superstep-window boundaries that kept the
-	// open block decision (crossings avoided); DeltaArms/FullArms split
+	// open block decision (crossings avoided), a carried loop decision
+	// (see enterBlock) included, which stays open across its back edges
+	// and so more often at a boundary; DeltaArms/FullArms split
 	// watchpoint adoptions into incremental delta applications vs
 	// full-table copies.
 	Decisions         uint64
