@@ -57,18 +57,21 @@ func TestEngineEquivalence(t *testing.T) {
 			cases = append(cases, tc{s, Options{Strategy: strat, Schedules: 40, Seed: 7, Bound: 2, Parallelism: 2}})
 		}
 	}
-	// Multi-core DFS on subjects whose serial reference is well defined at
-	// that core count (on most, two cores already run the serial orders'
-	// threads in parallel, and the campaign is refused).
-	multi := []struct {
+	// Multi-core DFS on generated programs and on every corpus bug at 2 and
+	// 3 cores.
+	type multiCase struct {
 		seed         int64 // generator seed; 0 = hand-written corpus bug
 		index, cores int
 		app, id      string
-	}{
+	}
+	multi := []multiCase{
 		{6, 5, 2, "", ""}, {6, 6, 2, "", ""}, {6, 7, 2, "", ""}, {6, 8, 2, "", ""},
-		{0, 0, 2, "Apache", "44402"},
 		{1, 5, 3, "", ""}, {1, 7, 3, "", ""}, {5, 6, 3, "", ""},
-		{0, 0, 3, "NSS", "201134"},
+	}
+	for _, cores := range []int{2, 3} {
+		for _, b := range bugs.Corpus() {
+			multi = append(multi, multiCase{0, 0, cores, b.App, b.ID})
+		}
 	}
 	for _, m := range multi {
 		var s *Subject

@@ -12,11 +12,13 @@ import (
 // The serial reference is a non-preemptive single-pass execution — the
 // scheduling quantum is set beyond the tick cap, so every thread runs to
 // its next blocking point uninterrupted and each fixture's step bodies are
-// atomic. Fixtures are written so that *every* serial thread order agrees
-// on the snapshot observables; the oracle verifies this by executing two
-// opposite serial orders (FIFO and highest-thread-first) in both modes and
-// refusing the subject if any of the four disagree. That check is also a
-// standing audit that annotation + prevention preserve serial semantics.
+// atomic. It is a property of the program, run at one core whatever the
+// campaign's core count. Fixtures are written so that *every* serial thread
+// order agrees on the snapshot observables; the oracle verifies this by
+// executing two opposite serial orders (FIFO and highest-thread-first) in
+// both modes and refusing the subject if any of the four disagree. That
+// check is also a standing audit that annotation + prevention preserve
+// serial semantics.
 
 // serialQuantum disables timer preemption for reference runs.
 const serialQuantum = 1 << 40
@@ -40,8 +42,23 @@ func (lastSpawnedPolicy) Pick(sp vm.SchedPoint) int {
 	return best
 }
 
-// serialReference establishes the campaign's serial snapshot.
+// oneCore returns c, or when c runs on more cores, a campaign for the same
+// program on one core with its own session pools, which the caller closes.
+func (c *campaign) oneCore() *campaign {
+	if c.opts.Cores == 1 {
+		return c
+	}
+	one := &campaign{subject: c.subject, prog: c.prog, opts: c.opts, pools: map[Mode]*sessionPool{}}
+	one.opts.Cores = 1
+	return one
+}
+
+// serialReference establishes the campaign's serial snapshot at one core.
 func (c *campaign) serialReference() error {
+	one := c.oneCore()
+	if one != c {
+		defer one.close()
+	}
 	type ref struct {
 		mode   Mode
 		policy vm.SchedulePolicy
@@ -55,7 +72,7 @@ func (c *campaign) serialReference() error {
 	}
 	var base map[string]int64
 	for _, r := range refs {
-		run, err := c.runFresh(r.mode, r.policy, serialQuantum, c.opts.Seed)
+		run, err := one.runFresh(r.mode, r.policy, serialQuantum, c.opts.Seed)
 		if err != nil {
 			return fmt.Errorf("explore: %s: serial reference %s: %w", c.subject.Name, r.name, err)
 		}

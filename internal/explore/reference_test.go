@@ -109,17 +109,18 @@ func (c *campaign) referenceExplore(mode Mode) (*Report, error) {
 }
 
 // referenceDifferential is Differential on the step reference. Its serial
-// snapshot is re-derived on the reference interpreter and must agree with
-// the campaign's.
+// snapshot is re-derived on the reference interpreter, at one core like the
+// campaign's, and must agree with it.
 func referenceDifferential(subject *Subject, opts Options) (*DiffReport, error) {
 	c, err := newCampaign(subject, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer c.close()
+	one := c.oneCore()
 	for _, mode := range []Mode{Vanilla, Prevention} {
 		for _, policy := range []vm.SchedulePolicy{fifoPolicy{}, lastSpawnedPolicy{}} {
-			r, err := c.stepReference(mode, policy, serialQuantum, c.opts.Seed)
+			r, err := one.stepReference(mode, policy, serialQuantum, c.opts.Seed)
 			if err != nil {
 				return nil, err
 			}

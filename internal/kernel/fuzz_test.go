@@ -19,7 +19,9 @@ import (
 //  2. AR lists are consistent: an AR on a watchpoint appears in its thread's
 //     table with a matching WP index, and vice versa;
 //  3. no AR is attached to two watchpoints;
-//  4. a disarmed register has no metadata left behind.
+//  4. a disarmed register has no metadata left behind;
+//  5. undo fidelity: an undone write leaves memory holding the value the
+//     write replaced (checkUndoFidelity).
 //
 // Every third seed runs before-access trap delivery (TrapBefore), which
 // delivers HandleTrapBefore only where the canonical registers report a
@@ -33,7 +35,7 @@ func TestKernelStateFuzz(t *testing.T) {
 	addrs := []uint32{0x100, 0x108, 0x110, 0x118, 0x120}
 	types := []hw.AccessType{hw.Read, hw.Write, hw.ReadWrite}
 
-	for seed := int64(1); seed <= 45; seed++ {
+	for seed := int64(1); seed <= 150; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := Config{
 			NumWatchpoints: 2 + rng.Intn(3),
@@ -76,13 +78,27 @@ func TestKernelStateFuzz(t *testing.T) {
 				pc := uint32(rng.Intn(64))
 				if !cfg.TrapBefore && rng.Intn(2) == 0 {
 					// A trap the boundary table can trace back to its
-					// instruction, so the undo succeeds.
+					// instruction, so the undo succeeds, often on a watched
+					// variable. A write commits a fresh value first, as the
+					// hardware does. (A guard watches its owner's stack
+					// slot, which no other thread writes; the mock gives
+					// every thread the same stack pointer, so guards are
+					// not picked.)
 					u := undoable[rng.Intn(len(undoable))]
 					acc.Type = u.typ
+					if i := rng.Intn(len(k.Canon.WPs)); k.Canon.WPs[i].Armed && !k.Meta[i].Guard {
+						acc.Addr = k.Canon.WPs[i].Addr
+					}
 					m.lastPC[tid] = u.pc
 					pc = u.pc + uint32(m.decoded[u.pc].Len)
-				}
-				if !cfg.TrapBefore {
+					m.pcs[tid] = pc
+					pre := m.Load(acc.Addr, acc.Size)
+					if acc.Type == hw.Write {
+						m.Store(acc.Addr, acc.Size, uint64(1000+step))
+					}
+					k.HandleTrap(tid, pc, acc)
+					checkUndoFidelity(t, m, cfg, tid, u.pc, acc, pre, seed, step)
+				} else if !cfg.TrapBefore {
 					k.HandleTrap(tid, pc, acc)
 				} else if k.Canon.Match(tid, acc.Addr, acc.Size, acc.Type) >= 0 {
 					k.HandleTrapBefore(tid, pc, acc)
@@ -236,6 +252,23 @@ func stateView(k *Kernel) string {
 	fmt.Fprintf(&b, "mutexes=%+v begins=%d beginRetries=%v\n", mutexes, k.begins, k.beginRetries)
 	fmt.Fprintf(&b, "stats %+v missedByARNil=%v\n", *k.Stats, k.Stats.MissedByAR == nil)
 	return b.String()
+}
+
+// checkUndoFidelity checks invariant 5 after a trap on a write the undo
+// engine can reverse: if the handler rewound the thread to the access
+// instruction at instrPC, memory must hold pre again. Under optimization 3
+// the rollback value comes from the shadow page, which compiled code keeps
+// current with replicated stores the mock does not make, so those seeds
+// skip the check.
+func checkUndoFidelity(t *testing.T, m *mockMachine, cfg Config, tid int, instrPC uint32, acc Access, pre uint64, seed int64, step int) {
+	t.Helper()
+	if acc.Type != hw.Write || cfg.ShadowDelta != 0 || m.pcs[tid] != instrPC {
+		return
+	}
+	if got := m.Load(acc.Addr, acc.Size); got != pre {
+		t.Errorf("seed %d step %d: undone write by thread %d at %#x left %d, want the pre-write %d",
+			seed, step, tid, acc.Addr, got, pre)
+	}
 }
 
 func checkInvariants(t *testing.T, k *Kernel, seed int64, step int) {

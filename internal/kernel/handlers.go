@@ -67,6 +67,8 @@ func (k *Kernel) BeginAtomic(t int, syscallPC uint32, arID int, addr uint32, siz
 		union.Size = max(wp.Size, size)
 		if union != wp {
 			k.reprogram(idx, union)
+			// The wider register traps what it let through: re-record.
+			k.saveValue(k.Meta[idx], addr, union.Size, first)
 			k.waitForEpoch(t)
 		}
 		k.attachAR(t, syscallPC, arID, addr, size, watch, first, idx)

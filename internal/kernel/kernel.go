@@ -129,8 +129,8 @@ type Machine interface {
 	// captured and restored by machine snapshots.
 	AfterTimeout(ticks uint64, wpIdx int, gen uint64)
 	// EpochChanged tells the VM the canonical watchpoint state changed:
-	// the executing core adopts immediately, others on their next kernel
-	// entry.
+	// the executing core adopts at once, others on their next kernel
+	// entry. It wakes no thread: the handler may still undo an access.
 	EpochChanged()
 }
 

@@ -43,7 +43,7 @@ func (k *Kernel) trap(t int, pc uint32, acc Access, before bool) {
 	// simultaneously (their begins don't conflict when the watch types
 	// don't cover each other's first access), so an access can be local to
 	// one watchpoint and remote to another.
-	var remote []int
+	var remote, local []int // local: watchpoints the access is a local write to
 	matchedAny := false
 	for i := range k.Canon.WPs {
 		wp := k.Canon.WPs[i]
@@ -72,8 +72,7 @@ func (k *Kernel) trap(t int, pc uint32, acc Access, before bool) {
 			// after the first local write so remote writes can be rolled
 			// back (§3.3), and otherwise ignores the trap.
 			if acc.Type == hw.Write && !before {
-				m.SavedValue = k.M.Load(wp.Addr, wp.Size)
-				m.HasSaved = true
+				local = append(local, i)
 			}
 			continue
 		}
@@ -89,29 +88,38 @@ func (k *Kernel) trap(t int, pc uint32, acc Access, before bool) {
 		k.Stats.SpuriousTraps++
 		return
 	}
-	if len(remote) == 0 {
-		return
-	}
 	// Undo a committed remote access, record it on every AR of every
 	// watchpoint it violated, and suspend the remote thread on the first.
-	rec := RemoteRec{Thread: t, PC: pc, Type: acc.Type, Tick: k.M.Now(), Undone: true}
-	if !before {
-		if instrPC, undone := k.undo(t, pc, acc, remote[0]); undone {
-			rec.PC = instrPC
-		} else {
-			rec.Undone = false
-			k.Stats.Unreorderable++
+	undone := false
+	if len(remote) > 0 {
+		rec := RemoteRec{Thread: t, PC: pc, Type: acc.Type, Tick: k.M.Now(), Undone: true}
+		if !before {
+			if instrPC, ok := k.undo(t, pc, acc, remote[0]); ok {
+				rec.PC = instrPC
+			} else {
+				// Cannot reorder this access: let the thread continue (§3.3).
+				rec.Undone = false
+				k.Stats.Unreorderable++
+			}
 		}
+		k.recordRemote(rec, remote...)
+		undone = rec.Undone
 	}
-	k.recordRemote(rec, remote...)
-	if !rec.Undone {
-		// Cannot reorder this access: let the thread continue (§3.3).
+	if undone {
+		// Suspend on the first watchpoint; if others still watch the
+		// variable when it frees, re-execution traps again and waits on
+		// them — the thread stays delayed until the variable is in no AR
+		// (§2.2).
+		k.suspendOn(t, remote[0], BlockTrap)
 		return
 	}
-	// Suspend on the first watchpoint; if others still watch the variable
-	// when it frees, re-execution traps again and waits on them — the
-	// thread stays delayed until the variable is in no AR (§2.2).
-	k.suspendOn(t, remote[0], BlockTrap)
+	// The write stays, so it is the rollback value of the ARs it is local
+	// to. An undone one must not be: a later undo would restore it.
+	for _, i := range local {
+		wp := k.Canon.WPs[i]
+		k.Meta[i].SavedValue = k.M.Load(wp.Addr, wp.Size)
+		k.Meta[i].HasSaved = true
+	}
 }
 
 // recordRemote records a remote access on every AR of the watchpoints.

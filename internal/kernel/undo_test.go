@@ -108,6 +108,65 @@ func TestUndoUsesShadowPageUnderOpt3(t *testing.T) {
 	}
 }
 
+// TestUndoneWriteIsNoRollbackValue: two threads hold ARs on one variable
+// (each watches only writes and begins with a read, so neither begin
+// conflicts with the other). A write by thread 2 is local to its own
+// watchpoint and remote to thread 1's, so it is undone; the undone value
+// must not become thread 2's rollback value, or a later undo of thread 1's
+// write would restore a value the first undo already removed.
+func TestUndoneWriteIsNoRollbackValue(t *testing.T) {
+	k, m := newKernelWithMock(Config{NumWatchpoints: 4, TimeoutTicks: 1000})
+	stPC, _, _ := buildMockCode(t, m)
+	m.Store(0x100, 8, 7)
+	k.BeginAtomic(1, 0, 1, 0x100, 8, hw.Write, hw.Read)
+	k.BeginAtomic(2, 0, 2, 0x100, 8, hw.Write, hw.Read)
+	if k.FindAR(1, 1).WP == k.FindAR(2, 2).WP {
+		t.Fatal("the two ARs share a watchpoint; want one each")
+	}
+	write := func(tid int, v uint64) {
+		m.Store(0x100, 8, v)
+		m.lastPC[tid] = stPC
+		m.pcs[tid] = stPC + 6
+		k.HandleTrap(tid, stPC+6, Access{Addr: 0x100, Size: 8, Type: hw.Write})
+	}
+	write(2, 99)
+	if got := m.Load(0x100, 8); got != 7 {
+		t.Fatalf("after thread 2's write: memory = %d, want 7 (undone)", got)
+	}
+	if wm := k.Meta[k.FindAR(2, 2).WP]; wm.SavedValue != 7 {
+		t.Errorf("thread 2's rollback value = %d, want 7: the undone write was recorded", wm.SavedValue)
+	}
+	write(1, 55)
+	if got := m.Load(0x100, 8); got != 7 {
+		t.Errorf("after thread 1's write: memory = %d, want 7 (the value before the undone write)", got)
+	}
+}
+
+// TestUnionUpgradeRecordsRollbackValue: a watchpoint that did not watch
+// writes let its owner's write through untrapped, so the value recorded at
+// arming is stale. When a later begin widens it to writes, a remote write
+// can trap on the wider register before the owner's epoch wait ends (a
+// core that adopted it while another still lags); its undo must restore
+// the owner's write, not the value from before it.
+func TestUnionUpgradeRecordsRollbackValue(t *testing.T) {
+	k, m := newKernelWithMock(Config{NumWatchpoints: 4, TimeoutTicks: 1000})
+	stPC, _, _ := buildMockCode(t, m)
+	m.Store(0x100, 8, 7)
+	k.BeginAtomic(2, 0, 1, 0x100, 8, hw.Read, hw.Write)
+	m.Store(0x100, 8, 40) // thread 2's own write: not watched, no trap
+	k.BeginAtomic(2, 0, 2, 0x100, 8, hw.Write, hw.Read)
+	if wp := k.Canon.WPs[k.FindAR(2, 2).WP]; wp.Types != hw.ReadWrite {
+		t.Fatalf("watchpoint types = %v, want the union RW", wp.Types)
+	}
+	m.Store(0x100, 8, 99)
+	m.lastPC[0] = stPC
+	m.pcs[0] = stPC + 6
+	k.HandleTrap(0, stPC+6, Access{Addr: 0x100, Size: 8, Type: hw.Write})
+	if got := m.Load(0x100, 8); got != 40 {
+		t.Errorf("memory = %d, want 40 (the owner's write, from before the undone one)", got)
+	}
+}
+
 func TestUndoPushMArmsGuard(t *testing.T) {
 	k, m := newKernelWithMock(Config{NumWatchpoints: 4, TimeoutTicks: 1000})
 	_, pushmPC, _ := buildMockCode(t, m)

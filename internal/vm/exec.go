@@ -37,9 +37,12 @@ func (m *Machine) rec(c *Core, t *Thread, addr uint32, sz uint8, typ hw.AccessTy
 		// with the PC still on it. No undo is ever needed.
 		if c.WP.Match(t.ID, addr, sz, typ) >= 0 {
 			c.trapAborted = true
-			m.adoptCanon(c)
-			m.checkEpochWaiters()
-			m.K.HandleTrapBefore(t.ID, t.PC, kernel.Access{Addr: addr, Size: sz, Type: typ})
+			if m.segRecording() {
+				m.seg.Global = true
+			}
+			m.kernelEntry(c, false, func() {
+				m.K.HandleTrapBefore(t.ID, t.PC, kernel.Access{Addr: addr, Size: sz, Type: typ})
+			})
 			return false
 		}
 	}
@@ -57,7 +60,7 @@ func (m *Machine) rec(c *Core, t *Thread, addr uint32, sz uint8, typ hw.AccessTy
 // between instruction forms.
 func (m *Machine) accessFailed(c *Core, t *Thread, cost uint64) {
 	if c.trapAborted {
-		m.finishAbort(c, t, cost)
+		m.finish(c, t, cost+m.cfg.Costs.Trap, nil)
 		return
 	}
 	m.curCore = nil
@@ -277,20 +280,6 @@ func (m *Machine) step(c *Core) {
 	m.finish(c, t, cost, c.accs[:c.nacc])
 }
 
-// abortCost is charged when a before-access trap aborts an instruction.
-func (m *Machine) finishAbort(c *Core, t *Thread, cost uint64) {
-	if m.segRecording() {
-		m.seg.Global = true
-	}
-	cost += m.cfg.Costs.Trap
-	c.BusyUntil = m.clock + cost
-	if t.State != stRunning && t.OnCore == c.ID {
-		t.OnCore = -1
-		c.Cur = nil
-	}
-	m.curCore = nil
-}
-
 // finish charges the instruction cost, checks the committed accesses
 // against the core's watchpoint registers, and delivers at most one trap.
 func (m *Machine) finish(c *Core, t *Thread, cost uint64, accs []access) {
@@ -302,18 +291,18 @@ func (m *Machine) finish(c *Core, t *Thread, cost uint64, accs []access) {
 	}
 	for _, a := range accs {
 		if c.WP.Match(t.ID, a.addr, a.sz, a.typ) >= 0 {
-			// Trap: a kernel entry. The core adopts the canonical
-			// watchpoint state, then the kernel handles the trap
-			// (possibly undoing the access and suspending the thread).
+			// Trap: a kernel entry with the access committed. The
+			// kernel handles it, possibly undoing the access and
+			// suspending the thread.
 			cost += m.cfg.Costs.Trap
-			m.adoptCanon(c)
-			m.checkEpochWaiters()
 			if m.segRecording() {
 				// Trap handling mutates kernel state the access stream
 				// does not describe; the segment conflicts with all.
 				m.seg.Global = true
 			}
-			m.K.HandleTrap(t.ID, t.PC, kernel.Access{Addr: a.addr, Size: a.sz, Type: a.typ})
+			m.kernelEntry(c, true, func() {
+				m.K.HandleTrap(t.ID, t.PC, kernel.Access{Addr: a.addr, Size: a.sz, Type: a.typ})
+			})
 			break
 		}
 	}
@@ -346,7 +335,9 @@ func signExtend(v uint64, sz uint8) int64 {
 
 // syscall dispatches a SYS instruction and returns its additional cost.
 // sysPC is the PC of the SYS instruction (threads suspended in begin_atomic
-// are rewound to it for retry).
+// are rewound to it for retry). Exit, print, rand and nanos, and the
+// annotation calls the user library serves, return early; every other call
+// is a kernel entry whose handler runs inside kernelEntry.
 func (m *Machine) syscall(c *Core, t *Thread, sysPC uint32, n int) uint64 {
 	if m.segRecording() {
 		// Every syscall touches kernel/scheduler state (locks, AR tables,
@@ -355,11 +346,8 @@ func (m *Machine) syscall(c *Core, t *Thread, sysPC uint32, n int) uint64 {
 		// per-syscall effects.
 		m.seg.Global = true
 	}
-	enterKernel := func() {
-		m.adoptCanon(c)
-		m.checkEpochWaiters()
-	}
 	costs := m.cfg.Costs
+	var handler func()
 	switch n {
 	case isa.SysExit:
 		m.exitThread(t)
@@ -372,67 +360,45 @@ func (m *Machine) syscall(c *Core, t *Thread, sysPC uint32, n int) uint64 {
 		size := uint8(t.Regs[2])
 		watch := hw.AccessType(t.Regs[3])
 		first := hw.AccessType(t.Regs[4])
-		switch userlib.Begin(m.K, t.ID, sysPC, arID, addr, size, watch, first) {
-		case userlib.EnterKernel:
-			enterKernel()
-			m.K.BeginAtomic(t.ID, sysPC, arID, addr, size, watch, first)
-			return costs.SyscallEnter
-		default:
+		if userlib.Begin(m.K, t.ID, sysPC, arID, addr, size, watch, first) != userlib.EnterKernel {
 			return costs.UserLibCheck
 		}
+		handler = func() { m.K.BeginAtomic(t.ID, sysPC, arID, addr, size, watch, first) }
 
 	case isa.SysEndAtomic:
 		m.Stats.Ends++
 		arID := int(t.Regs[0])
 		second := hw.AccessType(t.Regs[1])
-		switch userlib.End(m.K, t.ID, arID, second) {
-		case userlib.EnterKernel:
-			enterKernel()
-			m.K.EndAtomic(t.ID, arID, second)
-			return costs.SyscallEnter
-		default:
+		if userlib.End(m.K, t.ID, arID, second) != userlib.EnterKernel {
 			return costs.UserLibCheck
 		}
+		handler = func() { m.K.EndAtomic(t.ID, arID, second) }
 
 	case isa.SysClearAR:
 		m.Stats.Clears++
-		switch userlib.Clear(m.K, t.ID, t.Depth) {
-		case userlib.EnterKernel:
-			enterKernel()
-			m.K.ClearAR(t.ID)
-			return costs.SyscallEnter
-		default:
+		if userlib.Clear(m.K, t.ID, t.Depth) != userlib.EnterKernel {
 			return costs.UserLibCheck
 		}
+		handler = func() { m.K.ClearAR(t.ID) }
 
 	case isa.SysLock:
 		m.Stats.OtherSyscalls++
-		enterKernel()
-		m.K.Lock(t.ID, uint32(t.Regs[0]))
-		return costs.SyscallEnter
+		handler = func() { m.K.Lock(t.ID, uint32(t.Regs[0])) }
 
 	case isa.SysUnlock:
 		m.Stats.OtherSyscalls++
-		enterKernel()
-		m.K.Unlock(t.ID, uint32(t.Regs[0]))
-		return costs.SyscallEnter
+		handler = func() { m.K.Unlock(t.ID, uint32(t.Regs[0])) }
 
 	case isa.SysYield:
 		m.Stats.OtherSyscalls++
-		enterKernel()
-		m.preempt(c)
-		return costs.SyscallEnter
+		handler = func() { m.preempt(c) }
 
 	case isa.SysSleep:
 		m.Stats.OtherSyscalls++
-		enterKernel()
-		dur := uint64(t.Regs[0])
-		if dur == 0 {
-			dur = 1
+		handler = func() {
+			m.Suspend(t.ID, kernel.BlockSleep)
+			m.SetWakeAt(t.ID, m.clock+max(uint64(t.Regs[0]), 1))
 		}
-		m.Suspend(t.ID, kernel.BlockSleep)
-		m.SetWakeAt(t.ID, m.clock+dur)
-		return costs.SyscallEnter
 
 	case isa.SysPrint:
 		m.Stats.OtherSyscalls++
@@ -441,14 +407,13 @@ func (m *Machine) syscall(c *Core, t *Thread, sysPC uint32, n int) uint64 {
 
 	case isa.SysSpawn:
 		m.Stats.OtherSyscalls++
-		enterKernel()
-		tid, err := m.startAt(uint32(t.Regs[0]), t.Regs[1])
-		if err != nil {
-			t.Regs[0] = -1
-		} else {
+		handler = func() {
+			tid, err := m.startAt(uint32(t.Regs[0]), t.Regs[1])
+			if err != nil {
+				tid = -1
+			}
 			t.Regs[0] = int64(tid)
 		}
-		return costs.SyscallEnter
 
 	case isa.SysRand:
 		t.Regs[0] = int64(m.rng.Int63())
@@ -456,30 +421,33 @@ func (m *Machine) syscall(c *Core, t *Thread, sysPC uint32, n int) uint64 {
 
 	case isa.SysRecv:
 		m.Stats.OtherSyscalls++
-		enterKernel()
-		if len(m.reqQueue) > 0 {
+		handler = func() {
+			if len(m.reqQueue) == 0 {
+				m.reqWaiters = append(m.reqWaiters, t)
+				m.Suspend(t.ID, kernel.BlockRecv)
+				return
+			}
 			t.Regs[0] = int64(m.reqQueue[0])
 			m.reqQueue = m.reqQueue[1:]
-		} else {
-			m.reqWaiters = append(m.reqWaiters, t)
-			m.Suspend(t.ID, kernel.BlockRecv)
 		}
-		return costs.SyscallEnter
 
 	case isa.SysSend:
 		m.Stats.OtherSyscalls++
-		enterKernel()
-		id := int(t.Regs[0])
-		if at, ok := m.reqArrivals[id]; ok {
-			m.Latencies = append(m.Latencies, m.clock-at)
-			delete(m.reqArrivals, id)
+		handler = func() {
+			if at, ok := m.reqArrivals[int(t.Regs[0])]; ok {
+				m.Latencies = append(m.Latencies, m.clock-at)
+				delete(m.reqArrivals, int(t.Regs[0]))
+			}
 		}
-		return costs.SyscallEnter
 
 	case isa.SysNanos:
 		t.Regs[0] = int64(m.clock)
 		return 2
+
+	default:
+		m.fault(t, "unknown syscall %d", n)
+		return costs.SyscallEnter
 	}
-	m.fault(t, "unknown syscall %d", n)
+	m.kernelEntry(c, false, handler)
 	return costs.SyscallEnter
 }

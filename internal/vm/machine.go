@@ -43,7 +43,6 @@ func (m *Machine) Suspend(tid int, kind kernel.BlockKind) {
 	t.State = stBlocked
 	t.Block = kind
 	if kind == kernel.BlockEpoch || kind == kernel.BlockPause {
-		m.epochWaiters = true
 		m.epochBlocked++
 	}
 }
@@ -75,7 +74,6 @@ func (m *Machine) SetWakeAt(tid int, tick uint64) {
 // SetEpochTarget arms an epoch-based wake condition for BlockEpoch.
 func (m *Machine) SetEpochTarget(tid int, epoch uint64) {
 	m.threads[tid].EpochTarget = epoch
-	m.epochWaiters = true
 }
 
 // tryWake wakes an epoch/pause-blocked thread if all its conditions hold.
@@ -114,19 +112,29 @@ func (m *Machine) minCoreEpoch() uint64 {
 // with no suspensions the full-table walk was pure overhead.
 func (m *Machine) checkEpochWaiters() {
 	if m.epochBlocked == 0 {
-		m.epochWaiters = false
 		return
 	}
-	any := false
 	for _, t := range m.threads {
 		if t.State == stBlocked && (t.Block == kernel.BlockEpoch || t.Block == kernel.BlockPause) {
 			m.tryWake(t)
-			if t.State == stBlocked {
-				any = true
-			}
 		}
 	}
-	m.epochWaiters = any
+}
+
+// kernelEntry is core c's one way into the kernel (trap, syscall or timer
+// interrupt): the core adopts the canonical watchpoint state, the handler
+// runs, and then waiters whose epoch or pause wait is over wake. A woken
+// thread re-records its rollback values from memory (tryWake), so after a
+// committed access none wakes before the handler that may undo it; other
+// entries also wake those the adoption releases first, ahead of any thread
+// the handler queues.
+func (m *Machine) kernelEntry(c *Core, committed bool, handler func()) {
+	m.adoptCanon(c)
+	if !committed {
+		m.checkEpochWaiters()
+	}
+	handler()
+	m.checkEpochWaiters()
 }
 
 // ThreadDepth returns the thread's call depth.
@@ -189,14 +197,12 @@ func (m *Machine) AfterTimeout(ticks uint64, wpIdx int, gen uint64) {
 // EpochChanged: the canonical watchpoint state changed. The executing core
 // is in the kernel and adopts immediately; the rest adopt on their next
 // kernel entry or when idle (the coresBehind flag arms the Run loop's
-// batched idle-adoption scan).
+// batched idle-adoption scan). Waiters wake when the entry ends, after any
+// undo (kernelEntry), or at the Run loop top.
 func (m *Machine) EpochChanged() {
 	m.coresBehind = true
 	if m.curCore != nil {
 		m.adoptCanon(m.curCore)
-	}
-	if m.epochWaiters {
-		m.checkEpochWaiters()
 	}
 }
 

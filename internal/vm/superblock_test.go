@@ -661,9 +661,6 @@ void main() {
 		t.Fatalf("restored core: loop %d left %d, want the carried decision", c.fastLoop, c.fastLeft)
 	}
 	got := m.Run()
-	// The capture happens inside Pick, after schedule counted its decision;
-	// the restored run counts that decision again.
-	got.Decisions--
 	if got.Reason != want.Reason || got.Ticks != want.Ticks || !reflect.DeepEqual(got.Output, want.Output) ||
 		!reflect.DeepEqual(got.Stats, want.Stats) || got.Telemetry != want.Telemetry || m.MemHash() != fresh.MemHash() {
 		t.Errorf("restored run differs from a fresh run:\n got  %s %d %v %+v\n want %s %d %v %+v",

@@ -194,7 +194,6 @@ type machState struct {
 	schedSeq uint64 // decision points consumed so far (policy runs only)
 	reqMade  int
 
-	epochWaiters bool // any thread blocked on epoch/pause (cheap gate)
 	// coresBehind is set by EpochChanged whenever the canonical watchpoint
 	// state advances and cleared once every core has adopted it; while
 	// false, the Run loop skips the per-iteration idle-core adoption scan
@@ -580,7 +579,7 @@ func (m *Machine) Run() *Result {
 			}
 			m.coresBehind = behind
 		}
-		if m.epochWaiters {
+		if m.epochBlocked > 0 {
 			m.checkEpochWaiters()
 		}
 
@@ -611,15 +610,12 @@ func (m *Machine) Run() *Result {
 			if c.BusyUntil > m.clock {
 				continue
 			}
-			// Timer interrupt: kernel entry — adopt watchpoint state,
-			// preempt.
+			// Timer interrupt: a kernel entry that preempts.
 			if m.clock >= c.NextTimer {
 				c.NextTimer = m.clock + m.cfg.Costs.Quantum
 				if c.Cur != nil {
 					m.Stats.TimerInterrupts++
-					m.adoptCanon(c)
-					m.checkEpochWaiters()
-					m.preempt(c)
+					m.kernelEntry(c, false, func() { m.preempt(c) })
 					c.BusyUntil = m.clock + m.cfg.Costs.TimerInt
 					stepped = true
 					continue
@@ -745,7 +741,6 @@ func (m *Machine) schedule(c *Core) {
 	}
 	i := 0
 	if len(m.runq) > 1 {
-		m.tel.Decisions++
 		if m.cfg.Policy != nil {
 			// Decision point: close the access segment accumulated since
 			// the previous decision before consulting the policy, so a
@@ -774,6 +769,9 @@ func (m *Machine) schedule(c *Core) {
 		} else if m.rng.Intn(4) == 0 {
 			i = m.rng.Intn(len(m.runq))
 		}
+		// Counted once Pick has returned: a snapshot taken inside Pick
+		// resumes into this same decision, which then counts it.
+		m.tel.Decisions++
 	} else if m.segRecording() {
 		// A forced assignment (single runnable thread) changes the running
 		// thread without consuming a decision, so the current segment spans
