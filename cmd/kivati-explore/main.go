@@ -61,8 +61,8 @@ type report struct {
 	// Totals over subjects and modes. Runs is below the schedule budget
 	// when a DFS frontier runs out or DPOR prunes, so the rate divides
 	// Runs, never the budget. Decisions counts scheduler decision points;
-	// SamePickContinues counts the kernel crossings same-pick continuation
-	// avoided; DeltaArms/FullArms split the watchpoint re-arms at real
+	// SamePickContinues counts the block decisions same-pick continuation
+	// saved; DeltaArms/FullArms split the watchpoint re-arms at kernel
 	// crossings into delta applications and full register-file rewrites.
 	Runs int `json:"runs"`
 	explore.EngineStats

@@ -188,10 +188,11 @@ type Run struct {
 	Prevented  int              `json:"prevented"`
 	Ticks      uint64           `json:"ticks"`
 	Reason     string           `json:"reason"`
-	// Decision-point cost accounting (see vm.Result): kernel crossings the
-	// same-pick superstep continuation avoided, and how watchpoint arming
-	// at the crossings that did happen split between incremental delta
-	// application and full register-file rewrites.
+	// Decision-point cost accounting (see vm.Result): window boundaries at
+	// which the same-pick superstep continuation kept the open block
+	// decision, each saving one block decision, and how watchpoint arming
+	// at kernel crossings split between incremental delta application and
+	// full register-file rewrites.
 	SamePickContinues uint64 `json:"same_pick_continues,omitempty"`
 	DeltaArms         uint64 `json:"delta_arms,omitempty"`
 	FullArms          uint64 `json:"full_arms,omitempty"`

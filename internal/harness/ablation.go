@@ -7,6 +7,7 @@ import (
 	"kivati/internal/annotate"
 	"kivati/internal/core"
 	"kivati/internal/kernel"
+	"kivati/internal/pool"
 	"kivati/internal/vm"
 	"kivati/internal/workloads"
 )
@@ -145,7 +146,7 @@ func RunAblation(o Options, iterations int) ([]AblationRow, error) {
 			return row, nil
 		})
 	}
-	return runJobs(o.parallelism(), jobs)
+	return pool.Run(pool.Workers(o.Parallelism), jobs)
 }
 
 // FormatAblation renders the ablation rows.

@@ -7,6 +7,7 @@ import (
 	"kivati/internal/bugs"
 	"kivati/internal/core"
 	"kivati/internal/kernel"
+	"kivati/internal/pool"
 	"kivati/internal/stats"
 	"kivati/internal/trace"
 )
@@ -88,7 +89,7 @@ func RunTable6(o Options) ([]Table6Row, error) {
 			})
 		}
 	}
-	results, err := runJobs(o.parallelism(), jobs)
+	results, err := pool.Run(pool.Workers(o.Parallelism), jobs)
 	if err != nil {
 		return nil, err
 	}

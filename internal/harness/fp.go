@@ -6,6 +6,7 @@ import (
 
 	"kivati/internal/core"
 	"kivati/internal/kernel"
+	"kivati/internal/pool"
 	"kivati/internal/vm"
 	"kivati/internal/workloads"
 )
@@ -45,7 +46,7 @@ func RunTable7(o Options) ([]Table7Row, error) {
 			})
 		}
 	}
-	results, err := runJobs(o.parallelism(), jobs)
+	results, err := pool.Run(pool.Workers(o.Parallelism), jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +110,7 @@ func RunTable8(o Options) ([]Table8Row, error) {
 			})
 		}
 	}
-	results, err := runJobs(o.parallelism(), jobs)
+	results, err := pool.Run(pool.Workers(o.Parallelism), jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +176,7 @@ func RunTable9(o Options) (*Table9Result, error) {
 			})
 		}
 	}
-	results, err := runJobs(o.parallelism(), jobs)
+	results, err := pool.Run(pool.Workers(o.Parallelism), jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +262,7 @@ func RunFigure7(o Options, iterations int) ([]Figure7Result, error) {
 			})
 		}
 	}
-	results, err := runJobs(o.parallelism(), jobs)
+	results, err := pool.Run(pool.Workers(o.Parallelism), jobs)
 	if err != nil {
 		return nil, err
 	}

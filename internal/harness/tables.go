@@ -6,6 +6,7 @@ import (
 
 	"kivati/internal/hw"
 	"kivati/internal/kernel"
+	"kivati/internal/pool"
 	"kivati/internal/stats"
 	"kivati/internal/vm"
 	"kivati/internal/workloads"
@@ -95,7 +96,7 @@ func RunTable3(o Options) (*Table3Result, error) {
 			}
 		}
 	}
-	results, err := runJobs(o.parallelism(), jobs)
+	results, err := pool.Run(pool.Workers(o.Parallelism), jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +203,7 @@ func RunTable4(o Options) (*Table4Result, error) {
 			})
 		}
 	}
-	results, err := runJobs(o.parallelism(), jobs)
+	results, err := pool.Run(pool.Workers(o.Parallelism), jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +282,7 @@ func RunTable5(o Options) ([]Table5Row, error) {
 			})
 		}
 	}
-	results, err := runJobs(o.parallelism(), jobs)
+	results, err := pool.Run(pool.Workers(o.Parallelism), jobs)
 	if err != nil {
 		return nil, err
 	}

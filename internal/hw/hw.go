@@ -60,14 +60,15 @@ func overlaps(a uint32, an uint8, b uint32, bn uint8) bool {
 
 // RegisterFile is the set of watchpoint registers on one core.
 //
-// Alongside the registers themselves it maintains an armed-access summary —
-// the armed-register count and the address window covered by the armed
-// registers — kept coherent by Set/Clear/CopyFrom (the only mutation paths;
-// the kernel's begin_atomic/end_atomic/clear_ar handlers and trap paths all
-// program registers through Set/Clear). The summary collapses the common-case
-// per-access watchpoint check to a single predicate when nothing is armed or
-// the access falls outside the armed window, and is what the VM's tiered
-// fast path consults to decide whether a core may execute trap-free.
+// Alongside the registers themselves it keeps an armed-access summary — the
+// armed-register count and the address window covered by the armed
+// registers — which Set recomputes on every change and CopyFrom copies (the
+// only mutation paths; the kernel's begin_atomic/end_atomic/clear_ar
+// handlers and trap paths all program registers through Set/Clear). The
+// summary collapses the common-case per-access watchpoint check to a single
+// predicate when nothing is armed or the access falls outside the armed
+// window, and is what the VM's tiered fast path consults to decide whether
+// a core may execute trap-free.
 type RegisterFile struct {
 	WPs   []Watchpoint
 	Epoch uint64 // version of the canonical register state this core has adopted
@@ -90,9 +91,7 @@ func NewRegisterFile(n int) *RegisterFile {
 	return &RegisterFile{WPs: make([]Watchpoint, n), gens: make([]uint64, n)}
 }
 
-// recompute rebuilds the armed summary from the registers: the slow path
-// behind Set's incremental maintenance, needed only when a disarmed or
-// reprogrammed register defined a window edge.
+// recompute rebuilds the armed summary from the registers.
 func (rf *RegisterFile) recompute() {
 	rf.armed = 0
 	rf.lo, rf.hi = 0, 0
@@ -116,14 +115,10 @@ func (rf *RegisterFile) recompute() {
 	}
 }
 
-// Set programs register i, maintaining the armed summary incrementally:
-// arming a register extends the window exactly, and disarming a strictly
-// interior register only decrements the count. A full recompute happens
-// only when the outgoing register touched a window edge (its address at lo
-// or its end at hi), where the new tight edge depends on the other
-// registers. Set panics on an invalid register index or size; programming
-// the debug registers is a privileged, kernel-only operation and a bad
-// argument is a kernel bug, not a recoverable condition.
+// Set programs register i and recomputes the armed summary. Set panics on
+// an invalid register index or size; programming the debug registers is a
+// privileged, kernel-only operation and a bad argument is a kernel bug, not
+// a recoverable condition.
 func (rf *RegisterFile) Set(i int, wp Watchpoint) {
 	if i < 0 || i >= len(rf.WPs) {
 		panic(fmt.Sprintf("hw: watchpoint index %d out of range [0,%d)", i, len(rf.WPs)))
@@ -131,36 +126,13 @@ func (rf *RegisterFile) Set(i int, wp Watchpoint) {
 	if wp.Armed && !ValidSize(wp.Size) {
 		panic(fmt.Sprintf("hw: invalid watchpoint size %d", wp.Size))
 	}
-	old := rf.WPs[i]
-	if wp == old {
+	if wp == rf.WPs[i] {
 		return
 	}
 	rf.muts++
 	rf.gens[i] = rf.muts
 	rf.WPs[i] = wp
-	if old.Armed {
-		if old.Addr == rf.lo || old.Addr+uint32(old.Size) == rf.hi {
-			rf.recompute()
-			return
-		}
-		rf.armed--
-	}
-	if wp.Armed {
-		end := wp.Addr + uint32(wp.Size)
-		if rf.armed == 0 {
-			rf.lo, rf.hi = wp.Addr, end
-		} else {
-			if wp.Addr < rf.lo {
-				rf.lo = wp.Addr
-			}
-			if end > rf.hi {
-				rf.hi = end
-			}
-		}
-		rf.armed++
-	} else if rf.armed == 0 {
-		rf.lo, rf.hi = 0, 0
-	}
+	rf.recompute()
 }
 
 // Clear disarms register i.
@@ -220,35 +192,6 @@ func (rf *RegisterFile) Muts() uint64 { return rf.muts }
 
 // ArmedCount returns the number of armed registers.
 func (rf *RegisterFile) ArmedCount() int { return rf.armed }
-
-// RelevantWindow summarizes the registers that can trap thread tid: the
-// count of armed registers whose LocalOf is not tid, and the address window
-// [lo, hi) they cover (meaningful only when n > 0). It is the per-thread
-// refinement of the armed summary that the VM's block-edge decision caches.
-func (rf *RegisterFile) RelevantWindow(tid int) (n int, lo, hi uint32) {
-	if rf.armed == 0 {
-		return 0, 0, 0
-	}
-	for i := range rf.WPs {
-		wp := &rf.WPs[i]
-		if !wp.Armed || wp.LocalOf == tid {
-			continue
-		}
-		end := wp.Addr + uint32(wp.Size)
-		if n == 0 {
-			lo, hi = wp.Addr, end
-		} else {
-			if wp.Addr < lo {
-				lo = wp.Addr
-			}
-			if end > hi {
-				hi = end
-			}
-		}
-		n++
-	}
-	return n, lo, hi
-}
 
 // Window returns the address window [lo, hi) covered by the armed registers.
 // ok is false when nothing is armed (the window is then meaningless).

@@ -284,12 +284,11 @@ func TestMayMatchSoundness(t *testing.T) {
 	}
 }
 
-// TestSetIncrementalPaths drives Set through each branch of its incremental
-// summary maintenance — arm into an empty file, arm extending each edge, arm
-// strictly inside, disarm an interior register (the no-recompute fast path),
-// disarm each edge register (the recompute slow path), and reprogram an
-// armed register in place — checking the summary against the rescan oracle
-// after every mutation.
+// TestSetIncrementalPaths drives Set through the summary's edge cases — arm
+// into an empty file, arm extending each edge, arm strictly inside, disarm
+// an interior register, disarm each edge register, and reprogram an armed
+// register in place — checking the summary against the rescan oracle after
+// every mutation.
 func TestSetIncrementalPaths(t *testing.T) {
 	arm := func(addr uint32, sz uint8) Watchpoint {
 		return Watchpoint{Addr: addr, Size: sz, Types: ReadWrite, Armed: true, Owner: 0, LocalOf: -1}
@@ -305,17 +304,17 @@ func TestSetIncrementalPaths(t *testing.T) {
 	rf.Set(3, arm(0x180, 2)) // strictly interior: no edge change
 	checkSummary(t, rf, "interior arm")
 
-	rf.Clear(3) // interior disarm: the incremental path (no recompute)
+	rf.Clear(3) // interior disarm: the window stays
 	checkSummary(t, rf, "interior disarm")
 	if lo, hi, _ := rf.Window(); lo != 0x80 || hi != 0x208 {
 		t.Errorf("Window after interior disarm = [%#x, %#x), want [0x80, 0x208)", lo, hi)
 	}
-	rf.Clear(1) // low-edge disarm: must recompute and shrink lo
+	rf.Clear(1) // low-edge disarm: lo shrinks
 	checkSummary(t, rf, "lo-edge disarm")
 	if lo, _, _ := rf.Window(); lo != 0x100 {
 		t.Errorf("lo after edge disarm = %#x, want 0x100", lo)
 	}
-	rf.Clear(2) // high-edge disarm: must recompute and shrink hi
+	rf.Clear(2) // high-edge disarm: hi shrinks
 	checkSummary(t, rf, "hi-edge disarm")
 	if _, hi, _ := rf.Window(); hi != 0x108 {
 		t.Errorf("hi after edge disarm = %#x, want 0x108", hi)
@@ -335,7 +334,7 @@ func TestSetIncrementalPaths(t *testing.T) {
 	}
 }
 
-// Property: after any random sequence of Set/Clear/CopyFrom the incremental
+// Property: after any random sequence of Set/Clear/CopyFrom the armed
 // summary is identical to a fresh rescan of the registers (the satellite-2
 // coherence property).
 func TestSummaryCoherenceProperty(t *testing.T) {
@@ -556,7 +555,7 @@ func TestMayMatchRangesEquivalence(t *testing.T) {
 // (the incremental stamped scan), one via CopyFrom (the full rewrite).
 // After every synchronization the two followers must agree on register
 // content, generation-insensitive summary state (armed count and window),
-// and the mutation cursor; and the incremental armed summary must equal a
+// and the mutation cursor; and the armed summary must equal a
 // from-scratch recompute over the raw registers.
 func TestAdoptDeltaIncrementalProperty(t *testing.T) {
 	sizes := []uint8{1, 2, 4, 8}

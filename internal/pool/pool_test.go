@@ -3,6 +3,7 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -115,8 +116,8 @@ func TestWorkers(t *testing.T) {
 	if got := Workers(3); got != 3 {
 		t.Fatalf("Workers(3) = %d", got)
 	}
-	if got := Workers(0); got < 1 {
-		t.Fatalf("Workers(0) = %d, want >= 1", got)
+	if got, want := Workers(0), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("Workers(0) = %d, want GOMAXPROCS = %d", got, want)
 	}
 	if got := Workers(-2); got < 1 {
 		t.Fatalf("Workers(-2) = %d, want >= 1", got)
@@ -127,5 +128,33 @@ func TestEmptyJobs(t *testing.T) {
 	res, err := Run[int](4, nil)
 	if err != nil || len(res) != 0 {
 		t.Fatalf("Run(4, nil) = %v, %v", res, err)
+	}
+}
+
+// TestRunBoundsConcurrency asserts Run never has more jobs in flight than
+// the requested worker count.
+func TestRunBoundsConcurrency(t *testing.T) {
+	const workers = 3
+	var active, peak atomic.Int64
+	jobs := make([]func() (int, error), 24)
+	for i := range jobs {
+		jobs[i] = func() (int, error) {
+			n := active.Add(1)
+			for {
+				p := peak.Load()
+				if n <= p || peak.CompareAndSwap(p, n) {
+					break
+				}
+			}
+			runtime.Gosched()
+			active.Add(-1)
+			return i, nil
+		}
+	}
+	if _, err := Run(workers, jobs); err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p > workers {
+		t.Errorf("peak concurrency %d exceeds worker bound %d", p, workers)
 	}
 }

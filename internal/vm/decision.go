@@ -16,12 +16,12 @@ package vm
 //     reference.
 //
 //   - Block-decision continuation. A block-edge decision (checked or
-//     unchecked, plus the merge budget; see enterBlock) is stamped with the
-//     thread it was made for and the register file's mutation count at
-//     decision time. Window admission keeps the open decision when both
-//     still match, instead of unconditionally re-deciding. On one core the
-//     Run loop defers a fresh pick to a window opened at the same clock, so
-//     a policy that re-picks the preempted thread continues its open block.
+//     unchecked; see enterBlock) is stamped with the thread it was made for
+//     and the register file's mutation count at decision time. Window
+//     admission keeps the open decision when both still match, instead of
+//     unconditionally re-deciding. On one core the Run loop defers a fresh
+//     pick to a window opened at the same clock, so a policy that re-picks
+//     the preempted thread continues its open block.
 
 // adoptCanon synchronizes core c's watchpoint register file with the
 // kernel's canonical state via delta-arming, returning how many registers
@@ -56,20 +56,4 @@ func (m *Machine) resumeOrResetFast(c *Core) {
 		return
 	}
 	c.dropBlock()
-}
-
-// relevantWindow returns the count and address window of the armed registers
-// that can trap thread tid on core c, cached per (thread, register-file
-// mutation count): the register file only changes at kernel entries, so
-// consecutive block-edge decisions inside and across windows reuse the scan.
-// The cache is pure derived state — Restore invalidates it (mutation counts
-// from different timelines may collide) and correctness never depends on it.
-func (m *Machine) relevantWindow(c *Core, tid int) (int, uint32, uint32) {
-	if c.wpCacheTID != tid || c.wpCacheMuts != c.WP.Muts() {
-		n, lo, hi := c.WP.RelevantWindow(tid)
-		c.wpCacheTID = tid
-		c.wpCacheMuts = c.WP.Muts()
-		c.wpRelCount, c.wpRelLo, c.wpRelHi = n, lo, hi
-	}
-	return c.wpRelCount, c.wpRelLo, c.wpRelHi
 }

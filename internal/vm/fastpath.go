@@ -18,9 +18,9 @@ import (
 // body; JMP top) takes one decision rather than two. The superblock is one
 // hop, at most two slices, with a footprint built once in New from the
 // Binary's per-pc table. When the superblock is a whole iteration that
-// moves neither SP nor FP (a loop superblock), a fresh unchecked decision
-// on it is carried: execRun renews it at each back edge, so a loop costs
-// one decision per window rather than one per iteration.
+// moves neither SP nor FP (a loop superblock), a fresh decision on it,
+// checked or not, is carried: execRun renews it at each back edge, so a
+// loop costs one decision per window rather than one per iteration.
 //
 // execRun's per-op loop makes no call, so its index and operands stay in
 // registers: checked mode pre-checks each accessing op outside it, the
@@ -376,8 +376,7 @@ func (m *Machine) trySuperstep() bool {
 			}
 			// A block decision left open by a previous window is kept only
 			// when its stamp proves it still valid (same thread, register
-			// file unmutated); otherwise the first block re-decides and any
-			// leftover merge budget is dropped.
+			// file unmutated); otherwise the first block re-decides.
 			m.resumeOrResetFast(c)
 			active = append(active, c)
 			continue
@@ -445,42 +444,29 @@ func (m *Machine) trySuperstep() bool {
 	return true
 }
 
-// fastMergeRun is the checked-block merge budget: after a fresh block-edge
-// decision lands on checked, this many subsequent block edges in the same
-// window inherit the decision instead of re-scanning the register file.
-// Overlapping-footprint runs (tight loops over a watched array, call chains
-// into watched frames) thus pay one decision per fastMergeRun+1 blocks.
-// Inheriting checked is always sound — checked mode pre-checks every access
-// exactly — so the only cost of a stale inheritance is per-access checks on
-// a block that a fresh decision would have retired unchecked.
-const fastMergeRun = 4
-
 // enterBlock makes the block-edge decision for core c's thread at its
 // current pc, the one place the window executor decides: the length of the
-// run the decision covers (fastLeft), checked or unchecked execution —
-// inherited through the merge budget after a checked decision, otherwise
-// from a fresh blockChecked scan — and the stamp (thread, register file
-// mutation count) that lets a later window keep the decision open (see
-// resumeOrResetFast). The run is the op's superblock run, through a closing
-// JMP into the target's line, except while DPOR segments are recorded: a
-// decision there covers the straight-line run and the Binary's footprint,
-// so segments, pruning and every exploration count do not depend on the
-// superblocks. The run's footprint is evaluated here, once, for every
-// reader that needs it: blockChecked when something is armed, chunkLen
-// when several cores are active, and DPOR segment recording. It returns
-// false, deciding nothing, when the pc is not fast-enterable: a kernel
-// boundary or not an instruction start.
+// run the decision covers (fastLeft), checked or unchecked execution (see
+// blockChecked), and the stamp (thread, register file mutation count) that
+// lets a later window keep the decision open (see resumeOrResetFast). The
+// run is the op's superblock run, through a closing JMP into the target's
+// line, except while DPOR segments are recorded: a decision there covers
+// the straight-line run and the Binary's footprint, so segments, pruning
+// and every exploration count do not depend on the superblocks. The run's
+// footprint is evaluated here, once, for every reader that needs it:
+// blockChecked when something is armed, chunkLen when several cores are
+// active, and DPOR segment recording. It returns false, deciding nothing,
+// when the pc is not fast-enterable: a kernel boundary or not an
+// instruction start.
 //
-// A fresh unchecked decision on a loop superblock is carried: fastLoop
+// A decision on a loop superblock, checked or not, is carried: fastLoop
 // names the superblock, and execRun renews the decision at each back edge
 // (see renewLoop) until the loop exits, the run stops or window admission
-// drops it (see resumeOrResetFast).
-// Renewal skips exactly what a fresh decision here would redo with the same
-// outcome and no counter. An inherited decision is not carried (renewing it
-// would skip the merge budget's count), nor a fresh checked one (its merge
-// budget hands the next edges to inheritance), nor one made while DPOR
-// segments are recorded (each block entry folds its footprint into the
-// segment).
+// drops it (see resumeOrResetFast). Renewal skips exactly what a fresh
+// decision here would redo with the same outcome, so a checked decision is
+// counted once, when it is made. A decision made while DPOR segments are
+// recorded is not carried: each block entry folds its footprint into the
+// segment.
 func (m *Machine) enterBlock(c *Core) bool {
 	t := c.Cur
 	pc := t.PC
@@ -506,23 +492,11 @@ func (m *Machine) enterBlock(c *Core) bool {
 	if armed || rec || len(m.fastCores) > 1 {
 		class = m.evalFootprint(c, t, fp)
 	}
-	switch {
-	case c.fastMerge > 0:
-		c.fastMerge--
-		c.fastChecked = true
-		m.tel.Demotions.CheckedOverlap++
-	case armed:
-		c.fastChecked = m.blockChecked(c, t, class)
-		if c.fastChecked {
-			c.fastMerge = fastMergeRun
-		}
-	default:
-		c.fastChecked = false
-	}
+	c.fastChecked = armed && m.blockChecked(c, t, class)
 	c.fastLoop = 0
 	if rec {
 		m.segFootprint(c, class)
-	} else if m.sbs[idx].loop && !c.fastChecked {
+	} else if m.sbs[idx].loop {
 		c.fastLoop = idx
 	}
 	return true
@@ -535,8 +509,9 @@ func (m *Machine) enterBlock(c *Core) bool {
 // watchpoint registers are frozen inside the window (a carried decision
 // survives a window boundary only under an unchanged mutation count), and
 // the loop moves neither SP nor FP, so the footprint evaluates to the same
-// intervals. Those are re-evaluated here only when window admission cleared
-// them and several cores are active, since chunkLen needs them.
+// intervals and blockChecked to the same mode, checked or unchecked. The
+// intervals are re-evaluated here only when window admission cleared them
+// and several cores are active, since chunkLen needs them.
 func (m *Machine) renewLoop(c *Core, t *Thread) bool {
 	i := c.fastLoop
 	if m.ops[i].pc != t.PC {
@@ -551,12 +526,11 @@ func (m *Machine) renewLoop(c *Core, t *Thread) bool {
 	return true
 }
 
-// dropBlock abandons core c's open block decision and its merge budget, so
-// the next window entry decides afresh.
+// dropBlock abandons core c's open block decision, so the next window
+// entry decides afresh.
 func (c *Core) dropBlock() {
 	c.fastLeft = 0
 	c.fastLoop = 0
-	c.fastMerge = 0
 }
 
 // runWindow is the window executor: it retires up to n lockstep rounds of
@@ -734,52 +708,31 @@ func stackRange(base, lo, hi int64) (r hw.AddrRange, ok bool) {
 // footprint is provably disjoint from every armed register that could trap
 // thread t, so execRun may commit every access unchecked (Match would
 // return -1 for all of them). enterBlock asks only while something is
-// armed. class is the outcome of the block's footprint evaluation: the stack
-// components are offsets from the block's entry SP/FP, evaluated against
-// the thread's live registers, and an interval that escapes the 32-bit
-// address space is answered conservatively.
+// armed. class is the outcome of the block's footprint evaluation: a
+// bounded footprint is tested as its evaluated intervals, and an unbounded
+// or escaping one as the whole address space, so it is checked exactly
+// when some armed register can trap t (registers exempt for t under
+// LocalOf — optimization 3 — cannot). A checked decision is counted by its
+// cause.
 func (m *Machine) blockChecked(c *Core, t *Thread, class int) bool {
-	// Thread-relevant armed summary, cached per (thread, register-file
-	// mutation count): when every armed register is exempt for this thread
-	// (LocalOf — optimization 3), nothing the block does can trap, whatever
-	// its footprint. The cached window also prefilters the bounded case
-	// below without rescanning the register file at every block edge.
-	rel, rlo, rhi := m.relevantWindow(c, t.ID)
-	if rel == 0 {
-		return false
-	}
-	switch class {
-	case fpUnbounded:
-		// An access the analysis could not bound, and at least one armed
-		// register is not exempt: checked.
-		m.tel.Demotions.Unbounded++
-		return true
-	case fpEscapes:
-		// The block's accesses would wrap or fault; the checked path sorts
-		// it out exactly.
-		m.tel.Demotions.ArmedOverlap++
-		return true
-	}
-	// Window prefilter against the cached relevant window: a footprint
-	// disjoint from it cannot hit any non-exempt register, so the common
-	// disjoint case skips the per-register scan entirely.
 	ranges := c.fpRanges[:c.fpN]
-	hit := false
-	for _, r := range ranges {
-		if r.Lo < rhi && rlo < r.Hi {
-			hit = true
-			break
-		}
+	if class != fpBounded {
+		ranges = wholeSpace[:]
 	}
-	if !hit {
+	if !c.WP.MayMatchRanges(t.ID, ranges) {
 		return false
 	}
-	if c.WP.MayMatchRanges(t.ID, ranges) {
+	if class == fpUnbounded {
+		m.tel.Demotions.Unbounded++
+	} else {
 		m.tel.Demotions.ArmedOverlap++
-		return true
 	}
-	return false
+	return true
 }
+
+// wholeSpace is the footprint blockChecked tests for a run it cannot bound:
+// [0, 2^32-1) overlaps every register that Match can fire on.
+var wholeSpace = [1]hw.AddrRange{{Lo: 0, Hi: ^uint32(0)}}
 
 // wouldTrap is the checked-mode access pre-check: it reports whether the
 // access would hit an armed register, in which case the instruction must

@@ -2,12 +2,14 @@ package vm
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
 	"kivati/internal/compile"
 	"kivati/internal/hw"
+	"kivati/internal/isa"
 	"kivati/internal/kernel"
 )
 
@@ -757,11 +759,12 @@ void main() {
 	}
 }
 
-// Merge-budget behavior: once a block runs checked, the next blocks of the
-// same window inherit the decision (CheckedOverlap) instead of re-scanning
-// the register file, and the inherited blocks still retire on the fast
-// path.
-func TestFastPathCheckedOverlapMerge(t *testing.T) {
+// Checked loops: the scanner's loop over a watched array is decided
+// checked and its decision carried across back edges, while the watcher's
+// atomic regions keep re-arming. Step and Fast must agree bit for bit at 1
+// and 2 cores, and the run must make checked decisions, or nothing here is
+// exercised.
+func TestFastPathCheckedLoops(t *testing.T) {
 	src := `
 int s1;
 int arr[4];
@@ -804,22 +807,126 @@ void main() {
     }
     print(s1 + arr[0]);
 }`
-	o := defaultRunOpts()
-	o.kcfg.Opt = kernel.OptOptimized
-	o.kcfg.NumWatchpoints = 16
-	o.mcfg.MaxTicks = 50_000_000
-	_, res := runDispatch(t, src, o, DispatchFast)
-	if res.Reason != "completed" {
-		t.Fatalf("reason = %q", res.Reason)
+	for _, cores := range []int{1, 2} {
+		name := fmt.Sprintf("cores=%d", cores)
+		o := defaultRunOpts()
+		o.kcfg.Opt = kernel.OptOptimized
+		o.kcfg.NumWatchpoints = 16
+		o.mcfg.Cores = cores
+		o.mcfg.MaxTicks = 50_000_000
+		res := assertDispatchEqual(t, name, src, o)
+		if res.Reason != "completed" {
+			t.Fatalf("%s: reason = %q", name, res.Reason)
+		}
+		if res.Stats.Begins == 0 {
+			t.Fatalf("%s: no atomic regions began; checked dispatch was not exercised", name)
+		}
+		if d := res.Demotions; d.Unbounded+d.ArmedOverlap == 0 || d.CheckedOverlap != 0 {
+			t.Errorf("%s: demotions %+v, want checked decisions and no inherited ones", name, d)
+		}
 	}
-	if res.Stats.Begins == 0 {
-		t.Fatal("no atomic regions began; checked dispatch was not exercised")
+}
+
+// TestFastPathBlockCheckedDefinition holds blockChecked to its definition
+// on random register files and footprints of all three evaluation classes:
+// a bounded footprint is checked iff an armed register that is not exempt
+// for the thread overlaps one of its evaluated intervals, an unbounded or
+// escaping one iff any such register exists, and a checked decision bumps
+// Unbounded for an unbounded footprint and ArmedOverlap otherwise.
+func TestFastPathBlockCheckedDefinition(t *testing.T) {
+	m := newDispatch(t, "void main() { }", defaultRunOpts(), DispatchFast)
+	c := m.cores[0]
+	rng := rand.New(rand.NewSource(1))
+	sizes := []uint8{1, 2, 4, 8}
+	addr := func() uint32 { return uint32(rng.Intn(int(compile.MemSize) - 8)) }
+	var seen [3][2]int // decisions by class and outcome
+	check := func(name string, th *Thread, f isa.Footprint, wantClass int) {
+		t.Helper()
+		if class := m.evalFootprint(c, th, &f); class != wantClass {
+			t.Fatalf("%s: footprint %+v evaluates to class %d, want %d", name, f, class, wantClass)
+		}
+		want := false
+		for _, wp := range c.WP.WPs {
+			if !wp.Armed || wp.LocalOf == th.ID {
+				continue
+			}
+			if wantClass != fpBounded {
+				want = true
+			}
+			for _, r := range c.fpRanges[:c.fpN] {
+				want = want || (r.Lo < wp.Addr+uint32(wp.Size) && wp.Addr < r.Hi)
+			}
+		}
+		before := m.tel.Demotions
+		got := m.blockChecked(c, th, wantClass)
+		after := before
+		if got && wantClass == fpUnbounded {
+			after.Unbounded++
+		} else if got {
+			after.ArmedOverlap++
+		}
+		if got != want || m.tel.Demotions != after {
+			t.Fatalf("%s: blockChecked = %v, register scan says %v; demotions %+v -> %+v\nregisters %+v\nranges %v",
+				name, got, want, before, m.tel.Demotions, c.WP.WPs, c.fpRanges[:c.fpN])
+		}
+		seen[wantClass][b2i(got)]++
 	}
-	d := res.Demotions
-	if d.Unbounded == 0 && d.ArmedOverlap == 0 {
-		t.Fatalf("no checked blocks at all (demotions: %+v); the merge path was not exercised", d)
+
+	for i := range 5000 {
+		th := &Thread{ID: rng.Intn(3)}
+		var f isa.Footprint
+		class := rng.Intn(3)
+		switch class {
+		case fpUnbounded:
+			f.Unbounded = true
+		case fpEscapes:
+			// An SP interval that reaches below address 0.
+			th.Regs[isa.RegSP] = int64(rng.Intn(64))
+			f.SPLo, f.SPHi = -64-int64(rng.Intn(64)), int64(rng.Intn(16))
+		case fpBounded:
+			if rng.Intn(4) != 0 {
+				f.AbsLo = addr()
+				f.AbsHi = f.AbsLo + uint32(1+rng.Intn(64))
+			}
+			th.Regs[isa.RegSP] = int64(compile.MemSize/2 + uint32(rng.Intn(int(compile.MemSize/2)-256)))
+			th.Regs[isa.RegFP] = th.Regs[isa.RegSP] + int64(rng.Intn(128))
+			if rng.Intn(4) != 0 {
+				f.SPLo = -int64(rng.Intn(128))
+				f.SPHi = f.SPLo + int64(rng.Intn(64))
+			}
+			if rng.Intn(4) != 0 {
+				f.FPLo = -int64(rng.Intn(128))
+				f.FPHi = f.FPLo + int64(rng.Intn(64))
+			}
+		}
+		// Registers anywhere in memory, or near the footprint's own
+		// addresses so that overlaps and near misses are common.
+		near := []uint32{uint32(th.Regs[isa.RegSP]), uint32(th.Regs[isa.RegFP]), f.AbsLo, f.AbsHi}
+		c.WP = hw.NewRegisterFile(1 + rng.Intn(8))
+		for j := range c.WP.WPs {
+			a := addr()
+			if rng.Intn(2) == 0 {
+				a = uint32(max(0, min(int64(compile.MemSize)-8, int64(near[rng.Intn(len(near))])+int64(rng.Intn(257)-128))))
+			}
+			c.WP.Set(j, hw.Watchpoint{
+				Addr: a, Size: sizes[rng.Intn(4)], Types: hw.AccessType(1 + rng.Intn(3)),
+				Armed: rng.Intn(3) != 0, Owner: rng.Intn(3), LocalOf: rng.Intn(4) - 1,
+			})
+		}
+		check(fmt.Sprintf("case %d", i), th, f, class)
 	}
-	if d.CheckedOverlap == 0 {
-		t.Errorf("Demotions.CheckedOverlap = 0, want > 0: consecutive blocks after a checked one should inherit through the merge budget (demotions: %+v)", d)
+	for class, n := range seen {
+		if n[0] == 0 || n[1] == 0 {
+			t.Errorf("class %d: %d unchecked and %d checked decisions; want both outcomes", class, n[0], n[1])
+		}
 	}
+
+	// Every armed register exempt for the thread: an unbounded footprint is
+	// unchecked and counts nothing.
+	th := &Thread{ID: 2}
+	c.WP = hw.NewRegisterFile(4)
+	for j := range c.WP.WPs {
+		c.WP.Set(j, hw.Watchpoint{Addr: addr(), Size: 8, Types: hw.ReadWrite, Armed: true, Owner: 2, LocalOf: 2})
+	}
+	check("all exempt", th, isa.Footprint{Unbounded: true}, fpUnbounded)
 }

@@ -334,10 +334,6 @@ func (m *Machine) Restore(s *Snapshot) {
 		}
 		c.nacc = 0
 		c.trapAborted = false
-		// The relevant-window cache is derived state keyed on a mutation
-		// count; counts from different timelines may collide, so a restore
-		// always invalidates it.
-		c.wpCacheTID = -1
 		c.fpInMem = false
 	}
 	m.events = append(m.events[:0], s.events...)

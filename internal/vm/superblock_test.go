@@ -434,7 +434,7 @@ void main() {
 // loopSrc's main spins in a loop whose header reads g, which the writer's
 // atomic regions watch, and which no region of main's brackets: the body's
 // superblock (body, JMP, header, JZ) is a loop, decided checked while g is
-// armed and carried while it is not.
+// armed and unchecked while it is not, and carried either way.
 const loopSrc = `
 int g;
 void writer(int n) {
@@ -463,10 +463,12 @@ const loopQuantum = 20
 
 // Carried loop decisions. Step and Fast must agree bit for bit at 1, 2 and
 // 3 cores under trap-after and TrapBefore, with windows shorter than an
-// iteration; one execRun call must retire several iterations of an
-// unchecked loop and leave the decision renewed, while a checked loop
-// decision is not carried; and a run restored from a snapshot taken in the
-// middle of a carried decision must equal a fresh run.
+// iteration; one execRun call must retire several iterations of a loop
+// decided unchecked, or checked under a watchpoint the loop cannot hit, and
+// leave the decision renewed, while a checked decision under one it can hit
+// stops before the access and is dropped; and a run restored from a
+// snapshot taken in the middle of a carried decision must equal a fresh
+// run.
 func TestFastPathLoopDecision(t *testing.T) {
 	for _, cores := range []int{1, 2, 3} {
 		for _, before := range []bool{false, true} {
@@ -561,11 +563,37 @@ void main() {
 	if ths.Regs != th.Regs || ths.PC != th.PC || ths.LastInstr != th.LastInstr || step.MemHash() != fast.MemHash() {
 		t.Errorf("three carried iterations differ from the stepper: pc %#x vs %#x", th.PC, ths.PC)
 	}
+
+	// The same loop with g armed on both machines, for writes only and then
+	// for reads. Its header reads g, so either decision is checked and
+	// carried; a write-only watchpoint lets three iterations retire and
+	// leaves the decision renewed, a read watchpoint stops the run before
+	// the header's read and drops the decision. Either way the fast tier
+	// must match the stepper over as many instructions.
 	g := fast.Bin.Globals["g"]
-	c.dropBlock()
-	c.WP.Set(0, hw.Watchpoint{Addr: g, Size: 8, Types: hw.Read | hw.Write, Armed: true, Owner: 1, LocalOf: -1})
-	if !fast.enterBlock(c) || !c.fastChecked || c.fastLoop != 0 {
-		t.Errorf("with g armed: checked %v loop %d, want a checked decision that is not carried", c.fastChecked, c.fastLoop)
+	for _, typ := range []hw.AccessType{hw.Write, hw.Read} {
+		for _, m := range []*Machine{fast, step} {
+			m.cores[0].WP.Set(0, hw.Watchpoint{Addr: g, Size: 8, Types: typ, Armed: true, Owner: 1, LocalOf: -1})
+		}
+		c.dropBlock()
+		if !fast.enterBlock(c) || !c.fastChecked || c.fastLoop != body {
+			t.Fatalf("g armed %v: checked %v loop %d, want a checked decision carried at %d", typ, c.fastChecked, c.fastLoop, body)
+		}
+		got, ok := fast.execRun(c, 3*run)
+		switch {
+		case typ == hw.Write && (got != 3*run || !ok || c.fastLeft != uint16(run) || c.fastLoop != body || th.PC != fast.ops[body].pc):
+			t.Errorf("g armed W: retired %d (ok %v), left %d loop %d pc %#x; want three iterations and a renewed decision",
+				got, ok, c.fastLeft, c.fastLoop, th.PC)
+		case typ == hw.Read && (got == 0 || got >= run || ok || c.fastLeft != 0 || c.fastLoop != 0):
+			t.Errorf("g armed R: retired %d (ok %v), left %d loop %d; want a stop inside the first iteration and the decision dropped",
+				got, ok, c.fastLeft, c.fastLoop)
+		}
+		for range got {
+			step.step(step.cores[0])
+		}
+		if ths.Regs != th.Regs || ths.PC != th.PC || ths.LastInstr != th.LastInstr || step.MemHash() != fast.MemHash() {
+			t.Errorf("g armed %v: %d checked instructions differ from the stepper: pc %#x vs %#x", typ, got, th.PC, ths.PC)
+		}
 	}
 
 	// A loop that moves SP is decided afresh at every back edge, against

@@ -136,14 +136,6 @@ type Core struct {
 	nacc        int
 	trapAborted bool
 
-	// Cached relevant-window summary for blockChecked, keyed by
-	// (wpCacheTID, wpCacheMuts); see Machine.relevantWindow. Pure derived
-	// state: never snapshotted, invalidated on Restore.
-	wpCacheTID       int
-	wpCacheMuts      uint64
-	wpRelCount       int
-	wpRelLo, wpRelHi uint32
-
 	// The open block decision's footprint, evaluated against the thread's
 	// SP/FP at block entry (see evalFootprint): fpRanges[:fpN] are its
 	// intervals, and fpInMem says they were evaluated, are bounded and lie
@@ -161,28 +153,25 @@ type coreState struct {
 	NextTimer uint64
 
 	// Watchpoint-aware fast path state: fastLeft counts the instructions
-	// still covered by the core's current block-edge decision, fastChecked
-	// is that decision (per-access checks required), and fastMerge is the
-	// checked-block merge budget — block edges that inherit the previous
-	// checked decision without a fresh register-file scan (counted as
-	// Demotions.CheckedOverlap). fastIdx is the op-stream index of the next
-	// instruction: while fastLeft > 0 it is the op at the thread's pc (only
-	// the fast tier moves a thread without dropping the decision); past the
-	// block it is a hint that enterBlock checks against the pc. The decision
-	// is stamped with the thread it was made for and the register file's
-	// mutation count at decision time (fastDecTID/fastDecMuts); window
-	// admission keeps an open decision only while both still match (see
-	// resumeOrResetFast), so a decision point that re-picks the same thread
-	// under an unchanged register file extends the open superstep instead of
-	// re-deciding. fastLoop is the first op of a loop superblock whose
-	// fresh, unchecked decision execRun renews at the back edge (0 for
-	// none; see enterBlock). A resumed run must make the identical
-	// keep/reset and renew choices, so the decision is state, not scratch.
+	// still covered by the core's current block-edge decision, and
+	// fastChecked is that decision (per-access checks required). fastIdx is
+	// the op-stream index of the next instruction: while fastLeft > 0 it is
+	// the op at the thread's pc (only the fast tier moves a thread without
+	// dropping the decision); past the block it is a hint that enterBlock
+	// checks against the pc. The decision is stamped with the thread it was
+	// made for and the register file's mutation count at decision time
+	// (fastDecTID/fastDecMuts); window admission keeps an open decision only
+	// while both still match (see resumeOrResetFast), so a decision point
+	// that re-picks the same thread under an unchanged register file extends
+	// the open superstep instead of re-deciding. fastLoop is the first op of
+	// a loop superblock whose decision, checked or not, execRun renews at
+	// the back edge (0 for none; see enterBlock). A resumed run must make
+	// the identical keep/reset and renew choices, so the decision is state,
+	// not scratch.
 	fastLeft    uint16
 	fastIdx     uint32
 	fastLoop    uint32
 	fastChecked bool
-	fastMerge   uint8
 	fastDecTID  int
 	fastDecMuts uint64
 }
@@ -392,10 +381,9 @@ func New(bin *compile.Binary, k *kernel.Kernel, cfg Config) (*Machine, error) {
 	m.fastOK = cfg.Dispatch != DispatchStep && cfg.Costs.AccessCheck == 0
 	for i := 0; i < cfg.Cores; i++ {
 		c := &Core{
-			ID:         i,
-			WP:         hw.NewRegisterFile(k.Cfg.NumWatchpoints),
-			coreState:  coreState{NextTimer: cfg.Costs.Quantum, fastDecTID: -1},
-			wpCacheTID: -1,
+			ID:        i,
+			WP:        hw.NewRegisterFile(k.Cfg.NumWatchpoints),
+			coreState: coreState{NextTimer: cfg.Costs.Quantum, fastDecTID: -1},
 		}
 		m.cores = append(m.cores, c)
 	}
@@ -466,9 +454,10 @@ func (m *Machine) NumThreads() int { return len(m.threads) }
 // Zero counters are omitted from JSON: a vanilla (watchpoint-free) run can
 // only ever demote on timer edges.
 //
-// ArmedOverlap, Unbounded and CheckedOverlap count block decisions, not
-// basic blocks: a decision covers a superblock, which may span an
-// unconditional JMP into the target's straight-line code (see enterBlock).
+// ArmedOverlap and Unbounded count block decisions, not basic blocks: a
+// decision covers a superblock, which may span an unconditional JMP into
+// the target's straight-line code, and a carried loop decision is counted
+// once for all the iterations it covers (see enterBlock).
 type Demotions struct {
 	// ArmedOverlap: block decisions run in checked mode because the block's
 	// static footprint may overlap an armed register.
@@ -477,10 +466,11 @@ type Demotions struct {
 	// footprint is unbounded (indirect/pointer access the value-range
 	// analysis could not bound, untracked SP/FP).
 	Unbounded uint64 `json:"unbounded,omitempty"`
-	// CheckedOverlap: block decisions that inherited the previous decision's
-	// checked mode through the merge budget instead of re-scanning the
-	// register file — overlapping-footprint runs amortizing the per-block
-	// decision.
+	// CheckedOverlap always reads 0: it counted block decisions inherited
+	// through a checked-block merge budget, which is gone now that a loop
+	// carries its checked decision (see enterBlock). The field stays because
+	// the benchmark's vm.demotions.checked_overlap metric reads it; ROADMAP
+	// item 9 is where the counter is retired.
 	CheckedOverlap uint64 `json:"checked_overlap,omitempty"`
 	// TimerEdge: superstep windows refused because a timer interrupt or
 	// event was already due at window start.
@@ -512,7 +502,7 @@ type Telemetry struct {
 	// Decision-point cost accounting: Decisions counts scheduler decision
 	// points (a free core with two or more runnable threads);
 	// SamePickContinues counts superstep-window boundaries that kept the
-	// open block decision (crossings avoided), a carried loop decision
+	// open block decision (a block decision saved), a carried loop decision
 	// (see enterBlock) included, which stays open across its back edges
 	// and so more often at a boundary; DeltaArms/FullArms split
 	// watchpoint adoptions into incremental delta applications vs
