@@ -38,7 +38,7 @@ import (
 
 // schema versions the -json report; a field that changes meaning or goes
 // away needs a new version.
-const schema = "kivati-explore/v3"
+const schema = "kivati-explore/v4"
 
 // report is the -json output.
 type report struct {
@@ -62,8 +62,9 @@ type report struct {
 	// when a DFS frontier runs out or DPOR prunes, so the rate divides
 	// Runs, never the budget. Decisions counts scheduler decision points;
 	// SamePickContinues counts the block decisions same-pick continuation
-	// saved; DeltaArms/FullArms split the watchpoint re-arms at kernel
-	// crossings into delta applications and full register-file rewrites.
+	// saved; DeltaArms/FullArms split the watchpoint adoptions at kernel
+	// crossings into those that found the core already current and those
+	// that copied the canonical register file.
 	Runs int `json:"runs"`
 	explore.EngineStats
 	Decisions         uint64 `json:"decisions"`

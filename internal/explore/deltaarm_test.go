@@ -7,11 +7,11 @@ import (
 	"kivati/internal/bugs"
 )
 
-// Delta-arming differential gates: watchpoint arming is maintained
-// incrementally on the fast dispatch tier (hw.AdoptDelta plus the armed
-// summary), so any divergence between the step-pinned interpreter — which
-// re-arms in full on every kernel crossing — and the fast tier would show
-// up as a schedule that plays out differently. The gate runs every corpus
+// Watchpoint adoption differential gates: a core skips the copy of the
+// canonical register file when its mutation count is current (hw.Adopt),
+// and the fast dispatch tier decides blocks from the armed summary, so any
+// divergence between the step-pinned interpreter and the fast tier would
+// show up as a schedule that plays out differently. The gate runs every corpus
 // bug under both modes for several seeds and requires zero mismatches in
 // the observable outcome, then closes the loop by recording the fast run's
 // decision trace and replaying it (Recorder → Replayer), which must
@@ -39,14 +39,14 @@ func TestDeltaArmDifferentialCorpus(t *testing.T) {
 				}
 				for _, mode := range []Mode{Vanilla, Prevention} {
 					q := c.randomQuantum(seed)
-					// Step reference: every crossing re-consults the canonical
-					// register file through the legacy full path.
+					// Step reference: the legacy stepper, one instruction at
+					// a time.
 					stepRun, err := c.stepReference(mode, randomPolicy{rng: rand.New(rand.NewSource(seed))}, q, seed)
 					if err != nil {
 						t.Fatal(err)
 					}
 					// Fast tier on a pooled session: superstep windows,
-					// same-pick continuation and delta-arming all active.
+					// same-pick continuation and adoption all active.
 					p := c.pool(mode)
 					sess, err := p.get()
 					if err != nil {

@@ -36,7 +36,7 @@ import (
 //
 // Mid-run resume re-enters vm.Run at the loop top and re-executes the
 // in-flight Pick. A snapshot carries every core's register file with its
-// mutation stamps plus the coresBehind flag, so an idle core adopts the
+// mutation count plus the coresBehind flag, so an idle core adopts the
 // canonical watchpoint state at the same point as in the uninterrupted
 // run, at any core count. TestSessionSnapshotRestoreGenerated holds
 // resumed runs to uninterrupted ones on 1-3 cores, and the multi-core DFS

@@ -190,9 +190,10 @@ type Run struct {
 	Reason     string           `json:"reason"`
 	// Decision-point cost accounting (see vm.Result): window boundaries at
 	// which the same-pick superstep continuation kept the open block
-	// decision, each saving one block decision, and how watchpoint arming
-	// at kernel crossings split between incremental delta application and
-	// full register-file rewrites.
+	// decision, each saving one block decision, and how watchpoint
+	// adoptions at kernel crossings split between those that found the
+	// core already current and those that copied the canonical register
+	// file.
 	SamePickContinues uint64 `json:"same_pick_continues,omitempty"`
 	DeltaArms         uint64 `json:"delta_arms,omitempty"`
 	FullArms          uint64 `json:"full_arms,omitempty"`

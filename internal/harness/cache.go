@@ -97,14 +97,11 @@ func (c *BuildCache) prepareWithOptions(spec *workloads.Spec, opts annotate.Opti
 }
 
 // program returns the memoized bare program for a non-workload source (the
-// bug corpus), building it on first use. No whitelist is derived; the
-// stored appRun carries only the program.
+// bug corpus), building it on first use with the paper-prototype annotator
+// options. No whitelist is derived; the stored appRun carries only the
+// program.
 func (c *BuildCache) program(name, source string) (*core.Program, error) {
-	return c.programWithOptions(name, source, annotate.Options{})
-}
-
-// programWithOptions is program for a specific annotator configuration.
-func (c *BuildCache) programWithOptions(name, source string, opts annotate.Options) (*core.Program, error) {
+	opts := annotate.Options{}
 	e := c.entry(buildKey{name: name, source: source, options: opts.Key()})
 	hit := true
 	e.once.Do(func() {

@@ -11,8 +11,8 @@ import (
 	"kivati/internal/workloads"
 )
 
-// appRun executes one workload under one configuration. After prepare
-// returns, an appRun is read-only — the program's binary cache is
+// appRun executes one workload under one configuration. After
+// prepareWithOptions returns, an appRun is read-only — the program's binary cache is
 // internally locked and the whitelist is never mutated by a run — so one
 // appRun is shared by every concurrent pool worker and memoized across
 // tables by the build cache.
@@ -22,13 +22,8 @@ type appRun struct {
 	wl   *whitelist.Whitelist // sync-var whitelist for this program
 }
 
-// prepare builds a workload's program and its sync-var whitelist once.
-func prepare(spec *workloads.Spec) (*appRun, error) {
-	return prepareWithOptions(spec, annotate.Options{})
-}
-
-// prepareWithOptions is prepare under a specific annotator configuration.
-// The workload's thread entry points become lockset analysis roots, so
+// prepareWithOptions builds a workload's program and its sync-var
+// whitelist once under an annotator configuration. The workload's thread entry points become lockset analysis roots, so
 // functions only ever started by the harness are still treated as running
 // without their callers' locks.
 func prepareWithOptions(spec *workloads.Spec, opts annotate.Options) (*appRun, error) {

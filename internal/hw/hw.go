@@ -69,26 +69,23 @@ func overlaps(a uint32, an uint8, b uint32, bn uint8) bool {
 // predicate when nothing is armed or the access falls outside the armed
 // window, and is what the VM's tiered fast path consults to decide whether
 // a core may execute trap-free.
+//
+// muts counts content mutations of the file. A core's file changes only
+// through CopyFrom and Adopt from the kernel's canonical file, so it carries
+// the canonical count it last copied, and Adopt skips the copy when the two
+// counts still agree.
 type RegisterFile struct {
 	WPs   []Watchpoint
-	Epoch uint64 // version of the canonical register state this core has adopted
+	Epoch uint64 // version of the canonical register state this core holds
 
 	armed  int    // number of armed registers (summary)
 	lo, hi uint32 // armed address window [lo, hi); valid only when armed > 0
-
-	// Delta-arming bookkeeping. muts counts content mutations of this file;
-	// gens[i] records the mutation count at which register i last changed.
-	// adopted is the source file's muts value at the last CopyFrom/AdoptDelta,
-	// letting a core apply only the registers that changed since it last
-	// synchronized instead of recopying the whole table.
-	gens    []uint64
-	muts    uint64
-	adopted uint64
+	muts   uint64
 }
 
 // NewRegisterFile returns a register file with n watchpoints.
 func NewRegisterFile(n int) *RegisterFile {
-	return &RegisterFile{WPs: make([]Watchpoint, n), gens: make([]uint64, n)}
+	return &RegisterFile{WPs: make([]Watchpoint, n)}
 }
 
 // recompute rebuilds the armed summary from the registers.
@@ -130,7 +127,6 @@ func (rf *RegisterFile) Set(i int, wp Watchpoint) {
 		return
 	}
 	rf.muts++
-	rf.gens[i] = rf.muts
 	rf.WPs[i] = wp
 	rf.recompute()
 }
@@ -140,49 +136,26 @@ func (rf *RegisterFile) Clear(i int) {
 	rf.Set(i, Watchpoint{Owner: -1, LocalOf: -1})
 }
 
-// CopyFrom adopts the canonical register state wholesale (cross-core
-// propagation; the paper's opportunistic update on kernel entry). It is the
-// full-table slow path behind AdoptDelta and also the exact-clone primitive
-// used by snapshots: generation stamps and the mutation count come along, so
-// a clone is indistinguishable from its source to later delta adoptions.
+// CopyFrom makes rf an exact clone of src: registers, summary, epoch and
+// mutation count. It is Adopt's copy and the primitive snapshots use.
 func (rf *RegisterFile) CopyFrom(src *RegisterFile) {
 	copy(rf.WPs, src.WPs)
-	copy(rf.gens, src.gens)
 	rf.Epoch = src.Epoch
 	rf.armed, rf.lo, rf.hi = src.armed, src.lo, src.hi
 	rf.muts = src.muts
-	rf.adopted = src.muts
 }
 
-// AdoptDelta brings rf up to date with src by applying only the registers
-// whose generation stamp postdates rf's last adoption — the symmetric
-// difference between the two tables, since unchanged registers are already
-// identical. It returns how many registers were written and whether the
-// full-copy slow path ran (taken when every register may have changed, where
-// a bulk copy is cheaper than the stamped scan). Callers must synchronize rf
-// exclusively through CopyFrom/AdoptDelta from the same source for the
-// adoption cursor to be meaningful.
-func (rf *RegisterFile) AdoptDelta(src *RegisterFile) (changed int, full bool) {
-	if rf.adopted == src.muts {
+// Adopt brings rf up to date with the canonical file src (cross-core
+// propagation; the paper's opportunistic update on kernel entry) and
+// reports whether it copied. When the mutation counts agree, rf already
+// holds src's registers and only the epoch is taken.
+func (rf *RegisterFile) Adopt(src *RegisterFile) (copied bool) {
+	if rf.muts == src.muts {
 		rf.Epoch = src.Epoch
-		return 0, false
+		return false
 	}
-	if src.muts-rf.adopted >= uint64(len(rf.WPs)) {
-		rf.CopyFrom(src)
-		return len(rf.WPs), true
-	}
-	cursor := rf.adopted
-	for i := range src.WPs {
-		if src.gens[i] > cursor {
-			rf.Set(i, src.WPs[i])
-			rf.gens[i] = src.gens[i]
-			changed++
-		}
-	}
-	rf.muts = src.muts
-	rf.adopted = src.muts
-	rf.Epoch = src.Epoch
-	return changed, false
+	rf.CopyFrom(src)
+	return true
 }
 
 // Muts returns the file's content-mutation count: it changes exactly when

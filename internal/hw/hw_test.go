@@ -549,15 +549,15 @@ func TestMayMatchRangesEquivalence(t *testing.T) {
 	}
 }
 
-// TestAdoptDeltaIncrementalProperty quick-checks delta-arming against the
-// from-scratch path: a canonical file takes a random Set/Clear sequence
-// while follower files synchronize at random points — one via AdoptDelta
-// (the incremental stamped scan), one via CopyFrom (the full rewrite).
-// After every synchronization the two followers must agree on register
-// content, generation-insensitive summary state (armed count and window),
-// and the mutation cursor; and the armed summary must equal a
-// from-scratch recompute over the raw registers.
-func TestAdoptDeltaIncrementalProperty(t *testing.T) {
+// TestAdoptProperty quick-checks Adopt: a canonical file takes a random
+// sequence of Set/Clear (some of them rewriting a register with its own
+// value) and epoch bumps while two follower files adopt it at random
+// points. After every adoption the follower must equal a CopyFrom clone of
+// the canonical file, its armed summary must equal a from-scratch
+// recompute, and Adopt must have copied exactly when a register's content
+// changed since that follower's last adoption — and then the canonical
+// mutation count moved.
+func TestAdoptProperty(t *testing.T) {
 	sizes := []uint8{1, 2, 4, 8}
 	summary := func(rf *RegisterFile) (int, uint32, uint32) {
 		armed := 0
@@ -570,27 +570,60 @@ func TestAdoptDeltaIncrementalProperty(t *testing.T) {
 			if armed == 0 {
 				lo, hi = wp.Addr, end
 			} else {
-				if wp.Addr < lo {
-					lo = wp.Addr
-				}
-				if end > hi {
-					hi = end
-				}
+				lo, hi = min(lo, wp.Addr), max(hi, end)
 			}
 			armed++
 		}
 		return armed, lo, hi
 	}
+	same := func(a, b *RegisterFile) bool {
+		for j := range a.WPs {
+			if a.WPs[j] != b.WPs[j] {
+				return false
+			}
+		}
+		aLo, aHi, aok := a.Window()
+		bLo, bHi, bok := b.Window()
+		return a.Epoch == b.Epoch && a.Muts() == b.Muts() && a.ArmedCount() == b.ArmedCount() &&
+			aok == bok && (!aok || aLo == bLo && aHi == bHi)
+	}
 	f := func(ops []uint32) bool {
 		const n = 4
 		canon := NewRegisterFile(n)
-		delta := NewRegisterFile(n)
-		full := NewRegisterFile(n)
+		var fol [2]*RegisterFile
+		var moved [2]bool      // a register changed since the follower's last adoption
+		var lastMuts [2]uint64 // canonical Muts at the follower's last adoption
+		for k := range fol {
+			fol[k] = NewRegisterFile(n)
+		}
+		set := func(i int, wp Watchpoint) {
+			if wp != canon.WPs[i] {
+				moved = [2]bool{true, true}
+			}
+			canon.Set(i, wp)
+		}
+		adopt := func(k int) bool {
+			if moved[k] != (canon.Muts() != lastMuts[k]) {
+				return false
+			}
+			if fol[k].Adopt(canon) != moved[k] {
+				return false
+			}
+			moved[k], lastMuts[k] = false, canon.Muts()
+			ref := NewRegisterFile(n)
+			ref.CopyFrom(canon)
+			if !same(fol[k], ref) {
+				return false
+			}
+			armed, lo, hi := summary(fol[k])
+			gotLo, gotHi, ok := fol[k].Window()
+			return fol[k].ArmedCount() == armed && ok == (armed > 0) && (!ok || gotLo == lo && gotHi == hi)
+		}
 		for _, op := range ops {
 			i := int(op>>2) % n
-			switch op % 4 {
+			switch op % 6 {
 			case 0, 1:
-				canon.Set(i, Watchpoint{
+				set(i, Watchpoint{
 					Addr:    (op >> 8) & 0xffff,
 					Size:    sizes[(op>>24)%4],
 					Types:   AccessType(op>>26)%3 + 1,
@@ -599,48 +632,19 @@ func TestAdoptDeltaIncrementalProperty(t *testing.T) {
 					LocalOf: -1,
 				})
 			case 2:
-				canon.Clear(i)
+				set(i, Watchpoint{Owner: -1, LocalOf: -1}) // Clear's value
 			case 3:
-				delta.AdoptDelta(canon)
-				full.CopyFrom(canon)
-				for j := range delta.WPs {
-					if delta.WPs[j] != full.WPs[j] {
-						return false
-					}
-				}
-				if delta.Muts() != full.Muts() || delta.Epoch != full.Epoch {
+				set(i, canon.WPs[i]) // an equal value: no mutation
+			case 4:
+				canon.Epoch++
+			case 5:
+				if !adopt(int(op>>4) % 2) {
 					return false
-				}
-				wantArmed, wantLo, wantHi := summary(delta)
-				if delta.ArmedCount() != wantArmed || full.ArmedCount() != wantArmed {
-					return false
-				}
-				if wantArmed > 0 {
-					dLo, dHi, ok := delta.Window()
-					fLo, fHi, fok := full.Window()
-					if !ok || !fok || dLo != wantLo || dHi != wantHi || fLo != wantLo || fHi != wantHi {
-						return false
-					}
 				}
 			}
 		}
-		// Final synchronization so every sequence checks at least once.
-		delta.AdoptDelta(canon)
-		full.CopyFrom(canon)
-		for j := range delta.WPs {
-			if delta.WPs[j] != full.WPs[j] {
-				return false
-			}
-		}
-		wantArmed, wantLo, wantHi := summary(canon)
-		cArmed, cLo, cHi := canon.ArmedCount(), uint32(0), uint32(0)
-		if lo, hi, ok := canon.Window(); ok {
-			cLo, cHi = lo, hi
-		}
-		if cArmed != wantArmed || (wantArmed > 0 && (cLo != wantLo || cHi != wantHi)) {
-			return false
-		}
-		return delta.ArmedCount() == wantArmed && full.ArmedCount() == wantArmed
+		// Final adoptions so every sequence checks at least once.
+		return adopt(0) && adopt(1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

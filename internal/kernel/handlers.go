@@ -126,7 +126,7 @@ func (k *Kernel) attachAR(t int, syscallPC uint32, arID int, addr uint32, size u
 // The VM calls it when the thread's begin_atomic wait (cross-core watchpoint
 // propagation, or a bug-finding pause) completes — the moment the thread
 // actually enters its AR. Capturing only at arm time would race: a remote
-// core that has not yet adopted the new watchpoint can store to the variable
+// core that has not yet taken up the new watchpoint can store to the variable
 // without trapping, leaving the recorded rollback value stale, and a later
 // undo would then *introduce* an inconsistency instead of preventing one.
 func (k *Kernel) RecaptureSaved(t int) {
@@ -184,7 +184,7 @@ func (k *Kernel) AttachUser(t int, syscallPC uint32, arID int, addr uint32, size
 	k.saveValue(k.Meta[idx], addr, size, first)
 }
 
-// waitForEpoch blocks the thread until every core has adopted the new
+// waitForEpoch blocks the thread until every core has taken up the new
 // canonical watchpoint state. Rather than interrupting other cores, they
 // update opportunistically on their next kernel entry (§3.2).
 func (k *Kernel) waitForEpoch(t int) {

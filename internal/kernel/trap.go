@@ -83,7 +83,7 @@ func (k *Kernel) trap(t int, pc uint32, acc Access, before bool) {
 	if !matchedAny {
 		// A core with stale debug registers can trap on a watchpoint the
 		// kernel has since disarmed or reconfigured; the canonical state
-		// decides. The core adopted the canonical state on entry, so it
+		// decides. The core took up the canonical state on entry, so it
 		// will not re-trap.
 		k.Stats.SpuriousTraps++
 		return

@@ -146,7 +146,7 @@ func TestUndoneWriteIsNoRollbackValue(t *testing.T) {
 // writes let its owner's write through untrapped, so the value recorded at
 // arming is stale. When a later begin widens it to writes, a remote write
 // can trap on the wider register before the owner's epoch wait ends (a
-// core that adopted it while another still lags); its undo must restore
+// core that took it up while another still lags); its undo must restore
 // the owner's write, not the value from before it.
 func TestUnionUpgradeRecordsRollbackValue(t *testing.T) {
 	k, m := newKernelWithMock(Config{NumWatchpoints: 4, TimeoutTicks: 1000})

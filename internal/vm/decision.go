@@ -6,14 +6,12 @@ package vm
 //
 // Two mechanisms cooperate (see DESIGN.md "Decision-point fast path"):
 //
-//   - Watchpoint delta-arming. Every kernel entry must leave the core's
-//     register file synchronized with the kernel's canonical state. The
-//     canonical file stamps each register with a generation counter, so
-//     adoption applies only the registers that changed since this core last
-//     synchronized — at a timer interrupt under a quiescent watchpoint table
-//     (the overwhelmingly common case) that is a single counter comparison.
-//     The full-table copy survives as the slow path and as the differential
-//     reference.
+//   - Watchpoint adoption. Every kernel entry must leave the core's register
+//     file synchronized with the kernel's canonical state. A core whose file
+//     already carries the canonical mutation count keeps its registers — at
+//     a timer interrupt under a quiescent watchpoint table (the
+//     overwhelmingly common case) that is a single counter comparison — and
+//     any other core copies the whole file.
 //
 //   - Block-decision continuation. A block-edge decision (checked or
 //     unchecked; see enterBlock) is stamped with the thread it was made for
@@ -24,18 +22,15 @@ package vm
 //     the preempted thread continues its open block.
 
 // adoptCanon synchronizes core c's watchpoint register file with the
-// kernel's canonical state via delta-arming, returning how many registers
-// actually changed so callers can distinguish a no-op adoption from a real
-// update. It is the single chokepoint for every cross-core propagation site
-// (timer interrupts, syscalls, traps, idle adoption, EpochChanged).
-func (m *Machine) adoptCanon(c *Core) int {
-	changed, full := c.WP.AdoptDelta(m.K.Canon)
-	if full {
+// kernel's canonical state. It is the single chokepoint for every
+// cross-core propagation site (timer interrupts, syscalls, traps, idle
+// adoption, EpochChanged).
+func (m *Machine) adoptCanon(c *Core) {
+	if c.WP.Adopt(m.K.Canon) {
 		m.tel.FullArms++
 	} else {
 		m.tel.DeltaArms++
 	}
-	return changed
 }
 
 // resumeOrResetFast decides, at a superstep-window boundary, whether core

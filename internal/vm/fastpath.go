@@ -228,15 +228,14 @@ func pick(c bool, a, b uint8) uint8 {
 // ascending order; op i+1 is the instruction at starts[i], and op 0 is the
 // sentinel every non-start pc maps to (kind okNone, line 0). The first walk
 // is in reverse so each op's line and safe flag are O(1) from its
-// successor's; compile.Footprints runs the same reverse walk, so m.fps[pc]
+// successor's; compile.Footprints runs the same reverse walk, so fps[pc]
 // covers (a superset of) the line dispatched from pc. The second walk, also
 // in reverse, builds the superblock table: it extends every line that ends
 // in a JMP to a fast-enterable target by the target's line, and carries the
 // target's footprint back through the line's ops with isa.Footprint.Rebase,
 // as compile.suffixFootprints does, so its stack offsets are relative to
-// the superblock's entry SP/FP, and marks the loop superblocks. m.fps must
-// be set.
-func (m *Machine) buildOps(starts []uint32) {
+// the superblock's entry SP/FP, and marks the loop superblocks.
+func (m *Machine) buildOps(starts []uint32, fps []isa.Footprint) {
 	m.opAt = make([]uint32, len(m.decoded))
 	m.ops = make([]fastOp, len(starts)+1)
 	m.ops[0].pc = ^uint32(0) // matches no thread pc
@@ -281,14 +280,14 @@ func (m *Machine) buildOps(starts []uint32) {
 		case o.kind == okJMP && m.ops[o.tidx].line > 0:
 			// A JMP moves neither SP nor FP: the target's footprint holds
 			// as it is.
-			tgt, tail = o.tidx, m.fps[m.ops[o.tidx].pc]
+			tgt, tail = o.tidx, fps[m.ops[o.tidx].pc]
 		case tgt != 0 && o.line > 1 && o.line < maxLine:
 			tail = tail.Rebase(m.decoded[o.pc])
 		default:
 			tgt = 0 // no JMP ends the line, or a saturated line stops short
 		}
 		sb := &m.sbs[i]
-		*sb = superblock{fp: m.fps[o.pc], run: o.line, safe: o.safe}
+		*sb = superblock{fp: fps[o.pc], run: o.line, safe: o.safe}
 		end, keep := uint32(i)+uint32(o.line)-1, keeps[i] // the closing op
 		if tgt != 0 {
 			t := &m.ops[tgt]
@@ -450,23 +449,21 @@ func (m *Machine) trySuperstep() bool {
 // blockChecked), and the stamp (thread, register file mutation count) that
 // lets a later window keep the decision open (see resumeOrResetFast). The
 // run is the op's superblock run, through a closing JMP into the target's
-// line, except while DPOR segments are recorded: a decision there covers
-// the straight-line run and the Binary's footprint, so segments, pruning
-// and every exploration count do not depend on the superblocks. The run's
-// footprint is evaluated here, once, for every reader that needs it:
-// blockChecked when something is armed, chunkLen when several cores are
-// active, and DPOR segment recording. It returns false, deciding nothing,
-// when the pc is not fast-enterable: a kernel boundary or not an
-// instruction start.
+// line. The superblock's footprint is evaluated here, once, for every
+// reader that needs it: blockChecked when something is armed, chunkLen
+// when several cores are active, and DPOR segment recording, which folds
+// it into the segment open at the block's entry. It returns false,
+// deciding nothing, when the pc is not fast-enterable: a kernel boundary or
+// not an instruction start.
 //
 // A decision on a loop superblock, checked or not, is carried: fastLoop
 // names the superblock, and execRun renews the decision at each back edge
 // (see renewLoop) until the loop exits, the run stops or window admission
 // drops it (see resumeOrResetFast). Renewal skips exactly what a fresh
 // decision here would redo with the same outcome, so a checked decision is
-// counted once, when it is made. A decision made while DPOR segments are
-// recorded is not carried: each block entry folds its footprint into the
-// segment.
+// counted once, when it is made. Recording needs no fresh entry either:
+// the footprint covers every iteration, and a segment cannot close inside
+// a window.
 func (m *Machine) enterBlock(c *Core) bool {
 	t := c.Cur
 	pc := t.PC
@@ -474,30 +471,27 @@ func (m *Machine) enterBlock(c *Core) bool {
 	if int(idx) >= len(m.ops) || m.ops[idx].pc != pc {
 		idx = m.opIndex(pc)
 	}
-	o := &m.ops[idx]
-	if o.line == 0 {
+	if m.ops[idx].line == 0 {
 		return false
 	}
-	rec := m.segRecording()
-	run, fp := m.sbs[idx].run, &m.sbs[idx].fp
-	if rec {
-		run, fp = o.line, &m.fps[pc]
-	}
-	c.fastLeft = run
+	sb := &m.sbs[idx]
+	c.fastLeft = sb.run
 	c.fastIdx = idx
 	c.fastDecTID = t.ID
 	c.fastDecMuts = c.WP.Muts()
 	armed := c.WP.ArmedCount() != 0
+	rec := m.segRecording()
 	class := fpUnbounded // read only after an evaluation
 	if armed || rec || len(m.fastCores) > 1 {
-		class = m.evalFootprint(c, t, fp)
+		class = m.evalFootprint(c, t, &sb.fp)
 	}
 	c.fastChecked = armed && m.blockChecked(c, t, class)
 	c.fastLoop = 0
+	if sb.loop {
+		c.fastLoop = idx
+	}
 	if rec {
 		m.segFootprint(c, class)
-	} else if m.sbs[idx].loop {
-		c.fastLoop = idx
 	}
 	return true
 }

@@ -326,6 +326,32 @@ func TestFastPathChunkRace(t *testing.T) {
 	}
 }
 
+// loopSegSrc has a branch-free loop body whose superblock runs through
+// the JMP back into the header, and the header alone reads lim, so a
+// segment opened inside the loop reads lim only through the superblock's
+// second line. The if/else after the loop gives a superblock through a
+// forward JMP.
+const loopSegSrc = `
+int g;
+int h;
+int lim = 300;
+void worker(int k) {
+    int i;
+    i = 0;
+    while (i < lim) {
+        g = g + k;
+        i = i + 1;
+    }
+    if (k == 1) {
+        g = g + 1;
+    } else {
+        g = g - 1;
+    }
+    h = g + k;
+    print(h);
+}
+`
+
 // TestFastPathSegmentsCoverStep checks that the DPOR segments the fast tier
 // records are sound against the reference interpreter's: the same decision
 // points, and a summary at least as conservative — a segment that is
@@ -333,7 +359,9 @@ func TestFastPathChunkRace(t *testing.T) {
 // read was read or written under Fast and every address Step wrote was
 // written under Fast (block footprints fold in as writes). Segments are
 // machine-wide, so the check runs at several core counts although DPOR
-// explores one core.
+// explores one core. loopSegSrc runs at one core, where a decision made
+// while recording is carried around the loop and covers the superblock's
+// two lines.
 func TestFastPathSegmentsCoverStep(t *testing.T) {
 	policies := []struct {
 		name string
@@ -342,54 +370,86 @@ func TestFastPathSegmentsCoverStep(t *testing.T) {
 		{"head", queueHeadPolicy{}},
 		{"tail", PolicyFunc(func(p SchedPoint) int { return len(p.Runnable) - 1 })},
 	}
-	for _, pol := range policies {
-		for _, cores := range []int{1, 2, 3} {
-			o := defaultRunOpts()
-			o.compile = compile.Options{}
-			o.mcfg.Cores = cores
-			o.mcfg.Policy = pol.p
-			costs := DefaultCosts()
-			costs.Quantum = 37
-			o.mcfg.Costs = costs
-			o.starts = []startSpec{{"worker", 1}, {"worker", 2}, {"worker", 3}}
-			name := fmt.Sprintf("%s/cores=%d", pol.name, cores)
-			var segs [2][]Segment
-			for i, d := range []DispatchMode{DispatchStep, DispatchFast} {
-				m := newDispatch(t, chunkRaceSrc, o, d)
-				m.SetSegmentLimit(1 << 20)
-				m.Run()
-				segs[i] = m.Segments()
+	sources := []struct {
+		name  string
+		src   string
+		cores []int
+	}{
+		{"chunk", chunkRaceSrc, []int{1, 2, 3}},
+		{"loop", loopSegSrc, []int{1}},
+	}
+	o := defaultRunOpts()
+	o.compile = compile.Options{}
+	o.starts = []startSpec{{"worker", 1}}
+	m := newDispatch(t, loopSegSrc, o, DispatchFast)
+	var loops, jmps int
+	for i := 1; i < len(m.ops); i++ {
+		if m.sbs[i].loop {
+			loops++
+		} else if m.sbs[i].run > m.ops[i].line {
+			jmps++
+		}
+	}
+	if loops == 0 || jmps == 0 {
+		t.Fatalf("loopSegSrc has %d loop and %d other JMP superblocks, want both", loops, jmps)
+	}
+	for _, src := range sources {
+		for _, pol := range policies {
+			for _, cores := range src.cores {
+				o := defaultRunOpts()
+				o.compile = compile.Options{}
+				o.mcfg.Cores = cores
+				o.mcfg.Policy = pol.p
+				costs := DefaultCosts()
+				costs.Quantum = 37
+				o.mcfg.Costs = costs
+				o.starts = []startSpec{{"worker", 1}, {"worker", 2}, {"worker", 3}}
+				name := fmt.Sprintf("%s/%s/cores=%d", src.name, pol.name, cores)
+				var segs [2][]Segment
+				for i, d := range []DispatchMode{DispatchStep, DispatchFast} {
+					m := newDispatch(t, src.src, o, d)
+					m.SetSegmentLimit(1 << 20)
+					m.Run()
+					segs[i] = m.Segments()
+				}
+				checkSegmentsCover(t, name, segs[0], segs[1])
 			}
-			step, fast := segs[0], segs[1]
-			if len(step) != len(fast) {
-				t.Fatalf("%s: %d segments under Step, %d under Fast", name, len(step), len(fast))
+		}
+	}
+}
+
+// checkSegmentsCover reports where the fast tier's segments are less
+// conservative than the reference interpreter's (see
+// TestFastPathSegmentsCoverStep).
+func checkSegmentsCover(t *testing.T, name string, step, fast []Segment) {
+	t.Helper()
+	if len(step) != len(fast) {
+		t.Fatalf("%s: %d segments under Step, %d under Fast", name, len(step), len(fast))
+	}
+	if len(step) < 10 {
+		t.Fatalf("%s: only %d segments recorded", name, len(step))
+	}
+	for i := range step {
+		s, f := &step[i], &fast[i]
+		if s.Thread != f.Thread {
+			t.Errorf("%s: segment %d thread step=%d fast=%d", name, i, s.Thread, f.Thread)
+		}
+		if f.Global {
+			continue
+		}
+		if s.Global {
+			t.Errorf("%s: segment %d Global under Step only", name, i)
+			continue
+		}
+		both := append(append([]hw.AddrRange(nil), f.Reads...), f.Writes...)
+		for _, r := range s.Reads {
+			if !covered(r, both) {
+				t.Errorf("%s: segment %d Step read %v not covered by Fast", name, i, r)
 			}
-			if len(step) < 10 {
-				t.Fatalf("%s: only %d segments recorded", name, len(step))
-			}
-			for i := range step {
-				s, f := &step[i], &fast[i]
-				if s.Thread != f.Thread {
-					t.Errorf("%s: segment %d thread step=%d fast=%d", name, i, s.Thread, f.Thread)
-				}
-				if f.Global {
-					continue
-				}
-				if s.Global {
-					t.Errorf("%s: segment %d Global under Step only", name, i)
-					continue
-				}
-				both := append(append([]hw.AddrRange(nil), f.Reads...), f.Writes...)
-				for _, r := range s.Reads {
-					if !covered(r, both) {
-						t.Errorf("%s: segment %d Step read %v not covered by Fast", name, i, r)
-					}
-				}
-				for _, r := range s.Writes {
-					if !covered(r, f.Writes) {
-						t.Errorf("%s: segment %d Step write %v not covered by Fast writes", name, i, r)
-					}
-				}
+		}
+		for _, r := range s.Writes {
+			if !covered(r, f.Writes) {
+				t.Errorf("%s: segment %d Step write %v not covered by Fast writes", name, i, r)
 			}
 		}
 	}

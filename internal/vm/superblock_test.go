@@ -114,6 +114,10 @@ func TestFastPathSuperblockFootprint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: New: %v", seed, err)
 		}
+		fps, err := compile.Footprints(code)
+		if err != nil {
+			t.Fatalf("seed %d: Footprints: %v", seed, err)
+		}
 		idxA, idxL := m.opAt[pcA], m.opAt[pcL]
 		sb := &m.sbs[idxA]
 		if want := uint16(nA+1) + m.ops[idxL].line; sb.run != want || m.ops[idxL].line != uint16(nB) {
@@ -156,7 +160,7 @@ func TestFastPathSuperblockFootprint(t *testing.T) {
 						t.Fatalf("seed %d: access byte %#x outside superblock footprint %+v (entry SP %#x FP %#x)",
 							seed, b, f, entrySP, entryFP)
 					}
-					if !in(m.fps[pcA], b) {
+					if !in(fps[pcA], b) {
 						beyond++
 					}
 				}
@@ -236,7 +240,7 @@ void main() {
 		t.Fatal("no loop body whose superblock reaches a header that starts with the read of g")
 	}
 	o := &m.ops[body]
-	if f := m.fps[o.pc]; f.Unbounded || (f.AbsLo <= g && g < f.AbsHi) {
+	if f := m.Bin.Footprints[o.pc]; f.Unbounded || (f.AbsLo <= g && g < f.AbsHi) {
 		t.Fatalf("the body's line footprint %+v already covers g; the test needs a body that does not", f)
 	}
 	c, th := m.cores[0], m.Thread(0)

@@ -184,7 +184,7 @@ type machState struct {
 	reqMade  int
 
 	// coresBehind is set by EpochChanged whenever the canonical watchpoint
-	// state advances and cleared once every core has adopted it; while
+	// state advances and cleared once every core has taken it up; while
 	// false, the Run loop skips the per-iteration idle-core adoption scan
 	// (lazy cross-core propagation batched at window edges).
 	coresBehind bool
@@ -260,17 +260,12 @@ type Machine struct {
 	opAt   []uint32
 	fastOK bool // config admits the fast path at all (computed once)
 
-	// fps[pc] is the static address footprint of the straight-line run the
-	// fast path may retire starting at pc (the line of the op at pc). Taken
-	// from the Binary when the compiler produced it, recomputed otherwise;
-	// never shared mutation-wise with the Binary (harness pools share
-	// Binaries across machines). sbs[i] is the superblock a block decision
-	// at op i covers, with its footprint, built once in New (buildOps); it
-	// is indexed by op, not pc, to stay the size of the op stream. enterBlock
-	// evaluates one of the two footprints once per block edge, for
+	// sbs[i] is the superblock a block decision at op i covers, with its
+	// footprint, built once in New (buildOps) from the per-pc line
+	// footprints; it is indexed by op, not pc, to stay the size of the op
+	// stream. enterBlock evaluates the footprint once per block edge, for
 	// blockChecked to test against the armed window, chunkLen against the
 	// other cores' blocks and DPOR segment recording to fold in.
-	fps []isa.Footprint
 	sbs []superblock
 
 	fastCores []*Core // scratch: cores active in the current window
@@ -358,22 +353,20 @@ func New(bin *compile.Binary, k *kernel.Kernel, cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("vm: %w", err)
 	}
 	m.decoded = decoded
-	// Static block footprints for the watchpoint-aware fast path: use the
+	// Static line footprints for the watchpoint-aware fast path: use the
 	// compiler's table when present, otherwise (hand-assembled binaries)
-	// compute one here. The table is read-only from this machine's point of
-	// view, so sharing the Binary's slice across machines is safe.
-	m.fps = bin.Footprints
-	if m.fps == nil {
-		fps, err := compile.Footprints(bin.Code)
-		if err != nil {
+	// compute one here. buildOps only reads the table, so sharing the
+	// Binary's slice across machines is safe.
+	fps := bin.Footprints
+	if fps == nil {
+		if fps, err = compile.Footprints(bin.Code); err != nil {
 			return nil, fmt.Errorf("vm: %w", err)
 		}
-		m.fps = fps
 	}
-	if len(m.fps) != len(bin.Code) {
-		return nil, fmt.Errorf("vm: footprint table covers %d of %d code bytes", len(m.fps), len(bin.Code))
+	if len(fps) != len(bin.Code) {
+		return nil, fmt.Errorf("vm: footprint table covers %d of %d code bytes", len(fps), len(bin.Code))
 	}
-	m.buildOps(starts)
+	m.buildOps(starts, fps)
 	// The fast path is admissible at all only when the configuration
 	// cannot observe per-instruction machine activity: no per-access cost
 	// charging. Within an admissible run, trySuperstep still demotes
@@ -505,8 +498,8 @@ type Telemetry struct {
 	// open block decision (a block decision saved), a carried loop decision
 	// (see enterBlock) included, which stays open across its back edges
 	// and so more often at a boundary; DeltaArms/FullArms split
-	// watchpoint adoptions into incremental delta applications vs
-	// full-table copies.
+	// watchpoint adoptions into those that found the core already current
+	// and those that copied the canonical file.
 	Decisions         uint64
 	SamePickContinues uint64
 	DeltaArms         uint64
