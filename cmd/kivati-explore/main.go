@@ -38,7 +38,7 @@ import (
 
 // schema versions the -json report; a field that changes meaning or goes
 // away needs a new version.
-const schema = "kivati-explore/v4"
+const schema = "kivati-explore/v5"
 
 // report is the -json output.
 type report struct {
@@ -61,16 +61,14 @@ type report struct {
 	// Totals over subjects and modes. Runs is below the schedule budget
 	// when a DFS frontier runs out or DPOR prunes, so the rate divides
 	// Runs, never the budget. Decisions counts scheduler decision points;
-	// SamePickContinues counts the block decisions same-pick continuation
-	// saved; DeltaArms/FullArms split the watchpoint adoptions at kernel
-	// crossings into those that found the core already current and those
-	// that copied the canonical register file.
+	// DeltaArms/FullArms split the watchpoint adoptions at kernel crossings
+	// into those that found the core already current and those that copied
+	// the canonical register file.
 	Runs int `json:"runs"`
 	explore.EngineStats
-	Decisions         uint64 `json:"decisions"`
-	SamePickContinues uint64 `json:"same_pick_continues"`
-	DeltaArms         uint64 `json:"delta_arms"`
-	FullArms          uint64 `json:"full_arms"`
+	Decisions uint64 `json:"decisions"`
+	DeltaArms uint64 `json:"delta_arms"`
+	FullArms  uint64 `json:"full_arms"`
 }
 
 // add appends one subject's differential report and adds it to the totals.
@@ -84,7 +82,6 @@ func (r *report) add(d *explore.DiffReport) {
 		r.Pruned += mr.Stats.Pruned
 		for _, run := range mr.Runs {
 			r.Decisions += uint64(run.Decisions)
-			r.SamePickContinues += run.SamePickContinues
 			r.DeltaArms += run.DeltaArms
 			r.FullArms += run.FullArms
 		}

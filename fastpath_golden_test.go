@@ -4,9 +4,9 @@ package kivati_test
 // tier with the reference interpreter on outcomes only (Stats, output,
 // memory). This test pins the fast tier's own accounting as well — window
 // and instruction counts, demotions by reason, decision points, same-pick
-// continuations and delta/full register adoptions — over the bug fixtures
-// and the bench-suite applications, so a change meant only to restructure
-// the VM's loops cannot silently move a counter.
+// continuations (always 0) and delta/full register adoptions — over the
+// bug fixtures and the bench-suite applications, so a change meant only to
+// restructure the VM's loops cannot silently move a counter.
 
 import (
 	"bufio"

@@ -84,7 +84,9 @@ func genSession(t *testing.T, p *corpusgen.Program, cores int, vanilla bool) *co
 
 // sameOutcome reports how a resumed or replayed run differs from the
 // uninterrupted one on every piece of machine state the snapshot carries:
-// observables, ticks, kernel stats, memory image and demotion counters.
+// observables, ticks, kernel stats, memory image and the VM's telemetry,
+// whose fast-tier counters would drift if a snapshot had to carry the
+// window executor's block decisions.
 func sameOutcome(t *testing.T, what string, got, want *vm.Result) {
 	t.Helper()
 	if got.Reason != "completed" {
@@ -102,8 +104,8 @@ func sameOutcome(t *testing.T, what string, got, want *vm.Result) {
 	if got.MemHash != want.MemHash {
 		t.Errorf("%s: memory hash = %#x, want %#x", what, got.MemHash, want.MemHash)
 	}
-	if got.Demotions != want.Demotions {
-		t.Errorf("%s: demotions = %+v, want %+v", what, got.Demotions, want.Demotions)
+	if got.Telemetry != want.Telemetry {
+		t.Errorf("%s: telemetry = %+v, want %+v", what, got.Telemetry, want.Telemetry)
 	}
 }
 

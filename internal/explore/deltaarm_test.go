@@ -45,8 +45,8 @@ func TestDeltaArmDifferentialCorpus(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					// Fast tier on a pooled session: superstep windows,
-					// same-pick continuation and adoption all active.
+					// Fast tier on a pooled session: superstep windows
+					// and adoption active.
 					p := c.pool(mode)
 					sess, err := p.get()
 					if err != nil {

@@ -188,12 +188,11 @@ type Run struct {
 	Prevented  int              `json:"prevented"`
 	Ticks      uint64           `json:"ticks"`
 	Reason     string           `json:"reason"`
-	// Decision-point cost accounting (see vm.Result): window boundaries at
-	// which the same-pick superstep continuation kept the open block
-	// decision, each saving one block decision, and how watchpoint
+	// Decision-point cost accounting (see vm.Result): how watchpoint
 	// adoptions at kernel crossings split between those that found the
 	// core already current and those that copied the canonical register
-	// file.
+	// file. SamePickContinues always reads 0, as vm.Telemetry's does; it
+	// stays because the benchmark reads it.
 	SamePickContinues uint64 `json:"same_pick_continues,omitempty"`
 	DeltaArms         uint64 `json:"delta_arms,omitempty"`
 	FullArms          uint64 `json:"full_arms,omitempty"`

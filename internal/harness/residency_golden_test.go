@@ -4,9 +4,10 @@ package harness
 // under prevention with all optimizations, at the harness defaults. Each
 // row pins the run's virtual-clock accounting — instructions, fast-tier
 // instructions, kernel crossings, ticks, demotions by reason, decision
-// points, same-pick continuations and delta/full arms — so fast-tier
-// residency cannot drop without the change showing here. The vanilla rows
-// also pin crossings=0: a watchpoint-free run never enters the kernel.
+// points, same-pick continuations (always 0) and delta/full arms — so
+// fast-tier residency cannot drop without the change showing here. The
+// vanilla rows also pin crossings=0: a watchpoint-free run never enters the
+// kernel.
 
 import (
 	"bufio"

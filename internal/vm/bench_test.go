@@ -16,12 +16,13 @@ import (
 // decision, so every quantum passes through the Run loop's timer
 // interrupt, pick and window admission. BenchmarkContextSwitch always picks
 // the run-queue head — the thread that did NOT just run — so every decision
-// pays the full context switch (preempt, pick, register-file re-arm, fresh
-// block decision). BenchmarkDecisionPoint always picks the tail — the
-// thread that was just preempted — so nearly every decision is a same-pick
-// continuation: the next window's admission keeps the open block decision.
-// The gap between the two ns/decision numbers is the cost the continuation
-// amortizes away.
+// pays the full context switch (preempt, pick, register-file re-arm).
+// BenchmarkDecisionPoint always picks the tail — the thread that was just
+// preempted — so the thread keeps running. Either way the next window
+// makes a fresh block decision, since a decision lives inside one window.
+// The gap between the two ns/decision numbers is the cost of switching
+// threads; windows/decision is how many superstep windows each decision
+// point is followed by.
 
 func buildBenchBinary(b *testing.B, src string) *compile.Binary {
 	b.Helper()
@@ -59,12 +60,12 @@ void main() {
 }`
 
 // runDecisionBench runs the two-thread compute program to MaxTicks on one
-// core under pick, and reports per-decision cost plus the fraction of
-// decisions that continued the previous pick.
+// core under pick, and reports per-decision cost plus the superstep windows
+// per decision.
 func runDecisionBench(b *testing.B, pick PolicyFunc, quantum uint64) {
 	b.Helper()
 	bin := buildBenchBinary(b, benchComputeSrc)
-	var decisions, continues uint64
+	var decisions, windows uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -98,14 +99,14 @@ func runDecisionBench(b *testing.B, pick PolicyFunc, quantum uint64) {
 			b.Fatalf("fault: %s", res.Faults[0])
 		}
 		decisions += res.Decisions
-		continues += res.SamePickContinues
+		windows += res.FastWindows
 		b.StartTimer()
 	}
 	b.StopTimer()
 	if decisions > 0 {
 		ns := uint64(b.Elapsed().Nanoseconds())
 		b.ReportMetric(float64(ns)/float64(decisions), "ns/decision")
-		b.ReportMetric(float64(continues)/float64(decisions), "continue-ratio")
+		b.ReportMetric(float64(windows)/float64(decisions), "windows/decision")
 	}
 }
 
@@ -116,7 +117,7 @@ func BenchmarkContextSwitch(b *testing.B) {
 }
 
 // BenchmarkDecisionPoint: every decision picks the run-queue tail — the
-// thread just preempted — so decisions reduce to same-pick continuations.
+// thread just preempted — so no decision switches threads.
 func BenchmarkDecisionPoint(b *testing.B) {
 	runDecisionBench(b, func(p SchedPoint) int { return len(p.Runnable) - 1 }, 200)
 }

@@ -60,7 +60,7 @@ func (m *Machine) rec(c *Core, t *Thread, addr uint32, sz uint8, typ hw.AccessTy
 // between instruction forms.
 func (m *Machine) accessFailed(c *Core, t *Thread, cost uint64) {
 	if c.trapAborted {
-		m.finish(c, t, cost+m.cfg.Costs.Trap, nil)
+		m.finish(c, t, cost+trapCost, nil)
 		return
 	}
 	m.curCore = nil
@@ -116,11 +116,6 @@ func alu(op isa.Op, a, b int64) (v int64, ok bool) {
 // cost, and delivers a watchpoint trap if a committed access matches the
 // core's debug registers (x86 trap-after semantics).
 func (m *Machine) step(c *Core) {
-	// A legacy step advances the thread outside the fast path's view, so any
-	// open block decision no longer describes the instructions at the
-	// thread's PC: drop it (the stamp alone cannot catch this — the register
-	// file may be unchanged while the PC moved).
-	c.dropBlock()
 	t := c.Cur
 	in, ok := m.DecodeAt(t.PC)
 	if !ok {
@@ -131,7 +126,7 @@ func (m *Machine) step(c *Core) {
 	t.LastInstr = t.PC
 	m.Stats.Instructions++
 	m.curCore = c
-	cost := m.cfg.Costs.Instr
+	cost := uint64(instrCost)
 
 	c.nacc = 0
 	c.trapAborted = false
@@ -294,7 +289,7 @@ func (m *Machine) finish(c *Core, t *Thread, cost uint64, accs []access) {
 			// Trap: a kernel entry with the access committed. The
 			// kernel handles it, possibly undoing the access and
 			// suspending the thread.
-			cost += m.cfg.Costs.Trap
+			cost += trapCost
 			if m.segRecording() {
 				// Trap handling mutates kernel state the access stream
 				// does not describe; the segment conflicts with all.
@@ -346,12 +341,11 @@ func (m *Machine) syscall(c *Core, t *Thread, sysPC uint32, n int) uint64 {
 		// per-syscall effects.
 		m.seg.Global = true
 	}
-	costs := m.cfg.Costs
 	var handler func()
 	switch n {
 	case isa.SysExit:
 		m.exitThread(t)
-		return costs.SyscallEnter
+		return syscallCost
 
 	case isa.SysBeginAtomic:
 		m.Stats.Begins++
@@ -361,7 +355,7 @@ func (m *Machine) syscall(c *Core, t *Thread, sysPC uint32, n int) uint64 {
 		watch := hw.AccessType(t.Regs[3])
 		first := hw.AccessType(t.Regs[4])
 		if userlib.Begin(m.K, t.ID, sysPC, arID, addr, size, watch, first) != userlib.EnterKernel {
-			return costs.UserLibCheck
+			return userLibCost
 		}
 		handler = func() { m.K.BeginAtomic(t.ID, sysPC, arID, addr, size, watch, first) }
 
@@ -370,14 +364,14 @@ func (m *Machine) syscall(c *Core, t *Thread, sysPC uint32, n int) uint64 {
 		arID := int(t.Regs[0])
 		second := hw.AccessType(t.Regs[1])
 		if userlib.End(m.K, t.ID, arID, second) != userlib.EnterKernel {
-			return costs.UserLibCheck
+			return userLibCost
 		}
 		handler = func() { m.K.EndAtomic(t.ID, arID, second) }
 
 	case isa.SysClearAR:
 		m.Stats.Clears++
 		if userlib.Clear(m.K, t.ID, t.Depth) != userlib.EnterKernel {
-			return costs.UserLibCheck
+			return userLibCost
 		}
 		handler = func() { m.K.ClearAR(t.ID) }
 
@@ -403,7 +397,7 @@ func (m *Machine) syscall(c *Core, t *Thread, sysPC uint32, n int) uint64 {
 	case isa.SysPrint:
 		m.Stats.OtherSyscalls++
 		m.Output = append(m.Output, t.Regs[0])
-		return costs.SyscallEnter
+		return syscallCost
 
 	case isa.SysSpawn:
 		m.Stats.OtherSyscalls++
@@ -446,8 +440,8 @@ func (m *Machine) syscall(c *Core, t *Thread, sysPC uint32, n int) uint64 {
 
 	default:
 		m.fault(t, "unknown syscall %d", n)
-		return costs.SyscallEnter
+		return syscallCost
 	}
 	m.kernelEntry(c, false, handler)
-	return costs.SyscallEnter
+	return syscallCost
 }

@@ -20,7 +20,10 @@ import (
 // Binary's per-pc table. When the superblock is a whole iteration that
 // moves neither SP nor FP (a loop superblock), a fresh decision on it,
 // checked or not, is carried: execRun renews it at each back edge, so a
-// loop costs one decision per window rather than one per iteration.
+// loop costs one decision per window rather than one per iteration. A
+// decision is scratch state of the window that made it: window admission
+// drops every open decision, so none survives a kernel entry, a pick or a
+// snapshot.
 //
 // execRun's per-op loop makes no call, so its index and operands stay in
 // registers: checked mode pre-checks each accessing op outside it, the
@@ -373,10 +376,9 @@ func (m *Machine) trySuperstep() bool {
 			if c.NextTimer < bound {
 				bound = c.NextTimer
 			}
-			// A block decision left open by a previous window is kept only
-			// when its stamp proves it still valid (same thread, register
-			// file unmutated); otherwise the first block re-decides.
-			m.resumeOrResetFast(c)
+			// A decision lives inside one window: the first block of this
+			// one decides afresh.
+			c.dropBlock()
 			active = append(active, c)
 			continue
 		}
@@ -411,16 +413,10 @@ func (m *Machine) trySuperstep() bool {
 	}
 
 	// Lockstep rounds: in the legacy loop every aligned running core
-	// retires one instruction per Costs.Instr ticks, in core order within
-	// the tick. Round k therefore executes at clock t0 + k*Instr; n is the
-	// number of whole rounds that fit strictly before the bound.
-	instr := m.cfg.Costs.Instr
-	n := bound - t0
-	if instr != 1 {
-		n = (n + instr - 1) / instr
-	}
-
-	rounds, stopIdx := m.runWindow(active, n)
+	// retires one instruction per tick (instrCost), in core order within
+	// the tick. Round k therefore executes at clock t0 + k, and the window
+	// holds bound - t0 rounds.
+	rounds, stopIdx := m.runWindow(active, bound-t0)
 	var total uint64
 	for i, c := range active {
 		cnt := rounds
@@ -430,8 +426,8 @@ func (m *Machine) trySuperstep() bool {
 		if cnt == 0 {
 			continue
 		}
-		// Bulk cost charge: identical to cnt legacy steps at Instr each.
-		c.BusyUntil = t0 + cnt*instr
+		// Bulk cost charge: identical to cnt legacy steps.
+		c.BusyUntil = t0 + cnt*instrCost
 		total += cnt
 	}
 	if total == 0 {
@@ -445,25 +441,22 @@ func (m *Machine) trySuperstep() bool {
 
 // enterBlock makes the block-edge decision for core c's thread at its
 // current pc, the one place the window executor decides: the length of the
-// run the decision covers (fastLeft), checked or unchecked execution (see
-// blockChecked), and the stamp (thread, register file mutation count) that
-// lets a later window keep the decision open (see resumeOrResetFast). The
-// run is the op's superblock run, through a closing JMP into the target's
-// line. The superblock's footprint is evaluated here, once, for every
-// reader that needs it: blockChecked when something is armed, chunkLen
-// when several cores are active, and DPOR segment recording, which folds
-// it into the segment open at the block's entry. It returns false,
-// deciding nothing, when the pc is not fast-enterable: a kernel boundary or
-// not an instruction start.
+// run the decision covers (fastLeft) and checked or unchecked execution
+// (see blockChecked). The run is the op's superblock run, through a closing
+// JMP into the target's line. The superblock's footprint is evaluated here,
+// once, for every reader that needs it: blockChecked when something is
+// armed, chunkLen when several cores are active, and DPOR segment
+// recording, which folds it into the segment open at the block's entry.
+// It returns false, deciding nothing, when the pc is not fast-enterable: a
+// kernel boundary or not an instruction start.
 //
 // A decision on a loop superblock, checked or not, is carried: fastLoop
 // names the superblock, and execRun renews the decision at each back edge
-// (see renewLoop) until the loop exits, the run stops or window admission
-// drops it (see resumeOrResetFast). Renewal skips exactly what a fresh
-// decision here would redo with the same outcome, so a checked decision is
-// counted once, when it is made. Recording needs no fresh entry either:
-// the footprint covers every iteration, and a segment cannot close inside
-// a window.
+// (see renewLoop) until the loop exits, the run stops or the window ends.
+// Renewal skips exactly what a fresh decision here would redo with the
+// same outcome, so a checked decision is counted once per window.
+// Recording needs no fresh entry either: the footprint covers every
+// iteration, and a segment cannot close inside a window.
 func (m *Machine) enterBlock(c *Core) bool {
 	t := c.Cur
 	pc := t.PC
@@ -477,8 +470,6 @@ func (m *Machine) enterBlock(c *Core) bool {
 	sb := &m.sbs[idx]
 	c.fastLeft = sb.run
 	c.fastIdx = idx
-	c.fastDecTID = t.ID
-	c.fastDecMuts = c.WP.Muts()
 	armed := c.WP.ArmedCount() != 0
 	rec := m.segRecording()
 	class := fpUnbounded // read only after an evaluation
@@ -500,31 +491,25 @@ func (m *Machine) enterBlock(c *Core) bool {
 // used up: if the thread is back at the loop's first op, it opens the same
 // decision for the next iteration and reports true; if the loop exited, it
 // ends the carry. The decision stands as made: the thread is the same, the
-// watchpoint registers are frozen inside the window (a carried decision
-// survives a window boundary only under an unchanged mutation count), and
-// the loop moves neither SP nor FP, so the footprint evaluates to the same
-// intervals and blockChecked to the same mode, checked or unchecked. The
-// intervals are re-evaluated here only when window admission cleared them
-// and several cores are active, since chunkLen needs them.
+// watchpoint registers are frozen inside the window, and the loop moves
+// neither SP nor FP, so the footprint evaluates to the same intervals and
+// blockChecked to the same mode, checked or unchecked.
 func (m *Machine) renewLoop(c *Core, t *Thread) bool {
 	i := c.fastLoop
 	if m.ops[i].pc != t.PC {
 		c.fastLoop = 0
 		return false
 	}
-	sb := &m.sbs[i]
-	c.fastLeft, c.fastIdx = sb.run, i
-	if !c.fpInMem && len(m.fastCores) > 1 {
-		m.evalFootprint(c, t, &sb.fp)
-	}
+	c.fastLeft, c.fastIdx = m.sbs[i].run, i
 	return true
 }
 
-// dropBlock abandons core c's open block decision, so the next window
-// entry decides afresh.
+// dropBlock abandons core c's open block decision and its evaluated
+// footprint, so the next block entry decides afresh.
 func (c *Core) dropBlock() {
 	c.fastLeft = 0
 	c.fastLoop = 0
+	c.fpInMem = false
 }
 
 // runWindow is the window executor: it retires up to n lockstep rounds of
@@ -810,11 +795,10 @@ func (m *Machine) accessTraps(c *Core, t *Thread, addr uint32, sz uint8, typ hw.
 // out-of-bounds access), or a checked access that would trap — the target's
 // first op included. Stop-before semantics make the fallback exact: the
 // legacy step re-executes the op at the identical clock with identical
-// state, and the block decision is dropped. t.PC is set to the slice's
-// successor before its first op and t.LastInstr after its last, and both at
-// the op that stopped the run. Register indices are masked to the register
-// file, which decoding already enforces, so the compiler drops their bounds
-// checks.
+// state, and the window ends. t.PC is set to the slice's successor before
+// its first op and t.LastInstr after its last, and both at the op that
+// stopped the run. Register indices are masked to the register file, which
+// decoding already enforces, so the compiler drops their bounds checks.
 func (m *Machine) execRun(c *Core, n uint64) (uint64, bool) {
 	t := c.Cur
 	r := &t.Regs
@@ -824,7 +808,7 @@ func (m *Machine) execRun(c *Core, n uint64) (uint64, bool) {
 		ops := m.ops[i : i+uint32(min(n-done, uint64(c.fastLeft), uint64(m.ops[i].line)))]
 		if c.fastChecked {
 			if m.opTraps(c, t, &ops[0]) {
-				return stopRun(c, t, ops, 0, done)
+				return stopRun(t, ops, 0, done)
 			}
 			k := 1 // kinds below okLD access no memory and need no pre-check
 			for k < len(ops) && ops[k].kind < okLD {
@@ -871,12 +855,12 @@ func (m *Machine) execRun(c *Core, n uint64) (uint64, bool) {
 				r[o.rd&regMask] = b2i(r[o.ra&regMask] >= r[o.rb&regMask])
 			case okDIV:
 				if r[o.rb&regMask] == 0 {
-					return stopRun(c, t, ops, j, done) // division by zero: fault on the legacy path
+					return stopRun(t, ops, j, done) // division by zero: fault on the legacy path
 				}
 				r[o.rd&regMask] = r[o.ra&regMask] / r[o.rb&regMask]
 			case okMOD:
 				if r[o.rb&regMask] == 0 {
-					return stopRun(c, t, ops, j, done)
+					return stopRun(t, ops, j, done)
 				}
 				r[o.rd&regMask] = r[o.ra&regMask] % r[o.rb&regMask]
 			case okADDI:
@@ -884,19 +868,19 @@ func (m *Machine) execRun(c *Core, n uint64) (uint64, bool) {
 			case okLD8:
 				a := o.addr
 				if a > maxAddr8 {
-					return stopRun(c, t, ops, j, done)
+					return stopRun(t, ops, j, done)
 				}
 				r[o.rd&regMask] = int64(binary.LittleEndian.Uint64(mem[a:]))
 			case okST8:
 				a := o.addr
 				if a > maxAddr8 {
-					return stopRun(c, t, ops, j, done)
+					return stopRun(t, ops, j, done)
 				}
 				m.store8(mem, a, uint64(r[o.ra&regMask]))
 			case okLDR8:
 				a := uint32(r[o.ra&regMask] + o.imm)
 				if a > maxAddr8 {
-					return stopRun(c, t, ops, j, done)
+					return stopRun(t, ops, j, done)
 				}
 				r[o.rd&regMask] = int64(binary.LittleEndian.Uint64(mem[a:]))
 			case okLD, okLDR:
@@ -905,13 +889,13 @@ func (m *Machine) execRun(c *Core, n uint64) (uint64, bool) {
 					a = uint32(r[o.ra&regMask] + o.imm)
 				}
 				if a > compile.MemSize-uint32(o.sz) {
-					return stopRun(c, t, ops, j, done)
+					return stopRun(t, ops, j, done)
 				}
 				r[o.rd&regMask] = loadN(mem, a, o.sz)
 			case okSTR8:
 				a := uint32(r[o.ra&regMask] + o.imm)
 				if a > maxAddr8 {
-					return stopRun(c, t, ops, j, done)
+					return stopRun(t, ops, j, done)
 				}
 				m.store8(mem, a, uint64(r[o.rb&regMask]))
 			case okST, okSTR:
@@ -920,7 +904,7 @@ func (m *Machine) execRun(c *Core, n uint64) (uint64, bool) {
 					a, v = uint32(r[o.ra&regMask]+o.imm), r[o.rb&regMask]
 				}
 				if a > compile.MemSize-uint32(o.sz) {
-					return stopRun(c, t, ops, j, done)
+					return stopRun(t, ops, j, done)
 				}
 				m.markDirty(a, o.sz)
 				for k := range o.sz {
@@ -929,21 +913,21 @@ func (m *Machine) execRun(c *Core, n uint64) (uint64, bool) {
 			case okPUSH:
 				sp := uint32(r[isa.RegSP]) - 8
 				if sp > maxAddr8 {
-					return stopRun(c, t, ops, j, done)
+					return stopRun(t, ops, j, done)
 				}
 				r[isa.RegSP] = int64(sp)
 				m.store8(mem, sp, uint64(r[o.ra&regMask]))
 			case okPOP:
 				sp := uint32(r[isa.RegSP])
 				if sp > maxAddr8 {
-					return stopRun(c, t, ops, j, done)
+					return stopRun(t, ops, j, done)
 				}
 				r[o.rd&regMask] = int64(binary.LittleEndian.Uint64(mem[sp:]))
 				r[isa.RegSP] = int64(sp + 8)
 			case okPUSHM:
 				a, sp := o.addr, uint32(r[isa.RegSP])-8
 				if a > compile.MemSize-uint32(o.sz) || sp > maxAddr8 {
-					return stopRun(c, t, ops, j, done)
+					return stopRun(t, ops, j, done)
 				}
 				v := loadN(mem, a, o.sz)
 				r[isa.RegSP] = int64(sp)
@@ -961,7 +945,7 @@ func (m *Machine) execRun(c *Core, n uint64) (uint64, bool) {
 			case okCALL:
 				sp := uint32(r[isa.RegSP]) - 8
 				if sp > maxAddr8 {
-					return stopRun(c, t, ops, j, done)
+					return stopRun(t, ops, j, done)
 				}
 				r[isa.RegSP] = int64(sp)
 				m.store8(mem, sp, uint64(o.next))
@@ -970,7 +954,7 @@ func (m *Machine) execRun(c *Core, n uint64) (uint64, bool) {
 			case okCALLM:
 				a, sp := o.addr, uint32(r[isa.RegSP])-8
 				if a > maxAddr8 || sp > maxAddr8 {
-					return stopRun(c, t, ops, j, done)
+					return stopRun(t, ops, j, done)
 				}
 				t.PC = uint32(binary.LittleEndian.Uint64(mem[a:]))
 				r[isa.RegSP] = int64(sp)
@@ -979,7 +963,7 @@ func (m *Machine) execRun(c *Core, n uint64) (uint64, bool) {
 			case okRET:
 				sp := uint32(r[isa.RegSP])
 				if sp > maxAddr8 {
-					return stopRun(c, t, ops, j, done)
+					return stopRun(t, ops, j, done)
 				}
 				t.PC = uint32(binary.LittleEndian.Uint64(mem[sp:]))
 				r[isa.RegSP] = int64(sp + 8)
@@ -987,7 +971,7 @@ func (m *Machine) execRun(c *Core, n uint64) (uint64, bool) {
 					t.Depth--
 				}
 			default: // okNone: a kernel boundary
-				return stopRun(c, t, ops, j, done)
+				return stopRun(t, ops, j, done)
 			}
 		}
 		t.LastInstr = ops[len(ops)-1].pc
@@ -1001,10 +985,9 @@ func (m *Machine) execRun(c *Core, n uint64) (uint64, bool) {
 
 // stopRun ends execRun at op j of the slice ops without executing it: the
 // thread is left exactly as if the done ops of earlier slices and ops[:j]
-// had retired one at a time, and core c's block decision is dropped. It
-// returns the number of ops retired and false.
-func stopRun(c *Core, t *Thread, ops []fastOp, j int, done uint64) (uint64, bool) {
-	c.dropBlock()
+// had retired one at a time. It returns the number of ops retired and
+// false.
+func stopRun(t *Thread, ops []fastOp, j int, done uint64) (uint64, bool) {
 	t.PC = ops[j].pc
 	if j > 0 {
 		t.LastInstr = ops[j-1].pc

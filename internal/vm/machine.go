@@ -137,6 +137,20 @@ func (m *Machine) kernelEntry(c *Core, committed bool, handler func()) {
 	m.checkEpochWaiters()
 }
 
+// adoptCanon synchronizes core c's watchpoint register file with the
+// kernel's canonical state: a core whose file already carries the canonical
+// mutation count keeps its registers (at a timer interrupt under a
+// quiescent watchpoint table, one counter comparison), any other copies the
+// whole file. It is the single chokepoint for every cross-core propagation
+// site (kernel entries, idle adoption, EpochChanged).
+func (m *Machine) adoptCanon(c *Core) {
+	if c.WP.Adopt(m.K.Canon) {
+		m.tel.FullArms++
+	} else {
+		m.tel.DeltaArms++
+	}
+}
+
 // ThreadDepth returns the thread's call depth.
 func (m *Machine) ThreadDepth(tid int) int { return m.threads[tid].Depth }
 

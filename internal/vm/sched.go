@@ -32,21 +32,12 @@ type PolicyFunc func(SchedPoint) int
 // Pick implements SchedulePolicy.
 func (f PolicyFunc) Pick(p SchedPoint) int { return f(p) }
 
-// Decision is one recorded scheduler decision: the candidates a core chose
-// among and the thread it picked.
-type Decision struct {
-	Tick     uint64 `json:"tick"`
-	Core     int    `json:"core"`
-	Runnable []int  `json:"runnable"`
-	Chosen   int    `json:"chosen"` // thread ID, not index
-}
-
-// Recorder wraps a policy and records every decision, producing a trace
-// that a Replayer can reproduce exactly. A nil inner policy records the
-// default choice (index 0) at every point.
+// Recorder wraps a policy and records the thread it picks at every
+// decision, producing a trace that a Replayer can reproduce exactly. A nil
+// inner policy records the default choice (index 0) at every point.
 type Recorder struct {
-	Inner     SchedulePolicy
-	decisions []Decision
+	Inner  SchedulePolicy
+	chosen []int
 }
 
 // NewRecorder returns a Recorder around inner.
@@ -61,27 +52,13 @@ func (r *Recorder) Pick(p SchedPoint) int {
 			i = 0
 		}
 	}
-	r.decisions = append(r.decisions, Decision{
-		Tick:     p.Tick,
-		Core:     p.Core,
-		Runnable: append([]int(nil), p.Runnable...),
-		Chosen:   p.Runnable[i],
-	})
+	r.chosen = append(r.chosen, p.Runnable[i])
 	return i
 }
 
-// Decisions returns the recorded trace.
-func (r *Recorder) Decisions() []Decision { return r.decisions }
-
-// Chosen returns just the chosen thread IDs — the compact trace format
-// replays consume.
-func (r *Recorder) Chosen() []int {
-	out := make([]int, len(r.decisions))
-	for i, d := range r.decisions {
-		out[i] = d.Chosen
-	}
-	return out
-}
+// Chosen returns a copy of the recorded trace: the chosen thread IDs, the
+// compact format replays consume.
+func (r *Recorder) Chosen() []int { return append([]int{}, r.chosen...) }
 
 // Replayer replays a recorded decision trace: at decision i it picks the
 // i-th recorded thread if it is runnable. A recorded thread that is not

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"kivati/internal/compile"
@@ -66,27 +67,22 @@ func readGlobal(t *testing.T, m *Machine, name string) int64 {
 // TestRecorderReplayerRoundTrip: a schedule recorded from a random policy
 // replays with zero mismatches and reaches the identical final state.
 func TestRecorderReplayerRoundTrip(t *testing.T) {
+	var picked []int
 	rec := NewRecorder(PolicyFunc(func(p SchedPoint) int {
-		return rand.New(rand.NewSource(int64(p.Seq) * 31)).Intn(len(p.Runnable))
+		if len(p.Runnable) < 2 {
+			t.Fatalf("decision %d had %d runnable threads; policies are only consulted on real choices",
+				p.Seq, len(p.Runnable))
+		}
+		i := rand.New(rand.NewSource(int64(p.Seq) * 31)).Intn(len(p.Runnable))
+		picked = append(picked, p.Runnable[i])
+		return i
 	}))
 	om, orig := runWithPolicy(t, rec)
-	if len(rec.Decisions()) == 0 {
+	if len(rec.Chosen()) == 0 {
 		t.Fatal("recorder saw no decision points")
 	}
-	for _, d := range rec.Decisions() {
-		if len(d.Runnable) < 2 {
-			t.Fatalf("decision at tick %d had %d runnable threads; policies are only consulted on real choices",
-				d.Tick, len(d.Runnable))
-		}
-		found := false
-		for _, id := range d.Runnable {
-			if id == d.Chosen {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("decision at tick %d chose %d, not among runnable %v", d.Tick, d.Chosen, d.Runnable)
-		}
+	if !reflect.DeepEqual(rec.Chosen(), picked) {
+		t.Fatalf("recorded %v, the policy picked %v", rec.Chosen(), picked)
 	}
 
 	rep := NewReplayer(rec.Chosen())
@@ -110,12 +106,14 @@ func TestRecorderReplayerRoundTrip(t *testing.T) {
 // TestRecorderClampsOutOfRange: an inner policy returning an out-of-range
 // index is recorded as the default choice 0, never an invalid pick.
 func TestRecorderClampsOutOfRange(t *testing.T) {
-	rec := NewRecorder(PolicyFunc(func(p SchedPoint) int { return len(p.Runnable) + 3 }))
+	var heads []int
+	rec := NewRecorder(PolicyFunc(func(p SchedPoint) int {
+		heads = append(heads, p.Runnable[0])
+		return len(p.Runnable) + 3
+	}))
 	runWithPolicy(t, rec)
-	for _, d := range rec.Decisions() {
-		if d.Chosen != d.Runnable[0] {
-			t.Fatalf("out-of-range pick recorded chosen=%d, want default %d", d.Chosen, d.Runnable[0])
-		}
+	if len(heads) == 0 || !reflect.DeepEqual(rec.Chosen(), heads) {
+		t.Fatalf("out-of-range picks recorded %v, want the default heads %v", rec.Chosen(), heads)
 	}
 }
 

@@ -334,7 +334,7 @@ func (m *Machine) Restore(s *Snapshot) {
 		}
 		c.nacc = 0
 		c.trapAborted = false
-		c.fpInMem = false
+		c.dropBlock()
 	}
 	m.events = append(m.events[:0], s.events...)
 
@@ -413,7 +413,7 @@ func (m *Machine) Reseed(seed int64) { m.rsrc.Seed(seed) }
 // restoring the initial snapshot), matching what New does at construction.
 func (m *Machine) SetQuantum(q uint64) {
 	if q == 0 {
-		q = 1000
+		q = defaultQuantum
 	}
 	m.cfg.Costs.Quantum = q
 	for _, c := range m.cores {

@@ -461,8 +461,8 @@ void main() {
 }`
 
 // loopQuantum leaves a window of five instructions after the timer
-// interrupt's cost, shorter than one iteration of loopSrc's loop, so a
-// carried decision is kept across window boundaries.
+// interrupt's cost, shorter than one iteration of loopSrc's loop, so
+// windows end inside carried decisions and the next window decides afresh.
 const loopQuantum = 20
 
 // Carried loop decisions. Step and Fast must agree bit for bit at 1, 2 and
@@ -470,9 +470,8 @@ const loopQuantum = 20
 // iteration; one execRun call must retire several iterations of a loop
 // decided unchecked, or checked under a watchpoint the loop cannot hit, and
 // leave the decision renewed, while a checked decision under one it can hit
-// stops before the access and is dropped; and a run restored from a
-// snapshot taken in the middle of a carried decision must equal a fresh
-// run.
+// stops before the access; and a run restored from a snapshot taken while
+// a core still holds a carried decision must equal a fresh run.
 func TestFastPathLoopDecision(t *testing.T) {
 	for _, cores := range []int{1, 2, 3} {
 		for _, before := range []bool{false, true} {
@@ -483,18 +482,17 @@ func TestFastPathLoopDecision(t *testing.T) {
 			o.mcfg.Costs.Quantum = loopQuantum
 			o.kcfg.TrapBefore = before
 			res := assertDispatchEqual(t, name, loopSrc, o)
-			if res.Stats.Traps == 0 || res.SamePickContinues == 0 {
-				t.Errorf("%s: %d traps, %d same-pick continuations; want both > 0",
-					name, res.Stats.Traps, res.SamePickContinues)
+			if res.Stats.Traps == 0 {
+				t.Errorf("%s: no traps", name)
 			}
 		}
 	}
 
 	// Two cores. Main spins in a loop over its own stack; the worker runs
 	// short loops between prints, and each print's kernel entry ends the
-	// window while main's decision stays open. The window after the
-	// print's cost keeps that decision, and its footprint, re-evaluated at
-	// the next back edge, lets the two cores chunk again.
+	// window inside main's carried decision. The window after the print's
+	// cost decides main's loop afresh, with both cores active, so the two
+	// cores chunk again.
 	spin := `
 void worker(int n) {
     int i;
@@ -522,9 +520,9 @@ void main() {
 	so.mcfg.Costs = DefaultCosts()
 	so.mcfg.Costs.Quantum = 100_000 // no timer preemption re-decides main's loop
 	res := assertDispatchEqual(t, "spin", spin, so)
-	if res.SamePickContinues == 0 || 2*res.ChunkedInstructions < res.FastInstructions {
-		t.Errorf("spin: %d same-pick continuations, %d of %d fast instructions chunked; want carried decisions that chunk",
-			res.SamePickContinues, res.ChunkedInstructions, res.FastInstructions)
+	if 2*res.ChunkedInstructions < res.FastInstructions {
+		t.Errorf("spin: %d of %d fast instructions chunked; want carried decisions that chunk",
+			res.ChunkedInstructions, res.FastInstructions)
 	}
 
 	// One call, many iterations: main's loop entered at its body with
@@ -572,8 +570,8 @@ void main() {
 	// for reads. Its header reads g, so either decision is checked and
 	// carried; a write-only watchpoint lets three iterations retire and
 	// leaves the decision renewed, a read watchpoint stops the run before
-	// the header's read and drops the decision. Either way the fast tier
-	// must match the stepper over as many instructions.
+	// the header's read. Either way the fast tier must match the stepper
+	// over as many instructions.
 	g := fast.Bin.Globals["g"]
 	for _, typ := range []hw.AccessType{hw.Write, hw.Read} {
 		for _, m := range []*Machine{fast, step} {
@@ -588,9 +586,8 @@ void main() {
 		case typ == hw.Write && (got != 3*run || !ok || c.fastLeft != uint16(run) || c.fastLoop != body || th.PC != fast.ops[body].pc):
 			t.Errorf("g armed W: retired %d (ok %v), left %d loop %d pc %#x; want three iterations and a renewed decision",
 				got, ok, c.fastLeft, c.fastLoop, th.PC)
-		case typ == hw.Read && (got == 0 || got >= run || ok || c.fastLeft != 0 || c.fastLoop != 0):
-			t.Errorf("g armed R: retired %d (ok %v), left %d loop %d; want a stop inside the first iteration and the decision dropped",
-				got, ok, c.fastLeft, c.fastLoop)
+		case typ == hw.Read && (got == 0 || got >= run || ok):
+			t.Errorf("g armed R: retired %d (ok %v); want a stop inside the first iteration", got, ok)
 		}
 		for range got {
 			step.step(step.cores[0])
@@ -641,9 +638,10 @@ void main() {
 			sp, sp0, pm.tel.Demotions.WouldTrap)
 	}
 
-	// A snapshot in the middle of a carried decision. The policy re-picks
-	// the thread of the core's open decision at two decisions in three, so
-	// decisions are carried across them.
+	// A snapshot taken while the core still holds a carried decision from
+	// the last window, which the snapshot does not capture. The policy
+	// re-picks the preempted thread, the run queue's tail, at two
+	// decisions in three.
 	bin := buildSrc(t, loopSrc, compileOptsAnnotated())
 	newMachine := func() *Machine {
 		k := kernel.New(defaultRunOpts().kcfg, nil, nil, nil)
@@ -670,11 +668,7 @@ void main() {
 				snap = s
 			}
 			if p.Seq%3 != 0 {
-				for i, tid := range p.Runnable {
-					if tid == c.fastDecTID {
-						return i
-					}
-				}
+				return len(p.Runnable) - 1
 			}
 			return 0
 		}
@@ -689,16 +683,10 @@ void main() {
 		t.Fatal("no decision point found a carried loop decision open")
 	}
 	m.Restore(snap)
-	if c := m.cores[0]; c.fastLoop == 0 || c.fastLeft == 0 {
-		t.Fatalf("restored core: loop %d left %d, want the carried decision", c.fastLoop, c.fastLeft)
-	}
 	got := m.Run()
 	if got.Reason != want.Reason || got.Ticks != want.Ticks || !reflect.DeepEqual(got.Output, want.Output) ||
 		!reflect.DeepEqual(got.Stats, want.Stats) || got.Telemetry != want.Telemetry || m.MemHash() != fresh.MemHash() {
 		t.Errorf("restored run differs from a fresh run:\n got  %s %d %v %+v\n want %s %d %v %+v",
 			got.Reason, got.Ticks, got.Output, got.Telemetry, want.Reason, want.Ticks, want.Output, want.Telemetry)
-	}
-	if want.SamePickContinues == 0 {
-		t.Error("no decision was carried across a decision point")
 	}
 }

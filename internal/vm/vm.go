@@ -23,14 +23,24 @@ import (
 	"kivati/internal/trace"
 )
 
-// Costs is the virtual-time cost model, in ticks.
+// The per-event costs of the virtual-time model, in ticks. The
+// crossing/instruction ratio (~150x) matches the order of magnitude of a
+// syscall on the paper's Core 2 hardware.
+const (
+	instrCost    = 1   // one instruction
+	syscallCost  = 150 // kernel domain crossing
+	userLibCost  = 80  // annotation handled in user space
+	trapCost     = 250 // watchpoint trap delivery + handling
+	timerIntCost = 15  // timer interrupt
+)
+
+// defaultQuantum is the scheduling quantum a zero Costs.Quantum selects.
+const defaultQuantum = 500
+
+// Costs is the part of the virtual-time cost model a run may vary, in
+// ticks; the per-event costs are fixed.
 type Costs struct {
-	Instr        uint64 // one instruction
-	SyscallEnter uint64 // kernel domain crossing
-	UserLibCheck uint64 // annotation handled in user space
-	Trap         uint64 // watchpoint trap delivery + handling
-	TimerInt     uint64 // timer interrupt
-	Quantum      uint64 // scheduling quantum (timer period)
+	Quantum uint64 // scheduling quantum (timer period); 0 selects 500
 	// AccessCheck, when nonzero, charges this many ticks per committed
 	// memory access. It models the per-access software instrumentation of
 	// testing systems like AVIO/CTrigger (the related-work baseline the
@@ -38,19 +48,9 @@ type Costs struct {
 	AccessCheck uint64
 }
 
-// DefaultCosts returns the calibrated cost model. The crossing/instruction
-// ratio (~150x) matches the order of magnitude of a syscall on the paper's
-// Core 2 hardware.
-func DefaultCosts() Costs {
-	return Costs{
-		Instr:        1,
-		SyscallEnter: 150,
-		UserLibCheck: 80,
-		Trap:         250,
-		TimerInt:     15,
-		Quantum:      500,
-	}
-}
+// DefaultCosts returns the calibrated cost model: the default quantum and
+// no per-access charge.
+func DefaultCosts() Costs { return Costs{Quantum: defaultQuantum} }
 
 // RequestConfig drives an open-loop request generator for server workloads
 // (Webstone/TPC-W analogs): requests arrive with exponential interarrival
@@ -136,12 +136,24 @@ type Core struct {
 	nacc        int
 	trapAborted bool
 
-	// The open block decision's footprint, evaluated against the thread's
-	// SP/FP at block entry (see evalFootprint): fpRanges[:fpN] are its
+	// The open block decision, scratch state of the superstep window that
+	// made it: window admission and Restore drop it (dropBlock), so nothing
+	// of it outlives a window or enters a snapshot. fastLeft counts the
+	// instructions the decision still covers and fastChecked is its mode
+	// (per-access checks required). fastIdx is the op-stream index of the
+	// next instruction: while fastLeft > 0 it is the op at the thread's pc;
+	// past the block it is a hint that enterBlock checks against the pc.
+	// fastLoop is the first op of a loop superblock whose decision execRun
+	// renews at the back edge (0 for none; see enterBlock).
+	fastLeft    uint16
+	fastIdx     uint32
+	fastLoop    uint32
+	fastChecked bool
+
+	// The open decision's footprint, evaluated against the thread's SP/FP
+	// at block entry (see evalFootprint): fpRanges[:fpN] are its
 	// intervals, and fpInMem says they were evaluated, are bounded and lie
-	// inside data memory — what chunkLen needs. Derived state: never
-	// snapshotted, cleared at window admission and on Restore; a carried
-	// loop decision re-evaluates it at its back edge (see renewLoop).
+	// inside data memory — what chunkLen needs.
 	fpRanges [3]hw.AddrRange
 	fpN      uint8
 	fpInMem  bool
@@ -151,29 +163,6 @@ type Core struct {
 type coreState struct {
 	BusyUntil uint64
 	NextTimer uint64
-
-	// Watchpoint-aware fast path state: fastLeft counts the instructions
-	// still covered by the core's current block-edge decision, and
-	// fastChecked is that decision (per-access checks required). fastIdx is
-	// the op-stream index of the next instruction: while fastLeft > 0 it is
-	// the op at the thread's pc (only the fast tier moves a thread without
-	// dropping the decision); past the block it is a hint that enterBlock
-	// checks against the pc. The decision is stamped with the thread it was
-	// made for and the register file's mutation count at decision time
-	// (fastDecTID/fastDecMuts); window admission keeps an open decision only
-	// while both still match (see resumeOrResetFast), so a decision point
-	// that re-picks the same thread under an unchanged register file extends
-	// the open superstep instead of re-deciding. fastLoop is the first op of
-	// a loop superblock whose decision, checked or not, execRun renews at
-	// the back edge (0 for none; see enterBlock). A resumed run must make
-	// the identical keep/reset and renew choices, so the decision is state,
-	// not scratch.
-	fastLeft    uint16
-	fastIdx     uint32
-	fastLoop    uint32
-	fastChecked bool
-	fastDecTID  int
-	fastDecMuts uint64
 }
 
 // machState is the machine-wide scalar state a snapshot restores verbatim.
@@ -188,6 +177,11 @@ type machState struct {
 	// false, the Run loop skips the per-iteration idle-core adoption scan
 	// (lazy cross-core propagation batched at window edges).
 	coresBehind bool
+
+	// pickCore is 1 + the ID of the core whose schedule is consulting the
+	// policy, 0 outside Pick. A snapshot taken inside Pick carries it, so
+	// Run resumed from that snapshot re-enters its core loop there.
+	pickCore int
 
 	tel Telemetry // reported as Result.Telemetry
 }
@@ -319,15 +313,8 @@ func New(bin *compile.Binary, k *kernel.Kernel, cfg Config) (*Machine, error) {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 2
 	}
-	if cfg.Costs.Instr == 0 {
-		// Partial cost structs (e.g. only AccessCheck set for the
-		// software-monitor baseline) inherit the calibrated defaults.
-		ac := cfg.Costs.AccessCheck
-		cfg.Costs = DefaultCosts()
-		cfg.Costs.AccessCheck = ac
-	}
 	if cfg.Costs.Quantum == 0 {
-		cfg.Costs.Quantum = 1000
+		cfg.Costs.Quantum = defaultQuantum
 	}
 	m := &Machine{
 		Bin:   bin,
@@ -376,7 +363,7 @@ func New(bin *compile.Binary, k *kernel.Kernel, cfg Config) (*Machine, error) {
 		c := &Core{
 			ID:        i,
 			WP:        hw.NewRegisterFile(k.Cfg.NumWatchpoints),
-			coreState: coreState{NextTimer: cfg.Costs.Quantum, fastDecTID: -1},
+			coreState: coreState{NextTimer: cfg.Costs.Quantum},
 		}
 		m.cores = append(m.cores, c)
 	}
@@ -450,7 +437,7 @@ func (m *Machine) NumThreads() int { return len(m.threads) }
 // ArmedOverlap and Unbounded count block decisions, not basic blocks: a
 // decision covers a superblock, which may span an unconditional JMP into
 // the target's straight-line code, and a carried loop decision is counted
-// once for all the iterations it covers (see enterBlock).
+// once for all the iterations it covers in one window (see enterBlock).
 type Demotions struct {
 	// ArmedOverlap: block decisions run in checked mode because the block's
 	// static footprint may overlap an armed register.
@@ -494,13 +481,14 @@ type Telemetry struct {
 	Demotions Demotions
 	// Decision-point cost accounting: Decisions counts scheduler decision
 	// points (a free core with two or more runnable threads);
-	// SamePickContinues counts superstep-window boundaries that kept the
-	// open block decision (a block decision saved), a carried loop decision
-	// (see enterBlock) included, which stays open across its back edges
-	// and so more often at a boundary; DeltaArms/FullArms split
-	// watchpoint adoptions into those that found the core already current
-	// and those that copied the canonical file.
-	Decisions         uint64
+	// DeltaArms/FullArms split watchpoint adoptions into those that found
+	// the core already current and those that copied the canonical file.
+	Decisions uint64
+	// SamePickContinues always reads 0: it counted window boundaries that
+	// kept an open block decision, which is gone now that a decision lives
+	// inside one window (see enterBlock). The field stays because the
+	// benchmark's vm.same_pick_continues metric reads it; ROADMAP item 9 is
+	// where the counter is retired.
 	SamePickContinues uint64
 	DeltaArms         uint64
 	FullArms          uint64
@@ -529,67 +517,80 @@ type Result struct {
 func (m *Machine) Run() *Result {
 	m.mustLive("Run")
 	for {
-		// Fire due events.
-		for len(m.events) > 0 && m.events[0].tick <= m.clock {
-			ev := heap.Pop(&m.events).(event)
-			m.fire(ev)
-		}
-		if m.K.Log.StopRequested() {
-			m.reason = "stopped"
-			break
-		}
-		if m.cfg.MaxTicks > 0 && m.clock >= m.cfg.MaxTicks {
-			m.reason = "max-ticks"
-			break
-		}
+		first := 0 // the first core the core loop visits
+		if m.pickCore > 0 {
+			// Resumed from a snapshot taken inside Pick: the interrupted
+			// iteration already ran its loop top and the cores before the
+			// picking one, so it goes on at that core's pick. Running the
+			// top again would adopt watchpoints and wake waiters that the
+			// uninterrupted run adopts and wakes later.
+			first, m.pickCore = m.pickCore-1, 0
+		} else {
+			// Fire due events.
+			for len(m.events) > 0 && m.events[0].tick <= m.clock {
+				ev := heap.Pop(&m.events).(event)
+				m.fire(ev)
+			}
+			if m.K.Log.StopRequested() {
+				m.reason = "stopped"
+				break
+			}
+			if m.cfg.MaxTicks > 0 && m.clock >= m.cfg.MaxTicks {
+				m.reason = "max-ticks"
+				break
+			}
 
-		// Idle cores sit in the kernel: they adopt the canonical
-		// watchpoint state immediately. The scan is batched behind the
-		// coresBehind flag — EpochChanged raises it whenever the canonical
-		// state advances, and it clears once every core has caught up, so
-		// a run with no watchpoint churn never pays the per-iteration loop.
-		if m.coresBehind {
-			behind := false
-			for _, c := range m.cores {
-				if c.WP.Epoch == m.K.Canon.Epoch {
+			// Idle cores sit in the kernel: they adopt the canonical
+			// watchpoint state immediately. The scan is batched behind
+			// the coresBehind flag — EpochChanged raises it whenever the
+			// canonical state advances, and it clears once every core has
+			// caught up, so a run with no watchpoint churn never pays the
+			// per-iteration loop.
+			if m.coresBehind {
+				behind := false
+				for _, c := range m.cores {
+					if c.WP.Epoch == m.K.Canon.Epoch {
+						continue
+					}
+					if c.Cur == nil && c.BusyUntil <= m.clock {
+						m.adoptCanon(c)
+					} else {
+						behind = true
+					}
+				}
+				m.coresBehind = behind
+			}
+			if m.epochBlocked > 0 {
+				m.checkEpochWaiters()
+			}
+
+			// Tiered execution: try to retire a whole trap-free,
+			// syscall-free, event-free window of instructions in one
+			// superstep before falling back to the one-instruction-at-a-time
+			// loop below.
+			if m.fastOK && m.trySuperstep() && len(m.cores) == 1 {
+				// The only core is busy until the window's end. A window
+				// that stopped at a syscall or HLT before any event, timer
+				// or tick limit fell due leaves the loop top and the fast
+				// tier nothing to do there: step the instruction in this
+				// iteration. Else the rest of it would only advance the
+				// clock.
+				c := m.cores[0]
+				m.clock = c.BusyUntil
+				if m.blockLen(c.Cur.PC) != 0 || m.clock >= c.NextTimer ||
+					(len(m.events) > 0 && m.events[0].tick <= m.clock) ||
+					(m.cfg.MaxTicks > 0 && m.clock >= m.cfg.MaxTicks) {
+					if len(m.events) > 0 && m.events[0].tick < m.clock {
+						m.clock = m.events[0].tick
+					}
 					continue
 				}
-				if c.Cur == nil && c.BusyUntil <= m.clock {
-					m.adoptCanon(c)
-				} else {
-					behind = true
-				}
-			}
-			m.coresBehind = behind
-		}
-		if m.epochBlocked > 0 {
-			m.checkEpochWaiters()
-		}
-
-		// Tiered execution: try to retire a whole trap-free, syscall-free,
-		// event-free window of instructions in one superstep before falling
-		// back to the one-instruction-at-a-time loop below.
-		if m.fastOK && m.trySuperstep() && len(m.cores) == 1 {
-			// The only core is busy until the window's end. A window that
-			// stopped at a syscall or HLT before any event, timer or tick
-			// limit fell due leaves the loop top and the fast tier nothing
-			// to do there: step the instruction in this iteration. Else the
-			// rest of it would only advance the clock.
-			c := m.cores[0]
-			m.clock = c.BusyUntil
-			if m.blockLen(c.Cur.PC) != 0 || m.clock >= c.NextTimer ||
-				(len(m.events) > 0 && m.events[0].tick <= m.clock) ||
-				(m.cfg.MaxTicks > 0 && m.clock >= m.cfg.MaxTicks) {
-				if len(m.events) > 0 && m.events[0].tick < m.clock {
-					m.clock = m.events[0].tick
-				}
-				continue
 			}
 		}
 
 		stepped := false
 		deferred := false
-		for _, c := range m.cores {
+		for _, c := range m.cores[first:] {
 			if c.BusyUntil > m.clock {
 				continue
 			}
@@ -599,7 +600,7 @@ func (m *Machine) Run() *Result {
 				if c.Cur != nil {
 					m.Stats.TimerInterrupts++
 					m.kernelEntry(c, false, func() { m.preempt(c) })
-					c.BusyUntil = m.clock + m.cfg.Costs.TimerInt
+					c.BusyUntil = m.clock + timerIntCost
 					stepped = true
 					continue
 				}
@@ -608,13 +609,12 @@ func (m *Machine) Run() *Result {
 				m.schedule(c)
 				// On a single-core fast-path machine, hand a freshly picked
 				// thread's first instruction to a window opened at this same
-				// clock instead of a legacy step: the window retires the
-				// quantum in bulk, and its admission keeps the open block
-				// decision of a thread the policy picked again (same-pick
-				// continuation). Timing is identical: round 0 commits where
-				// step() would have, and with one core nothing runs between.
-				// Several cores keep schedule-then-step, since the deferred
-				// instruction could reorder against a later core's step.
+				// clock instead of a legacy step: the window retires it with
+				// the rest of the quantum in bulk. Timing is identical: round
+				// 0 commits where step() would have, and with one core
+				// nothing runs between. Several cores keep
+				// schedule-then-step, since the deferred instruction could
+				// reorder against a later core's step.
 				if m.fastOK && c.Cur != nil && len(m.cores) == 1 {
 					deferred = true
 					continue
@@ -736,12 +736,14 @@ func (m *Machine) schedule(c *Core) {
 			for _, t := range m.runq {
 				m.runnableBuf = append(m.runnableBuf, t.ID)
 			}
+			m.pickCore = c.ID + 1
 			i = m.cfg.Policy.Pick(SchedPoint{
 				Seq:      m.schedSeq,
 				Tick:     m.clock,
 				Core:     c.ID,
 				Runnable: m.runnableBuf,
 			})
+			m.pickCore = 0
 			m.schedSeq++
 			if i < 0 || i >= len(m.runq) {
 				i = 0

@@ -248,6 +248,7 @@ func (c Config) toCore() core.RunConfig {
 		TimeoutTicks:         c.TimeoutTicks,
 		PauseTicks:           c.PauseTicks,
 		PauseEvery:           c.PauseEvery,
+		TrapBefore:           c.TrapBefore,
 		Whitelist:            c.Whitelist,
 		WhitelistReloadTicks: c.WhitelistReloadTicks,
 		Requests:             c.Requests,

@@ -3,10 +3,13 @@ package kivati_test
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
 	"kivati"
+	"kivati/internal/core"
+	"kivati/internal/workloads"
 )
 
 const raceSrc = `
@@ -478,5 +481,31 @@ func TestWhitelistPeriodicReload(t *testing.T) {
 	if len(rep.Violations) >= len(probe.Violations) {
 		t.Errorf("reload ineffective: %d violations vs %d without whitelist",
 			len(rep.Violations), len(probe.Violations))
+	}
+}
+
+// TestRunTrapBefore: Config.TrapBefore reaches the run, so kivati.Run under
+// before-access traps matches core.Run under the same configuration.
+func TestRunTrapBefore(t *testing.T) {
+	src := workloads.NSS(0.02).Source
+	p, err := kivati.Build(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := kivati.Run(p, kivati.Config{Seed: 1, TrapBefore: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := core.Build(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Run(cp, core.RunConfig{Seed: 1, TrapBefore: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ticks != want.Ticks || !reflect.DeepEqual(rep.Stats, want.Stats) {
+		t.Errorf("kivati.Run: %d ticks, %d traps; core.Run: %d ticks, %d traps",
+			rep.Ticks, rep.Stats.Traps, want.Ticks, want.Stats.Traps)
 	}
 }
