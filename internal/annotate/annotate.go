@@ -120,21 +120,21 @@ type Options struct {
 	// monitors on value-dependent private locals, and (b) fold a
 	// dereference through a single-target pointer onto its pointee, so
 	// aliased accesses pair with direct ones.
-	Precise bool
+	Precise bool `json:"precise,omitempty"`
 	// InterProcedural enables the §3.5 call-spanning extension: each call
 	// is treated as a compound access to the globals its callee
 	// transitively touches, so atomic regions form across subroutine
 	// boundaries (a caller-side check paired with a helper's update).
-	InterProcedural bool
+	InterProcedural bool `json:"inter_procedural,omitempty"`
 	// Lockset runs the Eraser-style must-lockset analysis and records a
 	// static serializability proof (AR.Proof) on every region it covers.
 	// Implied by Optimize.DropBenign.
-	Lockset bool
+	Lockset bool `json:"lockset,omitempty"`
 	// Roots names extra thread entry points for the lockset analysis's
 	// calling-context fixpoint (functions a host starts directly).
-	Roots []string
+	Roots []string `json:"roots,omitempty"`
 	// Optimize configures the annotation optimizer.
-	Optimize OptimizeOptions
+	Optimize OptimizeOptions `json:"optimize"`
 }
 
 // Key renders the options as a canonical string for use in cache keys.

@@ -16,16 +16,16 @@ type OptimizeOptions struct {
 	// DropBenign removes regions carrying a static serializability proof:
 	// the common lock already excludes every conflicting remote access, so
 	// the watchpoint can never usefully fire. Implies Options.Lockset.
-	DropBenign bool
+	DropBenign bool `json:"drop_benign,omitempty"`
 	// Dedupe removes a region when two kept (or proven-benign) regions
 	// split it at a shared middle access that lies on every path between
 	// its endpoints and jointly watch at least what it watches — the
 	// all-pairs analysis emits every such "long" pair alongside its parts.
-	Dedupe bool
+	Dedupe bool `json:"dedupe,omitempty"`
 	// Coalesce merges two regions that chain through a shared access and
 	// watch the same remote types into one region spanning both, halving
 	// the begin/end annotation stream for straight-line access chains.
-	Coalesce bool
+	Coalesce bool `json:"coalesce,omitempty"`
 }
 
 // Any reports whether any pass is enabled.

@@ -122,22 +122,26 @@ type Start struct {
 	Arg int64
 }
 
-// RunConfig configures one execution.
+// RunConfig configures one execution. The zero value runs prevention mode
+// at the Base optimization level on 2 cores with 4 watchpoints, starting
+// main().
 type RunConfig struct {
 	Mode           kernel.Mode
 	Opt            kernel.OptLevel
-	Vanilla        bool // run the unannotated binary (baseline)
-	NumWatchpoints int
-	Cores          int
-	Seed           int64
-	MaxTicks       uint64
-	TimeoutTicks   uint64 // 0: default 10_000 (10 ms at 1 tick = 1 µs)
-	PauseTicks     uint64
-	PauseEvery     uint64
+	Vanilla        bool   // run the unannotated binary (baseline)
+	NumWatchpoints int    // default 4 (x86 debug registers)
+	Cores          int    // default 2
+	Seed           int64  // selects the interleaving
+	MaxTicks       uint64 // virtual-time budget; default 500M ticks
+	TimeoutTicks   uint64 // suspension timeout; default 10_000 (10 ms at 1 tick = 1 µs)
+	PauseTicks     uint64 // bug-finding pause length
+	PauseEvery     uint64 // bug-finding pause sampling (every Nth begin)
 	// TrapBefore simulates before-access watchpoint hardware (Table 1:
-	// SPARC-class), which needs no undo engine.
+	// SPARC/MIPS-class) instead of x86's trap-after semantics; the
+	// prevention engine then delays remote threads without any undo.
 	TrapBefore bool
-	Whitelist  *whitelist.Whitelist
+	// Whitelist holds the benign AR IDs the run skips in user space.
+	Whitelist *whitelist.Whitelist
 	// WhitelistReloadTicks re-reads the whitelist from its backing source
 	// every interval (§3.2: "the whitelist file is periodically checked
 	// and re-read for updates during execution so that a software
@@ -145,8 +149,10 @@ type RunConfig struct {
 	// processes"). 0 uses 1M ticks (~1 s) when the whitelist has a
 	// source; whitelists without a source are never reloaded.
 	WhitelistReloadTicks uint64
-	Requests             *vm.RequestConfig
-	Costs                vm.Costs
+	// Requests drives the open-loop request generator of server programs
+	// that use recv()/send().
+	Requests *vm.RequestConfig
+	Costs    vm.Costs // zero: vm.DefaultCosts()
 	// OnViolation, if set, is invoked per violation; returning true stops
 	// the run (time-to-detection experiments).
 	OnViolation func(trace.Violation) bool

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"kivati/internal/annotate"
 	"kivati/internal/compile"
 	"kivati/internal/kernel"
+	"kivati/internal/vm"
 )
 
 const src = `
@@ -216,5 +219,76 @@ func TestRunConfigBounds(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunConfigRouting: every RunConfig field has a route, and every
+// kernel-bound field set to a non-default value reaches the session
+// machine's kernel.Config unchanged. A field added to RunConfig, or to
+// kernel.Config or vm.Config, without a route fails here instead of being
+// dropped silently on its way to the run.
+func TestRunConfigRouting(t *testing.T) {
+	// Kernel and VM fields are copied into kernel.Config and vm.Config
+	// under the same name; the session fields are read by newSession, Run
+	// or finish themselves.
+	routes := struct{ kernel, vm, session []string }{
+		kernel:  []string{"Mode", "Opt", "NumWatchpoints", "TimeoutTicks", "PauseTicks", "PauseEvery", "TrapBefore"},
+		vm:      []string{"Cores", "Seed", "MaxTicks", "Costs", "Requests", "Policy", "Dispatch"},
+		session: []string{"Vanilla", "Whitelist", "WhitelistReloadTicks", "OnViolation", "Starts", "SnapshotVars", "HashMemory"},
+	}
+	rt := reflect.TypeOf(RunConfig{})
+	for i := 0; i < rt.NumField(); i++ {
+		name := rt.Field(i).Name
+		n := 0
+		for _, r := range [][]string{routes.kernel, routes.vm, routes.session} {
+			if slices.Contains(r, name) {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("RunConfig.%s has %d routes, want exactly 1", name, n)
+		}
+	}
+	for _, c := range []struct {
+		typ    reflect.Type
+		routed []string
+	}{
+		// ShadowDelta is derived from the binary and the Opt level.
+		{reflect.TypeOf(kernel.Config{}), append(routes.kernel, "ShadowDelta")},
+		{reflect.TypeOf(vm.Config{}), routes.vm},
+	} {
+		for i := 0; i < c.typ.NumField(); i++ {
+			if name := c.typ.Field(i).Name; !slices.Contains(c.routed, name) {
+				t.Errorf("%s.%s is not set from RunConfig", c.typ, name)
+			}
+		}
+	}
+
+	p, err := Build(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonDefault := map[string]any{
+		"Mode": kernel.BugFinding, "Opt": kernel.OptOptimized, "NumWatchpoints": 7,
+		"TimeoutTicks": uint64(12_345), "PauseTicks": uint64(777), "PauseEvery": uint64(9),
+		"TrapBefore": true,
+	}
+	for _, name := range routes.kernel {
+		want, ok := nonDefault[name]
+		if !ok {
+			t.Errorf("no non-default value for kernel-bound RunConfig.%s", name)
+			continue
+		}
+		var cfg RunConfig
+		reflect.ValueOf(&cfg).Elem().FieldByName(name).Set(reflect.ValueOf(want))
+		s, err := NewSession(p, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := reflect.ValueOf(s.Machine().K.Cfg).FieldByName(name).Interface()
+		s.Close()
+		if got != want {
+			t.Errorf("RunConfig.%s = %v reached kernel.Config as %v", name, want, got)
+		}
 	}
 }

@@ -13,7 +13,8 @@ import (
 const fuzzMaxTicks = 4_000_000
 
 // FuzzReadTrace feeds mutated trace JSON through ReadTrace and Replay,
-// seeded from a recorded corpus trace. Whatever the bytes, neither may
+// seeded from two recorded corpus traces: a v1 trace and a v3 trace that
+// carries the annotator options. Whatever the bytes, neither may
 // panic, and each must either succeed with a result or reject the input
 // with an error.
 func FuzzReadTrace(f *testing.F) {
@@ -21,7 +22,12 @@ func FuzzReadTrace(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	annotated, err := os.ReadFile(filepath.Join("testdata", "trace_v3_optimized.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(seed)
+	f.Add(annotated)
 	f.Add([]byte(`{}`))
 	f.Add(seed[:len(seed)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {

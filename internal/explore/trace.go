@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 
+	"kivati/internal/annotate"
 	"kivati/internal/core"
 	"kivati/internal/vm"
 )
@@ -13,8 +14,9 @@ import (
 // Decision-trace record and replay.
 //
 // A Trace is a self-contained, replayable record of one explored schedule:
-// the program source, the full run configuration, the serial reference
-// snapshot, and the chosen thread ID at every scheduler decision point.
+// the program source, the annotator configuration that built it, the full
+// run configuration, the serial reference snapshot, and the chosen thread
+// ID at every scheduler decision point.
 // Replaying drives the VM with a vm.Replayer over those decisions; because
 // the machine is fully deterministic given (binary, config, decisions),
 // replay reproduces the run tick-for-tick — zero replay mismatches and a
@@ -23,10 +25,11 @@ import (
 // trace file alone.
 
 // TraceVersion identifies the trace file format. Version 2 added the
-// engine metadata (Engine, DPOR); the decision encoding is unchanged, so
-// version-1 traces remain fully replayable (see Replay) and a checked-in
-// v1 fixture keeps that promise honest.
-const TraceVersion = 2
+// engine metadata (Engine, DPOR); version 3 added the annotator options
+// (Annotate). The decision encoding is unchanged, so version-1 and -2
+// traces, which lack those fields, remain fully replayable (see Replay)
+// and a checked-in v1 fixture keeps that promise honest.
+const TraceVersion = 3
 
 // Trace is a recorded schedule, serializable to JSON.
 type Trace struct {
@@ -34,8 +37,12 @@ type Trace struct {
 	Subject      string   `json:"subject"`
 	Source       string   `json:"source"`
 	SnapshotVars []string `json:"snapshot_vars"`
-	Mode         Mode     `json:"mode"`
-	Strategy     Strategy `json:"strategy"`
+	// Annotate is the annotator configuration the program was built with
+	// (v3). A trace without it was built by the prototype annotator, as
+	// every v1 and v2 trace was, and decodes to the zero Options.
+	Annotate annotate.Options `json:"annotate"`
+	Mode     Mode             `json:"mode"`
+	Strategy Strategy         `json:"strategy"`
 	// Engine and DPOR record which machinery produced the original run
 	// (v2 metadata; replay itself is engine-independent).
 	Engine Engine `json:"engine,omitempty"`
@@ -93,6 +100,7 @@ func (c *campaign) recordTrace(mode Mode, run Run) (*Trace, error) {
 		Subject:      c.subject.Name,
 		Source:       c.subject.Source,
 		SnapshotVars: c.subject.SnapshotVars,
+		Annotate:     c.opts.Annotate,
 		Mode:         mode,
 		Strategy:     c.opts.Strategy,
 		Engine:       c.opts.Engine,
@@ -140,6 +148,7 @@ func Replay(tr *Trace) (*ReplayResult, error) {
 		TimeoutTicks: tr.TimeoutTicks,
 		Watchpoints:  tr.Watchpoints,
 		Parallelism:  1,
+		Annotate:     tr.Annotate,
 	})
 	if err != nil {
 		return nil, err
@@ -163,18 +172,24 @@ func Replay(tr *Trace) (*ReplayResult, error) {
 }
 
 // maxTraceTicks bounds a trace's max_ticks, quantum and timeout_ticks; its
-// cores and watchpoints are bounded by core.MaxUnits.
-const maxTraceTicks = 1_000_000_000
+// cores and watchpoints are bounded by core.MaxUnits. maxTraceRoots and
+// maxTraceRootLen bound the annotator's extra lockset roots, each of which
+// names a function of the source.
+const (
+	maxTraceTicks   = 1_000_000_000
+	maxTraceRoots   = 256
+	maxTraceRootLen = 256
+)
 
 // validate rejects a trace whose configuration Replay cannot trust: an
 // unknown mode would silently run as prevention, and unbounded cores,
-// watchpoints or tick counts would let a hand-edited file over-allocate or
-// hang the replay. Every decision costs at least one tick, so a decision
-// list longer than max_ticks cannot be a recorded run. Each error names
-// the offending field.
+// watchpoints, tick counts or annotator roots would let a hand-edited file
+// over-allocate or hang the replay. Every decision costs at least one
+// tick, so a decision list longer than max_ticks cannot be a recorded run.
+// Each error names the offending field.
 func (tr *Trace) validate() error {
 	switch {
-	case tr.Version != 1 && tr.Version != TraceVersion:
+	case tr.Version < 1 || tr.Version > TraceVersion:
 		return fmt.Errorf("explore: unsupported trace version %d", tr.Version)
 	case tr.Mode != Vanilla && tr.Mode != Prevention:
 		return fmt.Errorf("explore: trace mode %q: want %q or %q", tr.Mode, Vanilla, Prevention)
@@ -192,6 +207,14 @@ func (tr *Trace) validate() error {
 		return fmt.Errorf("explore: trace timeout_ticks %d above %d", tr.TimeoutTicks, uint64(maxTraceTicks))
 	case tr.MaxTicks > 0 && uint64(len(tr.Decisions)) > tr.MaxTicks:
 		return fmt.Errorf("explore: trace has %d decisions, more than its max_ticks %d", len(tr.Decisions), tr.MaxTicks)
+	}
+	if n := len(tr.Annotate.Roots); n > maxTraceRoots {
+		return fmt.Errorf("explore: trace annotate.roots has %d names, more than %d", n, maxTraceRoots)
+	}
+	for _, r := range tr.Annotate.Roots {
+		if len(r) > maxTraceRootLen {
+			return fmt.Errorf("explore: trace annotate.roots name of %d bytes, more than %d", len(r), maxTraceRootLen)
+		}
 	}
 	return nil
 }

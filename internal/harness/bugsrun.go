@@ -55,25 +55,17 @@ func RunTable6(o Options) ([]Table6Row, error) {
 				return detection{}, fmt.Errorf("harness: bug %s %s: %w", b.App, b.ID, err)
 			}
 			var d detection
-			cfg := core.RunConfig{
-				Mode:           mode,
-				Opt:            kernel.OptBase,
-				NumWatchpoints: o.Watchpoints,
-				Cores:          o.Cores,
-				Seed:           o.Seed + int64(bi)*13,
-				MaxTicks:       DetectionCapTicks,
-				TimeoutTicks:   TimeoutTicks,
-				PauseTicks:     pause,
-				PauseEvery:     BugPauseEvery,
-				Starts:         b.Starts(),
-				OnViolation: func(v trace.Violation) bool {
-					if bugVars[v.Var] {
-						d.when = v.Tick
-						d.found = true
-						return true
-					}
-					return false
-				},
+			cfg := baseConfig(o.Seed + int64(bi)*13)
+			cfg.Mode, cfg.MaxTicks = mode, DetectionCapTicks
+			cfg.PauseTicks, cfg.PauseEvery = pause, BugPauseEvery
+			cfg.Starts = b.Starts()
+			cfg.OnViolation = func(v trace.Violation) bool {
+				if bugVars[v.Var] {
+					d.when = v.Tick
+					d.found = true
+					return true
+				}
+				return false
 			}
 			if _, err := core.Run(p, cfg); err != nil {
 				return detection{}, fmt.Errorf("harness: bug %s %s: %w", b.App, b.ID, err)

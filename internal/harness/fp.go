@@ -169,10 +169,14 @@ func RunTable9(o Options) (*Table9Result, error) {
 	var jobs []func() (*vm.Result, error)
 	for _, spec := range specs {
 		for _, n := range out.Counts {
-			oo := o
-			oo.Watchpoints = n
 			jobs = append(jobs, func() (*vm.Result, error) {
-				return runSpec(oo, spec, kernel.Prevention, kernel.OptOptimized, false)
+				a, err := sharedCache.prepare(spec)
+				if err != nil {
+					return nil, err
+				}
+				cfg := a.config(o, kernel.Prevention, kernel.OptOptimized, false)
+				cfg.NumWatchpoints = n
+				return a.run(cfg)
 			})
 		}
 	}

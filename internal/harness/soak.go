@@ -42,9 +42,7 @@ type SoakOptions struct {
 	Iters       int
 	Cores       int    // simulated cores per campaign (default 1)
 	Quantum     uint64 // preemption quantum override (0 = strategy default)
-	MaxTicks    uint64
-	Watchpoints int
-	Parallelism int // program-level worker pool (0 = GOMAXPROCS)
+	Parallelism int    // program-level worker pool (0 = GOMAXPROCS)
 }
 
 func (o SoakOptions) withDefaults() SoakOptions {
@@ -162,13 +160,11 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 		jobs[i] = func() (SoakProgram, error) {
 			t0 := time.Now()
 			d, err := explore.Differential(explore.GenSubject(p, len(progs)), explore.Options{
-				Strategy:    o.Strategy,
-				Schedules:   o.Schedules,
-				Seed:        o.exploreSeed(p.Index),
-				Quantum:     o.Quantum,
-				Cores:       o.Cores,
-				MaxTicks:    o.MaxTicks,
-				Watchpoints: o.Watchpoints,
+				Strategy:  o.Strategy,
+				Schedules: o.Schedules,
+				Seed:      o.exploreSeed(p.Index),
+				Quantum:   o.Quantum,
+				Cores:     o.Cores,
 				// Campaigns are serial inside; programs are the unit of
 				// fan-out, which keeps every campaign's session count at 1
 				// and the report independent of Parallelism.

@@ -197,87 +197,26 @@ type Start = core.Start
 // using recv()/send().
 type RequestConfig = vm.RequestConfig
 
-// Config configures a run. The zero value runs prevention mode at the Base
-// optimization level on 2 cores with 4 watchpoints, starting main().
-type Config struct {
-	Mode           Mode
-	Opt            OptLevel
-	Vanilla        bool // run without any Kivati instrumentation (baseline)
-	NumWatchpoints int  // default 4 (x86 debug registers)
-	Cores          int  // default 2
-	Seed           int64
-	MaxTicks       uint64 // virtual-time budget; default 500M ticks
-	TimeoutTicks   uint64 // suspension timeout; default 10_000 (10 ms)
-	PauseTicks     uint64 // bug-finding pause length
-	PauseEvery     uint64 // bug-finding pause sampling (every Nth begin)
-	// TrapBefore simulates before-access watchpoint hardware (Table 1:
-	// SPARC/MIPS-class) instead of x86's trap-after semantics; the
-	// prevention engine then delays remote threads without any undo.
-	TrapBefore bool
-	Whitelist  *Whitelist
-	// WhitelistReloadTicks periodically re-reads the whitelist from its
-	// backing source during execution (0 = every 1M ticks when a source
-	// exists), so trained updates reach long-running processes (§3.2).
-	WhitelistReloadTicks uint64
-	Requests             *RequestConfig
-	Starts               []Start
-	// OnViolation, if set, sees each violation as it is detected;
-	// returning true stops the run.
-	OnViolation func(Violation) bool
-}
+// Config configures a run; see core.RunConfig for its fields and their
+// defaults. The zero value runs prevention mode at the Base optimization
+// level on 2 cores with 4 watchpoints, starting main().
+type Config = core.RunConfig
 
-// Report is the outcome of a run.
-type Report struct {
-	Violations []Violation
-	Stats      *Stats
-	Output     []int64  // values passed to print()
-	Latencies  []uint64 // request latencies (server programs)
-	Reason     string   // "completed", "max-ticks", "stopped", "deadlock"
-	Ticks      uint64   // virtual time consumed
-}
-
-func (c Config) toCore() core.RunConfig {
-	return core.RunConfig{
-		Mode:                 c.Mode,
-		Opt:                  c.Opt,
-		Vanilla:              c.Vanilla,
-		NumWatchpoints:       c.NumWatchpoints,
-		Cores:                c.Cores,
-		Seed:                 c.Seed,
-		MaxTicks:             c.MaxTicks,
-		TimeoutTicks:         c.TimeoutTicks,
-		PauseTicks:           c.PauseTicks,
-		PauseEvery:           c.PauseEvery,
-		TrapBefore:           c.TrapBefore,
-		Whitelist:            c.Whitelist,
-		WhitelistReloadTicks: c.WhitelistReloadTicks,
-		Requests:             c.Requests,
-		OnViolation:          c.OnViolation,
-		Starts:               c.Starts,
-	}
-}
+// Report is the outcome of a run: violations, kernel statistics, printed
+// output, request latencies, the stop reason and the virtual time used.
+type Report = vm.Result
 
 // Run executes the program under Kivati.
 func Run(p *Program, cfg Config) (*Report, error) {
-	res, err := core.Run(p.p, cfg.toCore())
+	res, err := core.Run(p.p, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Report{
-		Violations: res.Violations,
-		Stats:      res.Stats,
-		Output:     res.Output,
-		Latencies:  res.Latencies,
-		Reason:     res.Reason,
-		Ticks:      res.Ticks,
-	}, nil
+	return res, nil
 }
 
 // TrainResult reports a whitelist training campaign (§4.2 / Figure 7).
-type TrainResult struct {
-	Whitelist *Whitelist
-	NewFPs    []int // new false positives found per iteration
-}
+type TrainResult = core.TrainResult
 
 // Train repeatedly runs the program, whitelisting every violated AR that is
 // not on a known-bug variable — the paper's procedure for eliminating benign
@@ -287,9 +226,5 @@ func Train(p *Program, cfg Config, iterations int, bugVars []string) (*TrainResu
 	for _, v := range bugVars {
 		bugs[v] = true
 	}
-	tr, err := core.Train(p.p, cfg.toCore(), iterations, bugs)
-	if err != nil {
-		return nil, err
-	}
-	return &TrainResult{Whitelist: tr.Whitelist, NewFPs: tr.NewFPs}, nil
+	return core.Train(p.p, cfg, iterations, bugs)
 }
