@@ -38,7 +38,7 @@ import (
 
 // schema versions the -json report; a field that changes meaning or goes
 // away needs a new version.
-const schema = "kivati-explore/v5"
+const schema = "kivati-explore/v6"
 
 // report is the -json output.
 type report struct {
@@ -63,12 +63,15 @@ type report struct {
 	// Runs, never the budget. Decisions counts scheduler decision points;
 	// DeltaArms/FullArms split the watchpoint adoptions at kernel crossings
 	// into those that found the core already current and those that copied
-	// the canonical register file.
+	// the canonical register file. PreventionTimeouts counts the
+	// suspensions that prevention-mode runs ended by the timeout, the
+	// escape hatch that lets a remote access through unordered.
 	Runs int `json:"runs"`
 	explore.EngineStats
-	Decisions uint64 `json:"decisions"`
-	DeltaArms uint64 `json:"delta_arms"`
-	FullArms  uint64 `json:"full_arms"`
+	Decisions          uint64 `json:"decisions"`
+	DeltaArms          uint64 `json:"delta_arms"`
+	FullArms           uint64 `json:"full_arms"`
+	PreventionTimeouts uint64 `json:"prevention_timeouts"`
 }
 
 // add appends one subject's differential report and adds it to the totals.
@@ -85,6 +88,9 @@ func (r *report) add(d *explore.DiffReport) {
 			r.DeltaArms += run.DeltaArms
 			r.FullArms += run.FullArms
 		}
+	}
+	for _, run := range d.Prevention.Runs {
+		r.PreventionTimeouts += run.Timeouts
 	}
 }
 
@@ -198,6 +204,8 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		check(enc.Encode(rep))
+	} else {
+		fmt.Printf("total: %d runs, %d prevention-mode suspension timeouts\n", rep.Runs, rep.PreventionTimeouts)
 	}
 	engineBugs := 0
 	for _, d := range rep.Subjects {

@@ -39,3 +39,27 @@ func TestRateCountsExecutedRuns(t *testing.T) {
 		t.Errorf("schedules/sec x seconds = %.3f, want the %d executed runs", got, rep.Runs)
 	}
 }
+
+// TestPreventionTimeoutsReported: NSS/341323's prevention runs go through
+// the suspension timeout, and the report's total is the sum of the runs'.
+func TestPreventionTimeoutsReported(t *testing.T) {
+	b, err := bugs.ByID("NSS", "341323")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := explore.BugSubject(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep report
+	if err := sweep(&rep, []*explore.Subject{s}, explore.Options{Schedules: 20, Parallelism: 1}, "", false); err != nil {
+		t.Fatal(err)
+	}
+	var sum uint64
+	for _, run := range rep.Subjects[0].Prevention.Runs {
+		sum += run.Timeouts
+	}
+	if sum == 0 || rep.PreventionTimeouts != sum {
+		t.Errorf("prevention timeouts: runs sum to %d, report says %d; want a nonzero total", sum, rep.PreventionTimeouts)
+	}
+}

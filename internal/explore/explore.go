@@ -127,7 +127,7 @@ func (o Options) withDefaults() (Options, error) {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"Schedules", o.Schedules}, {"Bound", o.Bound}, {"Horizon", o.Horizon}} {
+	}{{"Schedules", o.Schedules}, {"Bound", o.Bound}, {"Horizon", o.Horizon}, {"Parallelism", o.Parallelism}} {
 		if f.v < 0 {
 			return o, fmt.Errorf("%s %d is negative", f.name, f.v)
 		}
@@ -196,6 +196,16 @@ type Run struct {
 	SamePickContinues uint64 `json:"same_pick_continues,omitempty"`
 	DeltaArms         uint64 `json:"delta_arms,omitempty"`
 	FullArms          uint64 `json:"full_arms,omitempty"`
+	// Kivati's escape hatches, copied from the run's kernel.Stats: each
+	// lets a schedule through without the ordering prevention promises.
+	// Timeouts counts suspensions ended by the suspension timeout,
+	// BeginRetryGiveUps begin_atomic suspensions abandoned after the retry
+	// bound, MissedARs begins that found no free watchpoint, and
+	// Unreorderable remote accesses the undo engine could not reverse.
+	Timeouts          uint64 `json:"timeouts,omitempty"`
+	BeginRetryGiveUps uint64 `json:"begin_retry_give_ups,omitempty"`
+	MissedARs         uint64 `json:"missed_ars,omitempty"`
+	Unreorderable     uint64 `json:"unreorderable,omitempty"`
 }
 
 // Report is the outcome of exploring one subject in one mode.
@@ -264,6 +274,10 @@ func (c *campaign) classify(mode Mode, res *vm.Result, decisions int, quantum ui
 		SamePickContinues: res.SamePickContinues,
 		DeltaArms:         res.DeltaArms,
 		FullArms:          res.FullArms,
+		Timeouts:          res.Stats.Timeouts,
+		BeginRetryGiveUps: res.Stats.BeginRetryGiveUps,
+		MissedARs:         res.Stats.MissedARs,
+		Unreorderable:     res.Stats.Unreorderable,
 	}
 	for _, v := range res.Violations {
 		r.Violations++

@@ -312,9 +312,9 @@ func TestBugSubjectRequiresFixture(t *testing.T) {
 	}
 }
 
-// TestOptionsRejectNegativeCounts: a negative schedule budget, DFS bound or
-// horizon is an error that names the field, not a panic or a silent
-// one-schedule run.
+// TestOptionsRejectNegativeCounts: a negative schedule budget, DFS bound,
+// horizon or worker count is an error that names the field, not a panic, a
+// silent one-schedule run or a silent GOMAXPROCS-wide pool.
 func TestOptionsRejectNegativeCounts(t *testing.T) {
 	b, err := bugs.ByID("NSS", "341323")
 	if err != nil {
@@ -331,6 +331,7 @@ func TestOptionsRejectNegativeCounts(t *testing.T) {
 		{"Schedules -1", Options{Schedules: -1}},
 		{"Bound -1", Options{Strategy: DFS, Bound: -1}},
 		{"Horizon -2", Options{Strategy: DFS, Horizon: -2}},
+		{"Parallelism -2", Options{Parallelism: -2}},
 	} {
 		_, err := Differential(subject, tc.opts)
 		if err == nil || !strings.Contains(err.Error(), tc.field) {

@@ -45,7 +45,12 @@ type SoakOptions struct {
 	Parallelism int    // program-level worker pool (0 = GOMAXPROCS)
 }
 
-func (o SoakOptions) withDefaults() SoakOptions {
+// withDefaults fills in the defaults and rejects a negative worker count,
+// which the pool would silently widen to GOMAXPROCS.
+func (o SoakOptions) withDefaults() (SoakOptions, error) {
+	if o.Parallelism < 0 {
+		return o, fmt.Errorf("soak: Parallelism %d is negative", o.Parallelism)
+	}
 	if o.Programs == 0 {
 		o.Programs = 50
 	}
@@ -58,7 +63,7 @@ func (o SoakOptions) withDefaults() SoakOptions {
 	if o.Strategy == "" {
 		o.Strategy = explore.Random
 	}
-	return o
+	return o, nil
 }
 
 // genOptions is the corpusgen configuration a soak run derives from its
@@ -148,7 +153,10 @@ func ratio(num, den int) float64 {
 // RunSoak generates the corpus and sweeps it through the differential
 // oracle.
 func RunSoak(opts SoakOptions) (*SoakReport, error) {
-	o := opts.withDefaults()
+	o, err := opts.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	progs, err := corpusgen.Generate(o.genOptions())
 	if err != nil {
 		return nil, err

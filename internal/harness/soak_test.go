@@ -127,3 +127,12 @@ func TestSoakGate(t *testing.T) {
 		t.Errorf("strict gate ignored missed bugs: %v", err)
 	}
 }
+
+// TestSoakRejectsNegativeParallelism: a negative worker count is an error
+// that names the field, not a silent GOMAXPROCS-wide pool.
+func TestSoakRejectsNegativeParallelism(t *testing.T) {
+	_, err := harness.RunSoak(harness.SoakOptions{Programs: 1, Parallelism: -2})
+	if err == nil || !strings.Contains(err.Error(), "Parallelism -2") {
+		t.Errorf("got error %v, want one naming Parallelism", err)
+	}
+}

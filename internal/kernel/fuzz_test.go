@@ -5,7 +5,6 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -232,13 +231,10 @@ func stateView(k *Kernel) string {
 		v.ARs = nil
 		fmt.Fprintf(&b, "wp%d %+v ARs=%+v\n", i, v, arsView(wm.ARs))
 	}
-	var tids []int
-	for tid := range k.threads {
-		tids = append(tids, tid)
-	}
-	sort.Ints(tids)
-	for _, tid := range tids {
-		ts := k.threads[tid]
+	for tid, ts := range k.threads {
+		if ts == nil {
+			continue
+		}
 		timedOut := map[int]ActiveAR{}
 		for id, ar := range ts.TimedOut {
 			timedOut[id] = *ar

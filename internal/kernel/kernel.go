@@ -314,7 +314,7 @@ type state struct {
 	Meta  []*WPMeta
 	Stats *Stats
 
-	threads map[int]*threadState
+	threads []*threadState // indexed by thread ID; nil until first used
 	mutexes map[uint32]*mutex
 	begins  uint64 // monotone count of monitored begins, for pause sampling
 	// beginRetries counts consecutive begin_atomic suspensions per
@@ -329,7 +329,6 @@ func newState(n int, stats *Stats) state {
 		Canon:        hw.NewRegisterFile(n),
 		Meta:         make([]*WPMeta, n),
 		Stats:        stats,
-		threads:      map[int]*threadState{},
 		mutexes:      map[uint32]*mutex{},
 		beginRetries: map[[2]int]int{},
 	}
@@ -367,6 +366,9 @@ func New(cfg Config, wl *whitelist.Whitelist, log *trace.Log, stats *Stats) *Ker
 func (k *Kernel) SetMachine(m Machine) { k.M = m }
 
 func (k *Kernel) thread(t int) *threadState {
+	if t >= len(k.threads) {
+		k.threads = append(k.threads, make([]*threadState, t+1-len(k.threads))...)
+	}
 	ts := k.threads[t]
 	if ts == nil {
 		ts = &threadState{TimedOut: map[int]*ActiveAR{}}

@@ -58,12 +58,17 @@ func (d *state) copyFrom(s *state, pool *[]*ActiveAR) {
 		dm.TrapSuspended = append(trap, sm.TrapSuspended...)
 		dm.BeginSuspended = append(begin, sm.BeginSuspended...)
 	}
-	for tid := range d.threads {
-		if _, ok := s.threads[tid]; !ok {
-			delete(d.threads, tid)
-		}
+	if n := len(s.threads); n > len(d.threads) {
+		d.threads = append(d.threads, make([]*threadState, n-len(d.threads))...)
+	} else {
+		clear(d.threads[n:])
+		d.threads = d.threads[:n]
 	}
 	for tid, sts := range s.threads {
+		if sts == nil {
+			d.threads[tid] = nil
+			continue
+		}
 		dts := d.threads[tid]
 		if dts == nil {
 			dts = &threadState{TimedOut: make(map[int]*ActiveAR, len(sts.TimedOut))}

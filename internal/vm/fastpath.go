@@ -108,10 +108,11 @@ type fastOp struct {
 // evaluated footprint and so the same decision, which execRun renews there
 // instead of returning to enterBlock (see renewLoop).
 type superblock struct {
-	fp   isa.Footprint
-	run  uint16
-	safe bool
-	loop bool
+	fp     isa.Footprint
+	run    uint16
+	safe   bool
+	loop   bool
+	stores bool // an op it covers may write memory (see Machine.winStores)
 }
 
 // Fast-interpreter dispatch kinds, resolved at decode time so execRun jumps
@@ -243,7 +244,9 @@ func (m *Machine) buildOps(starts []uint32, fps []isa.Footprint) {
 	m.ops = make([]fastOp, len(starts)+1)
 	m.ops[0].pc = ^uint32(0) // matches no thread pc
 	// keeps[i]: op i is fast-enterable and no op of its line moves SP or FP.
+	// stores[i]: an op of op i's line writes memory.
 	keeps := make([]bool, len(m.ops)+1)
+	stores := make([]bool, len(m.ops)+1)
 	for i := len(starts) - 1; i >= 0; i-- {
 		pc := starts[i]
 		in := m.decoded[pc]
@@ -259,6 +262,7 @@ func (m *Machine) buildOps(starts []uint32, fps []isa.Footprint) {
 		o.safe = o.kind != okNone && o.kind != okDIV && o.kind != okMOD
 		o.line = 1
 		keeps[i+1] = in.KeepsFrame()
+		stores[i+1] = storesMem(o.kind)
 		if in.Op.IsControlFlow() || i+1 == len(starts) {
 			continue
 		}
@@ -266,6 +270,7 @@ func (m *Machine) buildOps(starts []uint32, fps []isa.Footprint) {
 			o.line = saturate(int(nx.line) + 1)
 			o.safe = o.safe && nx.safe
 			keeps[i+1] = keeps[i+1] && keeps[i+2]
+			stores[i+1] = stores[i+1] || stores[i+2]
 		}
 	}
 	for i := range m.ops {
@@ -290,13 +295,14 @@ func (m *Machine) buildOps(starts []uint32, fps []isa.Footprint) {
 			tgt = 0 // no JMP ends the line, or a saturated line stops short
 		}
 		sb := &m.sbs[i]
-		*sb = superblock{fp: fps[o.pc], run: o.line, safe: o.safe}
+		*sb = superblock{fp: fps[o.pc], run: o.line, safe: o.safe, stores: stores[i]}
 		end, keep := uint32(i)+uint32(o.line)-1, keeps[i] // the closing op
 		if tgt != 0 {
 			t := &m.ops[tgt]
 			sb.fp = sb.fp.UnionWith(tail)
 			sb.run = saturate(int(o.line) + int(t.line))
 			sb.safe = o.safe && t.safe
+			sb.stores = sb.stores || stores[tgt]
 			end, keep = tgt+uint32(t.line)-1, keep && keeps[tgt]
 		}
 		if e := &m.ops[end]; keep && sb.run < maxLine &&
@@ -304,6 +310,15 @@ func (m *Machine) buildOps(starts []uint32, fps []isa.Footprint) {
 			sb.loop = true
 		}
 	}
+}
+
+// storesMem reports whether ops of dispatch kind k write memory.
+func storesMem(k uint8) bool {
+	switch k {
+	case okST, okST8, okSTR, okSTR8, okPUSH, okPUSHM, okCALL, okCALLM:
+		return true
+	}
+	return false
 }
 
 // maxLine is the longest run an op records; longer straight-line code is
@@ -412,6 +427,7 @@ func (m *Machine) trySuperstep() bool {
 		return false
 	}
 
+	m.winStores = false
 	// Lockstep rounds: in the legacy loop every aligned running core
 	// retires one instruction per tick (instrCost), in core order within
 	// the tick. Round k therefore executes at clock t0 + k, and the window
@@ -470,6 +486,7 @@ func (m *Machine) enterBlock(c *Core) bool {
 	sb := &m.sbs[idx]
 	c.fastLeft = sb.run
 	c.fastIdx = idx
+	m.winStores = m.winStores || sb.stores
 	armed := c.WP.ArmedCount() != 0
 	rec := m.segRecording()
 	class := fpUnbounded // read only after an evaluation

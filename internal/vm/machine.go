@@ -27,7 +27,7 @@ func (m *Machine) Suspend(tid int, kind kernel.BlockKind) {
 	if t.State == stRunnable {
 		// Remove from the run queue.
 		for i, q := range m.runq {
-			if q == t {
+			if q == tid {
 				m.runq = append(m.runq[:i], m.runq[i+1:]...)
 				break
 			}
@@ -60,7 +60,7 @@ func (m *Machine) Resume(tid int) {
 	t.Block = kernel.BlockNone
 	t.WakeAt = 0
 	t.EpochTarget = 0
-	m.runq = append(m.runq, t)
+	m.runq = append(m.runq, tid)
 }
 
 // SetWakeAt arms a time-based wake condition for BlockPause/BlockSleep.

@@ -11,10 +11,13 @@ package vm
 
 // SchedPoint describes one scheduler decision point.
 type SchedPoint struct {
-	Seq      uint64 // 0-based index of this decision within the run
-	Tick     uint64 // virtual time of the decision
-	Core     int    // core being scheduled
-	Runnable []int  // candidate thread IDs in run-queue order; only valid during Pick
+	Seq  uint64 // 0-based index of this decision within the run
+	Tick uint64 // virtual time of the decision
+	Core int    // core being scheduled
+	// Runnable is the run queue itself: the candidate thread IDs in queue
+	// order. It is read-only and valid only during Pick; a policy that
+	// keeps it must copy it.
+	Runnable []int
 }
 
 // SchedulePolicy chooses which runnable thread a free core runs next. Pick

@@ -222,9 +222,7 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	for i, t := range m.threads {
 		s.threads[i] = *t
 	}
-	for i, t := range m.runq {
-		s.runq[i] = t.ID
-	}
+	copy(s.runq, m.runq)
 	for i, c := range m.cores {
 		wp := hw.NewRegisterFile(len(c.WP.WPs))
 		wp.CopyFrom(c.WP)
@@ -319,10 +317,7 @@ func (m *Machine) Restore(s *Snapshot) {
 	}
 	m.threads = m.threads[:len(s.threads)]
 
-	m.runq = m.runq[:0]
-	for _, tid := range s.runq {
-		m.runq = append(m.runq, m.threads[tid])
-	}
+	m.runq = append(m.runq[:0], s.runq...)
 	for i, cs := range s.cores {
 		c := m.cores[i]
 		c.WP.CopyFrom(cs.wp)
@@ -367,6 +362,7 @@ func (m *Machine) Restore(s *Snapshot) {
 	m.Faults = append(m.Faults[:0], s.faults...)
 	m.reason = ""
 	m.curCore = nil
+	m.spin[0].valid, m.spin[1].valid = false, false
 	m.epochBlocked = 0
 	m.live = 0
 	for _, t := range m.threads {

@@ -74,8 +74,9 @@ const (
 	// because a window never frees a core while the run queue is
 	// non-empty. Armed watchpoints do not end windows — blocks whose static
 	// footprint is disjoint from the armed registers run unchecked, the
-	// rest run with per-access pre-checks (see fastpath.go). A per-access
-	// cost disables the tier for the whole run.
+	// rest run with per-access pre-checks (see fastpath.go). On one core it
+	// also skips whole cycles of a thread that yield-spins alone, exactly
+	// (see spin.go). A per-access cost disables the tier for the whole run.
 	DispatchFast DispatchMode = iota
 	// DispatchStep is the reference interpreter: the legacy
 	// one-instruction-at-a-time loop the fast tier is checked against.
@@ -240,7 +241,7 @@ type Machine struct {
 	rng     *rand.Rand
 	threads []*Thread
 	cores   []*Core
-	runq    []*Thread
+	runq    []int // IDs of the runnable threads, in queue order
 	events  eventHeap
 
 	decoded []isa.Instr // indexed by PC; Len==0 means not an instruction start
@@ -266,7 +267,18 @@ type Machine struct {
 
 	curCore *Core // core whose thread is currently executing (for EpochChanged)
 
-	runnableBuf []int // scratch for SchedPoint.Runnable, reused across decisions
+	// Lone-spin skip (spin.go), on one-core fast-tier machines only. ctrs
+	// lists every kernel.Stats counter, its first nStatsCtrs entries, then
+	// every telemetry counter; spin[spinAt] is the last yield's record and
+	// the other entry the one the next fills. winStores says a superblock
+	// the last window entered holds a store. spinSkipped counts the cycles
+	// skipped since New, for tests.
+	ctrs        []*uint64
+	nStatsCtrs  int
+	spin        [2]spinRecord
+	spinAt      int
+	winStores   bool
+	spinSkipped uint64
 
 	// server workload state
 	reqArrivals map[int]uint64
@@ -367,6 +379,7 @@ func New(bin *compile.Binary, k *kernel.Kernel, cfg Config) (*Machine, error) {
 		}
 		m.cores = append(m.cores, c)
 	}
+	m.initSpin()
 	k.SetMachine(m)
 	if bin.Annotated != nil {
 		k.SetARInfo(bin.Annotated.ByID)
@@ -412,7 +425,7 @@ func (m *Machine) startAt(entry uint32, arg int64) (int, error) {
 	t.Regs[isa.RegSP] = int64(sp)
 	t.Regs[isa.RegFP] = int64(sp)
 	m.threads = append(m.threads, t)
-	m.runq = append(m.runq, t)
+	m.runq = append(m.runq, tid)
 	m.live++
 	return tid, nil
 }
@@ -620,9 +633,12 @@ func (m *Machine) Run() *Result {
 					continue
 				}
 			}
-			if c.Cur != nil {
+			if t := c.Cur; t != nil {
 				m.step(c)
 				stepped = true
+				if m.ctrs != nil {
+					m.afterStep(c, t)
+				}
 			}
 		}
 		if deferred {
@@ -732,16 +748,12 @@ func (m *Machine) schedule(c *Core) {
 			if m.segRecording() {
 				m.closeSegment()
 			}
-			m.runnableBuf = m.runnableBuf[:0]
-			for _, t := range m.runq {
-				m.runnableBuf = append(m.runnableBuf, t.ID)
-			}
 			m.pickCore = c.ID + 1
 			i = m.cfg.Policy.Pick(SchedPoint{
 				Seq:      m.schedSeq,
 				Tick:     m.clock,
 				Core:     c.ID,
-				Runnable: m.runnableBuf,
+				Runnable: m.runq,
 			})
 			m.pickCore = 0
 			m.schedSeq++
@@ -749,7 +761,7 @@ func (m *Machine) schedule(c *Core) {
 				i = 0
 			}
 			if m.segRecording() {
-				m.seg.Thread = m.runq[i].ID
+				m.seg.Thread = m.runq[i]
 			}
 		} else if m.rng.Intn(4) == 0 {
 			i = m.rng.Intn(len(m.runq))
@@ -764,7 +776,7 @@ func (m *Machine) schedule(c *Core) {
 		// everything rather than modeling multi-thread segments.
 		m.seg.Global = true
 	}
-	t := m.runq[i]
+	t := m.threads[m.runq[i]]
 	m.runq = append(m.runq[:i], m.runq[i+1:]...)
 	t.State = stRunning
 	t.OnCore = c.ID
@@ -779,7 +791,7 @@ func (m *Machine) preempt(c *Core) {
 	t.State = stRunnable
 	t.OnCore = -1
 	c.Cur = nil
-	m.runq = append(m.runq, t)
+	m.runq = append(m.runq, t.ID)
 }
 
 // fault kills a thread with an error.
